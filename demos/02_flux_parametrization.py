@@ -47,7 +47,7 @@ def main():
     # by a C^1 flux whose steepness grows with j but never overshoots.
     for j in (4, 16, 64):
         sm = smooth_flux(flux, j, -2.0, 2.0)
-        vals = sm(np.linspace(-2.0, 2.0, 4001))
+        vals = sm(0, np.linspace(-2.0, 2.0, 4001))
         assert vals.min() >= flux.ys.min() - 1e-9
         assert vals.max() <= max(flux.ys.max(), flux.jump_right[0]) + 1e-9
         print("  j=%3d: smoothed flux range [%.4f, %.4f], no overshoot" % (

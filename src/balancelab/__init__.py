@@ -33,14 +33,12 @@ from .entropy import (
     initial_trace_error,
     k_samples,
     l1_distance_curve,
-    pair_gap,
     pair_gap_battery,
     standard_battery,
 )
 from .flux import (
     FluxCurve,
     Parametrization,
-    SampledCurve,
     build_parametrization,
     mollify_callable,
     smooth_flux,
@@ -63,14 +61,13 @@ from .measures import (
     dirac_estimate,
     estimate_young_measure,
     mu_is_atom,
-    mv_entropy_residual,
     mv_residual_table,
     support_and_trace_check,
     write_mv_table_csv,
 )
 from .monotone import (
     MonotoneGraph,
-    SmoothMonotoneFn,
+    Table,
     ThetaField,
     ThetaRegularization,
     check_inverse_convergence,
@@ -117,12 +114,10 @@ __all__ = [
     "initial_trace_error",
     "k_samples",
     "l1_distance_curve",
-    "pair_gap",
     "pair_gap_battery",
     "standard_battery",
     "FluxCurve",
     "Parametrization",
-    "SampledCurve",
     "build_parametrization",
     "mollify_callable",
     "smooth_flux",
@@ -141,12 +136,11 @@ __all__ = [
     "dirac_estimate",
     "estimate_young_measure",
     "mu_is_atom",
-    "mv_entropy_residual",
     "mv_residual_table",
     "support_and_trace_check",
     "write_mv_table_csv",
     "MonotoneGraph",
-    "SmoothMonotoneFn",
+    "Table",
     "ThetaField",
     "ThetaRegularization",
     "check_inverse_convergence",

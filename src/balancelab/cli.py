@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, load_config, write_json
 from .entropy import (FORMS, ResidualEvaluator, battery_from_geometry,
                       k_samples, l1_distance_curve, pair_gap_battery)
 from .flux import build_parametrization
@@ -50,9 +50,7 @@ EXIT_RESOLUTION = 3
 
 
 def _write_json(payload, path):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(payload, path)
 
 
 def _emit_error(kind, message):
@@ -153,21 +151,20 @@ def cmd_verify(cfg, out_dir, quiet):
     # rescaled datum, on one shared time step so snapshots align.
     scale = float(cfg.options.get("partner_scale", 0.5))
     partner = dataclasses.replace(spec, u0=_scaled_u0(spec.u0, scale))
-    reg2 = regularized(partner, grid)
     u1 = spec.initial_values(grid.centers, grid.dx)
     u2 = partner.initial_values(grid.centers, grid.dx)
     field1 = Field(u1, reg.v_of_u(u1))
-    field2 = Field(u2, reg2.v_of_u(u2))
+    field2 = Field(u2, reg.v_of_u(u2))
     dt = min(cfl_dt(field1, spec, grid, reg=reg),
-             cfl_dt(field2, partner, grid, reg=reg2))
+             cfl_dt(field2, partner, grid, reg=reg))
     run1 = solve(spec, grid, snapshots=cfg.snapshots, dt_override=dt, reg=reg)
     run2 = solve(partner, grid, snapshots=cfg.snapshots, dt_override=dt,
-                 reg=reg2)
+                 reg=reg)
     times, dists = l1_distance_curve(run1, run2)
     slack = 1e-12 * max(1, run1.n_steps)
     growth = float(np.max(np.diff(dists))) if len(dists) > 1 else 0.0
     curve_ok = growth <= slack
-    gaps = pair_gap_battery("CONTRACTION", run1, run2, reg, reg2, psis)
+    gaps = pair_gap_battery("CONTRACTION", run1, run2, reg, reg, psis)
     gap_min = float(np.min(gaps)) if len(gaps) else 0.0
     pair_ok = curve_ok and gap_min >= -tol
     _write_json({

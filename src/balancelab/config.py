@@ -178,8 +178,14 @@ def load_config(path):
     return RunConfig.from_dict(data)
 
 
-def save_config(cfg, path):
+def write_json(payload, path):
+    """The one JSON artifact format: sorted keys, two-space indent and a
+    trailing newline."""
     with open(path, "w") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def save_config(cfg, path):
+    write_json(cfg.to_dict(), path)
 

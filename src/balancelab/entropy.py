@@ -31,11 +31,11 @@ Pair gaps for two runs sharing grid, times, and regularized operator:
 """
 
 import csv
-import json
 from dataclasses import dataclass, field as _field
 
 import numpy as np
 
+from .config import write_json
 from .problem import perturbation
 
 FORMS = ("SEMI_PLUS", "SEMI_MINUS", "SGN", "N1", "N2")
@@ -196,8 +196,7 @@ class EntropyReport:
         }
 
     def write_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+        write_json(self.to_dict(), path)
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -241,7 +240,7 @@ class ResidualEvaluator:
             F[s] = src.eval_mollified(self.spec.j, t, self.x, self.U[s]) \
                 + perturbation(self.V[s], self.spec.ell, self.spec.m)
         self.f_cells = F
-        self.AV = reg.curve(self.V)
+        self.AV = reg.curve(0, self.V)
         self._terms_cache = {}
         self._psi_cache = {}
 
@@ -284,7 +283,7 @@ class ResidualEvaluator:
                     "the u-space Kruzkov form needs coefficients smooth in x "
                     "(div of the composed flux is measure-valued otherwise)")
             sg = np.sign(self.U - k)
-            phi_k = curve(theta.theta_of(k))
+            phi_k = curve(0, theta.theta_of(k))
             div_phi_k = np.gradient(phi_k, self.dx)
             out = (np.abs(self.U - k),
                    sg * (self.AV - phi_k),
@@ -292,7 +291,7 @@ class ResidualEvaluator:
                    np.abs(self.u0 - k))
         else:
             eta_k = theta.eta_cells(k)
-            a_k = float(curve(k))
+            a_k = float(curve(0, k))
             if form == "SEMI_PLUS":
                 chi = (self.V > k).astype(float)
                 out = (np.maximum(self.U - eta_k, 0.0),
@@ -425,8 +424,3 @@ def pair_gap_battery(kind, run1, run2, reg1, reg2, psis):
         out.append(ev1.dx * ev1.slab * float(
             np.sum(G1 * Pt) + np.sum(G2 * Px) + np.sum(G3 * P)))
     return np.asarray(out)
-
-
-def pair_gap(kind, run1, run2, reg1, reg2, psi):
-    """Single test-function variant of ``pair_gap_battery``."""
-    return float(pair_gap_battery(kind, run1, run2, reg1, reg2, [psi])[0])

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .monotone import MonotoneGraph, ThetaRegularization, mollifier_nodes
+from .monotone import MonotoneGraph, Table, mollifier_nodes
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +303,8 @@ class Parametrization:
         ss = np.linspace(s_lo, s_hi, n)
         data = np.stack([ss, self.U(ss), self.calA(ss)], axis=1)
         header = "s,U,calA"
-        np.savetxt(path, data, delimiter=",", header=header, comments="")
+        np.savetxt(path, data, delimiter=",", header=header, comments="",
+                   fmt="%.17g")
 
 
 def build_parametrization(flux, gap_slope=1.0):
@@ -324,45 +325,9 @@ def build_parametrization(flux, gap_slope=1.0):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SampledCurve:
-    """Uniformly sampled curve with linear interpolation and extension.
-
-    ``parametrization`` is set when the curve lives in the plateau-filled
-    variable of a jump-continuous flux rather than in v itself.
-    """
-
-    lo: float
-    hi: float
-    values: np.ndarray
-    parametrization: Parametrization = None
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if len(self.values) < 2:
-            raise ValueError("need at least two samples")
-        self.du = (self.hi - self.lo) / (len(self.values) - 1)
-        self._slopes = np.diff(self.values) / self.du
-
-    @property
-    def lipschitz(self):
-        return float(np.abs(self._slopes).max())
-
-    @property
-    def grid(self):
-        return self.lo + self.du * np.arange(len(self.values))
-
-    def __call__(self, v):
-        v = np.asarray(v, dtype=float)
-        scalar = v.ndim == 0
-        t = (np.atleast_1d(v) - self.lo) / self.du
-        i = np.clip(np.floor(t).astype(int), 0, len(self.values) - 2)
-        out = self.values[i] + (t - i) * (self.values[i + 1] - self.values[i])
-        return float(out[0]) if scalar else out
-
-
-def mollify_callable(fn, j, lo, hi, n_samples=4097, parametrization=None):
-    """Sampled mollification of a scalar curve with radius 1/j on [lo, hi]."""
+def mollify_callable(fn, j, lo, hi, n_samples=4097):
+    """Sampled mollification of a scalar curve with radius 1/j on [lo, hi],
+    as a one-row Table."""
     if j < 1:
         raise ValueError("approximation index j must be >= 1")
     r = 1.0 / j
@@ -370,7 +335,7 @@ def mollify_callable(fn, j, lo, hi, n_samples=4097, parametrization=None):
     grid = np.linspace(lo, hi, n_samples)
     pts = grid[:, None] - r * nodes[None, :]
     vals = np.asarray(fn(pts.ravel()), dtype=float).reshape(pts.shape) @ weights
-    return SampledCurve(lo, hi, vals, parametrization=parametrization)
+    return Table(lo, hi, vals)
 
 
 def smooth_flux(flux, j, lo, hi, n_samples=4097, gap_slope=1.0):
@@ -378,46 +343,11 @@ def smooth_flux(flux, j, lo, hi, n_samples=4097, gap_slope=1.0):
 
     Continuous fluxes are mollified directly in v.  Jump-continuous fluxes
     are first reparametrized; the returned curve then samples the mollified
-    calA over the image [s(lo), s(hi)] and carries the parametrization.
+    calA over the image [s(lo), s(hi)] of the plateau-filled variable.
     """
     if not flux.has_jumps:
         return mollify_callable(flux.eval, j, lo, hi, n_samples)
     par = build_parametrization(flux, gap_slope)
     s_lo = float(par.s_of_v(lo))
     s_hi = float(par.s_sup_of_v(hi))
-    return mollify_callable(par.calA, j, s_lo, s_hi, n_samples,
-                            parametrization=par)
-
-
-# ---------------------------------------------------------------------------
-# Composition diagnostics
-# ---------------------------------------------------------------------------
-
-
-def composed_flux(x_cell, u, theta, curve):
-    """Value (or filled interval) of the flux over theta(x_cell, u).
-
-    With a regularized theta the composition is single-valued and a float is
-    returned; with a raw ThetaField the result is a float off jumps and a
-    (lo, hi) interval across them.
-    """
-    if isinstance(theta, ThetaRegularization):
-        v = float(theta.theta_of(u)[x_cell])
-        return _curve_point(curve, v)
-    lo, hi = theta.eval(x_cell, u)
-    lo, hi = float(lo[0]), float(hi[0])
-    if lo == hi:
-        vs = curve.value_set(lo) if isinstance(curve, FluxCurve) else None
-        if vs is None:
-            return _curve_point(curve, lo)
-        return vs[0] if vs[0] == vs[1] else vs
-    if isinstance(curve, FluxCurve):
-        return curve.range_on(lo, hi)
-    vals = curve(np.linspace(lo, hi, 129))
-    return (float(vals.min()), float(vals.max()))
-
-
-def _curve_point(curve, v):
-    if isinstance(curve, FluxCurve):
-        return float(curve.eval(v))
-    return float(curve(v))
+    return mollify_callable(par.calA, j, s_lo, s_hi, n_samples)

@@ -28,13 +28,13 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import json
 import math
 import os
 from concurrent import futures
 
 import numpy as np
 
+from .config import write_json
 from .solver import DEFAULT_CFL, Field, cfl_dt, regularized, solve
 
 SCHEDULE_KINDS = ("m", "ell", "j")
@@ -140,9 +140,7 @@ class ScheduleReport:
         }
 
     def write_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(self.to_dict(), path)
 
     def write_csv(self, path):
         """One row per consecutive pair, ready for plotting distances/orders."""

@@ -26,15 +26,13 @@ residual dominates the sharp one and decreases as gamma -> 0).
 """
 
 import csv
-import json
 from dataclasses import dataclass, field as _field
 
 import numpy as np
 
+from .config import write_json
+from .entropy import MIN_CELLS_PER_RADIUS, MIN_SLABS_PER_RADIUS
 from .problem import perturbation
-
-# required resolution of a test function against the fine and macro grids
-_FINE_PER_RADIUS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +113,7 @@ class YoungMeasureEstimate:
         }
 
     def write_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+        write_json(self.to_dict(), path)
 
 
 def _merge_sorted(vals, merge_tol):
@@ -240,20 +237,6 @@ def chi_gamma_below(lam, mu, gamma):
 # ---------------------------------------------------------------------------
 
 
-def _eta_matrix(theta, v_vals, cells):
-    """Per-cell inverse state map at many transformed values:
-    (len(v_vals), len(cells))."""
-    v_vals = np.asarray(v_vals, dtype=float)
-    out = np.empty((len(v_vals), len(cells)))
-    for c, cell in enumerate(cells):
-        row = theta.table[theta.cell_rows[cell]]
-        i = np.clip(np.searchsorted(row, v_vals, side="right") - 1,
-                    0, theta.n_samples - 2)
-        out[:, c] = theta.u_lo + theta.du * (
-            i + (v_vals - row[i]) / (row[i + 1] - row[i]))
-    return out
-
-
 class MeasureContext:
     """Precomputed per-block bracket ingredients of one estimate against one
     regularized problem: inverse states, mollified source factors, and flux
@@ -272,20 +255,20 @@ class MeasureContext:
         for s, t in enumerate(ym.times):
             C[s] = spec.source.c_mollified(spec.j, t, ym.centers)
         self.C = C
+        theta = reg.theta
         self.blocks = []
         for bt in range(ym.n_t_blocks):
             ts, te = ym.t_idx_edges[bt], ym.t_idx_edges[bt + 1]
             for bx in range(ym.n_x_blocks):
                 xs, xe = ym.x_idx_edges[bx], ym.x_idx_edges[bx + 1]
                 vals, wts = ym.atoms[bt][bx]
-                cells = np.arange(xs, xe)
-                eta = _eta_matrix(reg.theta, vals, cells)
+                eta = theta.sampled.inverse(theta.cell_rows[xs:xe], vals[:, None])
                 self.blocks.append({
                     "bt": bt, "bx": bx, "ts": ts, "te": te, "xs": xs, "xe": xe,
                     "vals": vals, "wts": wts, "eta": eta,
                     "g_eta": spec.source.g_mollified(spec.j, eta),
                     "phi": perturbation(vals, spec.ell, spec.m),
-                    "A": np.asarray(reg.curve(vals)),
+                    "A": reg.curve(0, vals),
                 })
         self._eta_mu_cache = {}
         self._psi_cache = {}
@@ -294,8 +277,8 @@ class MeasureContext:
         ym = self.ym
         block_w = float(np.max(np.diff(ym.x_idx_edges))) * ym.dx
         block_t = float(np.max(np.diff(ym.t_idx_edges))) * ym.slab
-        need_x = max(_FINE_PER_RADIUS * ym.dx, block_w)
-        need_t = max(_FINE_PER_RADIUS * ym.slab, block_t)
+        need_x = max(MIN_CELLS_PER_RADIUS * ym.dx, block_w)
+        need_t = max(MIN_SLABS_PER_RADIUS * ym.slab, block_t)
         if psi.r_x < need_x or psi.r_t < need_t:
             raise ValueError(
                 "test function support unresolved on the macro-grid: needs "
@@ -312,11 +295,11 @@ class MeasureContext:
             )
         return self._psi_cache[key]
 
-    def _eta_mu(self, mu, xs, xe):
-        key = (float(mu), int(xs), int(xe))
+    def _eta_mu(self, mu):
+        """eta(x_i, mu) over all cells, one inversion per level."""
+        key = float(mu)
         if key not in self._eta_mu_cache:
-            self._eta_mu_cache[key] = _eta_matrix(
-                self.reg.theta, [mu], np.arange(xs, xe))[0]
+            self._eta_mu_cache[key] = self.reg.theta.eta_cells(key)
         return self._eta_mu_cache[key]
 
     def residual(self, sign, mu, psi, gamma=0.0):
@@ -325,11 +308,12 @@ class MeasureContext:
             raise ValueError("sign must be PLUS or MINUS")
         self._check_resolution(psi)
         P, Pt, Px = self._psi_fields(psi)
-        A_mu = float(self.reg.curve(mu))
+        A_mu = float(self.reg.curve(0, mu))
+        eta_mu_cells = self._eta_mu(mu)
         total = 0.0
         for blk in self.blocks:
             vals, wts, eta = blk["vals"], blk["wts"], blk["eta"]
-            eta_mu = self._eta_mu(mu, blk["xs"], blk["xe"])
+            eta_mu = eta_mu_cells[blk["xs"]:blk["xe"]]
             if sign == "PLUS":
                 B1 = wts @ np.maximum(eta - eta_mu, 0.0)
                 chi_flux = wts * (vals > mu)
@@ -350,12 +334,6 @@ class MeasureContext:
             total += float(B1 @ Ptb.sum(axis=0)) + B2 * float(Pxb.sum()) \
                 + float(B3g @ CP.sum(axis=0)) + B3p * float(Pb.sum())
         return self.ym.dx * self.ym.slab * total
-
-
-def mv_entropy_residual(sign, ym, mu, psi, reg, gamma=0.0):
-    """One-call form of ``MeasureContext.residual`` (build a context for
-    batteries; it caches the per-block ingredients)."""
-    return MeasureContext(ym, reg).residual(sign, mu, psi, gamma=gamma)
 
 
 def mu_is_atom(ym, mu, tol=1e-9):
@@ -461,7 +439,7 @@ def support_and_trace_check(ym, r_field, u0_values, reg, window=None):
             cells = np.arange(xs, xe)[in_window[xs:xe]]
             if len(cells) == 0:
                 continue
-            eta = _eta_matrix(reg.theta, vals, cells)
+            eta = reg.theta.sampled.inverse(reg.theta.cell_rows[cells], vals[:, None])
             trace[bt] += ym.dx * float(wts @ np.sum(np.abs(eta - u0[cells]), axis=1))
     return {
         "support_ok": not violations,

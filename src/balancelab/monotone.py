@@ -241,34 +241,6 @@ def resolvent(graph, lam, w):
     return float(u[0]) if scalar else u
 
 
-def resolvent_bisect(graph, lam, w, tol=1e-12):
-    """Bisection fallback/oracle for the resolvent (scalar w)."""
-    w = float(w)
-    lo, hi = w - 1.0, w + 1.0
-
-    def above(u):
-        vlo, vhi = graph.value_interval(u)
-        return u + lam * vlo > w
-
-    def below(u):
-        vlo, vhi = graph.value_interval(u)
-        return u + lam * vhi < w
-
-    while below(hi):
-        hi += max(1.0, abs(hi))
-    while above(lo):
-        lo -= max(1.0, abs(lo))
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if above(mid):
-            hi = mid
-        elif below(mid):
-            lo = mid
-        else:
-            return mid
-    return 0.5 * (lo + hi)
-
-
 def yosida(graph, lam, w):
     """Yosida approximation theta_lam(w) = (w - resolvent(w)) / lam."""
     r = resolvent(graph, lam, w)
@@ -446,66 +418,77 @@ def compose_graphs(outer, inner):
 
 
 # ---------------------------------------------------------------------------
-# Sampled strictly increasing functions (regularized graphs live here)
+# Table: rows of samples on one uniform grid (every sampled curve lives here)
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class SmoothMonotoneFn:
-    """Strictly increasing function sampled on a uniform grid.
+class Table:
+    """Rows of samples on the uniform grid lo = u_0 < ... < u_{N-1} = hi.
 
     Evaluation is linear interpolation, extended linearly beyond the grid
-    with the edge slopes, so the function stays strictly increasing and
-    surjective; the inverse is the exact inverse of that interpolant.
+    with the edge slopes.  ``rows`` selects one row per evaluation point and
+    broadcasts against the points, so a one-row table takes ``rows = 0``
+    and points of any shape.  Rows that are strictly increasing (margin
+    > 0) are surjective and have the exact inverse of their interpolant.
     """
 
     lo: float
     hi: float
-    values: np.ndarray
+    values: np.ndarray  # (rows, samples); a 1-D sample vector is one row
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if len(self.values) < 2:
+        self.values = np.atleast_2d(np.asarray(self.values, dtype=float))
+        self.n_samples = self.values.shape[1]
+        if self.n_samples < 2:
             raise ValueError("need at least two samples")
-        self.du = (self.hi - self.lo) / (len(self.values) - 1)
-        dv = np.diff(self.values)
-        if np.any(dv <= 0):
-            raise ValueError("samples must be strictly increasing")
-        self._slopes = dv / self.du
+        self.du = (self.hi - self.lo) / (self.n_samples - 1)
+        slopes = np.diff(self.values, axis=1) / self.du
+        self.margin = float(slopes.min())  # > 0 certifies strict increase
+        # flat |slopes| plus one sentinel, so that every bracket end is a
+        # valid np.maximum.reduceat index
+        self._abs_slopes = np.append(np.abs(slopes).ravel(), 0.0)
+        self.lipschitz = float(self._abs_slopes.max())
 
     @staticmethod
     def from_function(fn, lo, hi, n=4097):
-        grid = np.linspace(lo, hi, n)
-        return SmoothMonotoneFn(lo, hi, np.asarray(fn(grid), dtype=float))
+        """One-row table of ``fn`` sampled at n uniform points of [lo, hi]."""
+        return Table(lo, hi, fn(np.linspace(lo, hi, n)))
 
-    @property
-    def grid(self):
-        return self.lo + self.du * np.arange(len(self.values))
+    def __call__(self, rows, u):
+        t = (np.asarray(u, dtype=float) - self.lo) / self.du
+        i = np.clip(np.floor(t).astype(int), 0, self.n_samples - 2)
+        T = self.values
+        return T[rows, i] + (t - i) * (T[rows, i + 1] - T[rows, i])
 
-    @property
-    def lipschitz(self):
-        return float(self._slopes.max())
+    def inverse(self, rows, v):
+        """u with self(rows, u) = v, for strictly increasing rows.
 
-    @property
-    def margin(self):
-        """Smallest sampled slope; > 0 certifies strict monotonicity."""
-        return float(self._slopes.min())
-
-    def __call__(self, u):
-        u = np.asarray(u, dtype=float)
-        scalar = u.ndim == 0
-        t = (np.atleast_1d(u) - self.lo) / self.du
-        i = np.clip(np.floor(t).astype(int), 0, len(self.values) - 2)
-        out = self.values[i] + (t - i) * (self.values[i + 1] - self.values[i])
-        return float(out[0]) if scalar else out
-
-    def inverse(self, v):
+        The slope cell is searchsorted(row, v, 'right') - 1 clipped to the
+        grid, found per row by a branch-free bisection (one gather per bit
+        of the cell count).
+        """
+        if self.margin <= 0:
+            raise ValueError("inverse needs strictly increasing samples")
         v = np.asarray(v, dtype=float)
-        scalar = v.ndim == 0
-        vv = np.atleast_1d(v)
-        i = np.clip(np.searchsorted(self.values, vv, side="right") - 1, 0, len(self.values) - 2)
-        u = self.lo + self.du * (i + (vv - self.values[i]) / (self.values[i + 1] - self.values[i]))
-        return float(u[0]) if scalar else u
+        T = self.values
+        last = self.n_samples - 2
+        i = np.zeros(np.broadcast(rows, v).shape, dtype=int)
+        for bit in reversed(range(last.bit_length())):
+            step = np.minimum(i + (1 << bit), last)
+            i = np.where(T[rows, step] <= v, step, i)
+        lo, hi = T[rows, i], T[rows, i + 1]
+        return self.lo + self.du * (i + (v - lo) / (hi - lo))
+
+    def range_max_abs_slope(self, rows, lo, hi):
+        """Exact max of |slope| per row over the slope cells covering
+        [lo, hi]; nondecreasing under bracket inclusion."""
+        n_slope = self.n_samples - 1
+        i0 = np.clip(np.floor((lo - self.lo) / self.du).astype(int), 0, n_slope - 1)
+        i1 = np.clip(np.ceil((hi - self.lo) / self.du).astype(int), i0 + 1, n_slope)
+        base = np.asarray(rows) * n_slope
+        bounds = np.stack(np.broadcast_arrays(base + i0, base + i1), axis=-1)
+        return np.maximum.reduceat(self._abs_slopes, bounds.ravel())[::2].reshape(bounds.shape[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -619,65 +602,37 @@ class ThetaRegularization:
     cell_rows: np.ndarray   # (n_cells,) row index per cell
 
     def __post_init__(self):
-        self.n_samples = self.table.shape[1]
-        self.du = (self.u_hi - self.u_lo) / (self.n_samples - 1)
-        self._row_slopes = np.diff(self.table, axis=1) / self.du
-        if np.any(self._row_slopes <= 0):
+        self.sampled = Table(self.u_lo, self.u_hi, self.table)
+        if self.sampled.margin <= 0:
             raise ValueError("regularized theta lost strict monotonicity; widen the sample grid")
 
     @property
     def u_grid(self):
-        return self.u_lo + self.du * np.arange(self.n_samples)
+        return self.u_lo + self.sampled.du * np.arange(self.sampled.n_samples)
 
     @property
     def lipschitz(self):
-        return float(self._row_slopes.max())
+        return self.sampled.lipschitz
 
     @property
     def margin(self):
-        return float(self._row_slopes.min())
-
-    def fn(self, cell):
-        return SmoothMonotoneFn(self.u_lo, self.u_hi, self.table[self.cell_rows[cell]])
-
-    def _interp(self, rows, u):
-        t = (np.asarray(u, dtype=float) - self.u_lo) / self.du
-        i = np.clip(np.floor(t).astype(int), 0, self.n_samples - 2)
-        T = self.table
-        return T[rows, i] + (t - i) * (T[rows, i + 1] - T[rows, i])
+        return self.sampled.margin
 
     def v_of_u(self, u_cells):
         """theta_j(x_i, u_i) for a per-cell state vector (or S x n matrix)."""
-        u = np.asarray(u_cells, dtype=float)
-        rows = self.cell_rows if u.ndim == 1 else self.cell_rows[None, :]
-        return self._interp(np.broadcast_to(rows, u.shape), u)
+        return self.sampled(self.cell_rows, u_cells)
 
     def theta_of(self, u_value):
         """theta_j(x_i, u) for one scalar u across all cells."""
-        return self._interp(self.cell_rows, np.full(len(self.cell_rows), float(u_value)))
+        return self.sampled(self.cell_rows, float(u_value))
 
     def eta_cells(self, v_value):
         """Inverse: u with theta_j(x_i, u) = v, one scalar v across all cells."""
-        T = self.table[self.cell_rows]
-        i = np.clip((T < v_value).sum(axis=1) - 1, 0, self.n_samples - 2)
-        rows = np.arange(T.shape[0])
-        lo, hi = T[rows, i], T[rows, i + 1]
-        return self.u_lo + self.du * (i + (v_value - lo) / (hi - lo))
+        return self.sampled.inverse(self.cell_rows, v_value)
 
     def u_of_v(self, v_cells):
         """Inverse per cell for a per-cell v vector (or S x n matrix)."""
-        v = np.asarray(v_cells, dtype=float)
-        mat = v.ndim == 2
-        V = v if mat else v[None, :]
-        out = np.empty_like(V)
-        T = self.table
-        for s in range(V.shape[0]):
-            Trow = T[self.cell_rows]
-            i = np.clip((Trow < V[s][:, None]).sum(axis=1) - 1, 0, self.n_samples - 2)
-            rows = np.arange(Trow.shape[0])
-            lo, hi = Trow[rows, i], Trow[rows, i + 1]
-            out[s] = self.u_lo + self.du * (i + (V[s] - lo) / (hi - lo))
-        return out if mat else out[0]
+        return self.sampled.inverse(self.cell_rows, v_cells)
 
 
 def regularize_theta(field, j, u_lo, u_hi, n_samples=1025, outer=None):
@@ -744,9 +699,10 @@ def regularize_theta(field, j, u_lo, u_hi, n_samples=1025, outer=None):
 def check_inverse_convergence(seq, limit, compact, n_grid=1000):
     """Sup distance of seq_n^{-1} to the limit's inverse on a compact window.
 
-    ``seq`` is a list of SmoothMonotoneFn; ``limit`` a MonotoneGraph whose
-    inverse must be continuous (no interior plateaus of the limit map turn
-    into jumps inside the window).  Returns one sup-error per member.
+    ``seq`` is a list of strictly increasing one-row Tables; ``limit`` a
+    MonotoneGraph whose inverse must be continuous (no interior plateaus of
+    the limit map turn into jumps inside the window).  Returns one
+    sup-error per member.
     """
     a, b = compact
     inv = invert_graph(limit)
@@ -755,9 +711,4 @@ def check_inverse_convergence(seq, limit, compact, n_grid=1000):
         raise ValueError("limit inverse is discontinuous on the window")
     ys = np.linspace(a, b, n_grid)
     ref_lo, _ = inv.eval(ys)
-    errors = []
-    for fn in seq:
-        if fn.margin <= 0:
-            raise ValueError("sequence member is not strictly increasing (not surjective)")
-        errors.append(float(np.abs(fn.inverse(ys) - ref_lo).max()))
-    return errors
+    return [float(np.abs(fn.inverse(0, ys) - ref_lo).max()) for fn in seq]

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as _field
 import numpy as np
 
 from .flux import build_parametrization, mollify_callable
-from .monotone import ThetaField, regularize_theta
+from .monotone import Table, ThetaField, regularize_theta
 from .problem import perturbation, perturbation_lipschitz
 
 DEFAULT_CFL = 0.45
@@ -30,13 +30,6 @@ DEFAULT_CFL = 0.45
 # every cell-update coefficient of the explicit scheme nonnegative
 # (1 - cfl - 1/2 > 0), which is what makes the scheme order preserving.
 _SOURCE_CAP = 0.5
-
-# Granularity floor for the wave-speed scan over an interface bracket.
-# The scan always covers every slope cell of the sampled flux table that
-# the bracket touches (an exact range maximum), so the speed bound is
-# monotone under bracket inclusion; this constant only names the minimal
-# resolution of that scan.
-SPEED_SAMPLES = 32
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +166,8 @@ class RegularizedProblem:
 
     ``theta`` holds the per-cell tables of theta_j, ``theta_if`` the
     per-interface tables built from arithmetically averaged coefficients,
-    and ``flux_tables`` the composed interface flux F(u) on the shared
-    u sample grid.
+    and ``flux`` the composed interface flux F(u) on the shared u sample
+    grid, one row per interface row of ``theta_if``.
     """
 
     spec: object
@@ -182,23 +175,16 @@ class RegularizedProblem:
     field: ThetaField
     theta: object
     theta_if: object
-    curve: object
+    curve: Table
     par: object
-    flux_tables: np.ndarray
+    flux: Table
 
     def __post_init__(self):
-        self.u_lo = self.theta_if.u_lo
-        self.du = self.theta_if.du
-        self.n_samples = self.theta_if.n_samples
-        self.flux_slopes = np.diff(self.flux_tables, axis=1) / self.du
-        self._iface_rows = self.theta_if.cell_rows
+        self.u_lo = self.flux.lo
+        self.du = self.flux.du
+        self.n_samples = self.flux.n_samples
 
     # -- recorded Lipschitz data ------------------------------------------------
-
-    @property
-    def lipschitz_flux(self):
-        """Global Lipschitz bound of u -> A_j(theta_j(x, u)) over the tables."""
-        return float(np.abs(self.flux_slopes).max())
 
     @property
     def lip_source(self):
@@ -208,23 +194,10 @@ class RegularizedProblem:
 
     def max_speed(self, lo, hi):
         """Exact max of |dF/du| over [lo, hi] on the sampled representation."""
-        i0, i1 = self._bracket(np.asarray([lo]), np.asarray([hi]))
-        return float(np.abs(self.flux_slopes[:, i0[0]:i1[0]]).max())
+        rows = np.arange(len(self.flux.values))
+        return float(self.flux.range_max_abs_slope(rows, lo, hi).max())
 
     # -- interface flux ----------------------------------------------------------
-
-    def _bracket(self, lo, hi):
-        """Slope-cell index ranges [i0, i1) covering [lo, hi] per interface."""
-        n_slope = self.n_samples - 1
-        i0 = np.clip(np.floor((lo - self.u_lo) / self.du).astype(int), 0, n_slope - 1)
-        i1 = np.clip(np.ceil((hi - self.u_lo) / self.du).astype(int), i0 + 1, n_slope)
-        return i0, i1
-
-    def _interp_flux(self, rows, u):
-        t = (np.asarray(u, dtype=float) - self.u_lo) / self.du
-        i = np.clip(np.floor(t).astype(int), 0, self.n_samples - 2)
-        T = self.flux_tables
-        return T[rows, i] + (t - i) * (T[rows, i + 1] - T[rows, i])
 
     def numerical_flux(self, uL, uR, rows=None):
         """Local Lax-Friedrichs flux at every interface: (flux values, max speed).
@@ -235,17 +208,9 @@ class RegularizedProblem:
         makes the full cell update order preserving.
         """
         if rows is None:
-            rows = self._iface_rows
-        FL = self._interp_flux(rows, uL)
-        FR = self._interp_flux(rows, uR)
-        lo = np.minimum(uL, uR)
-        hi = np.maximum(uL, uR)
-        i0, i1 = self._bracket(lo, hi)
-        width = int((i1 - i0).max())
-        offsets = np.arange(max(width, 1))
-        idx = np.minimum(i0[:, None] + offsets[None, :], i1[:, None] - 1)
-        a = np.abs(self.flux_slopes[rows[:, None], idx]).max(axis=1)
-        return 0.5 * (FL + FR) - 0.5 * a * (uR - uL), a
+            rows = self.theta_if.cell_rows
+        a = self.flux.range_max_abs_slope(rows, np.minimum(uL, uR), np.maximum(uL, uR))
+        return 0.5 * (self.flux(rows, uL) + self.flux(rows, uR)) - 0.5 * a * (uR - uL), a
 
     # -- state maps ---------------------------------------------------------------
 
@@ -292,15 +257,12 @@ def regularized(spec, grid, n_samples=1025, n_flux_samples=4097):
     v_lo = min(theta.table.min(), theta_if.table.min())
     v_hi = max(theta.table.max(), theta_if.table.max())
     pad = max(1e-9, 0.05 * (v_hi - v_lo))
-    if par is None:
-        curve = mollify_callable(spec.flux.eval, spec.j, v_lo - pad, v_hi + pad,
-                                 n_samples=n_flux_samples)
-    else:
-        curve = mollify_callable(par.calA, spec.j, v_lo - pad, v_hi + pad,
-                                 n_samples=n_flux_samples, parametrization=par)
-    flux_tables = curve(theta_if.table)
+    curve = mollify_callable(spec.flux.eval if par is None else par.calA,
+                             spec.j, v_lo - pad, v_hi + pad,
+                             n_samples=n_flux_samples)
+    flux = Table(theta_if.u_lo, theta_if.u_hi, curve(0, theta_if.table))
     return RegularizedProblem(spec, grid, field, theta, theta_if, curve, par,
-                              flux_tables)
+                              flux)
 
 
 # ---------------------------------------------------------------------------
@@ -354,19 +316,6 @@ def step(field, dt, t, reg):
         "max_speed": float(a.max()),
     }
     return Field(u_new, v_new), info
-
-
-def interface_flux(uL, uR, x_iface, spec, grid=None, reg=None):
-    """Numerical flux of a single interface, located by position."""
-    if reg is None:
-        if grid is None:
-            grid = Grid1D(spec.x_lo, spec.x_hi, 64)
-        reg = regularized(spec, grid)
-    k = int(np.argmin(np.abs(reg.grid.interfaces - x_iface)))
-    value, _ = reg.numerical_flux(np.asarray([float(uL)]),
-                                  np.asarray([float(uR)]),
-                                  rows=reg._iface_rows[k:k + 1])
-    return float(value[0])
 
 
 def solve(spec, grid, snapshots=8, cfl=DEFAULT_CFL, dt_override=None, reg=None):

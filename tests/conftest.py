@@ -1,7 +1,9 @@
-"""Shared test helpers: seeded random graphs and a canonical problem."""
+"""Shared test helpers: seeded random graphs, a canonical problem, the
+resolvent bisection oracle and the single-test-function pair gap."""
 
 import numpy as np
 
+from balancelab.entropy import pair_gap_battery
 from balancelab.flux import FluxCurve
 from balancelab.monotone import MonotoneGraph
 from balancelab.problem import ProblemSpec, SourceSpec
@@ -80,3 +82,36 @@ def random_monotone_graph(rng, max_breaks=3):
     offset = lo0 + rng.random() * (hi0 - lo0)
     jumps -= offset
     return MonotoneGraph(b, jumps, slopes, tails)
+
+
+def resolvent_bisect(graph, lam, w, tol=1e-12):
+    """Bisection fallback/oracle for the resolvent (scalar w)."""
+    w = float(w)
+    lo, hi = w - 1.0, w + 1.0
+
+    def above(u):
+        vlo, vhi = graph.value_interval(u)
+        return u + lam * vlo > w
+
+    def below(u):
+        vlo, vhi = graph.value_interval(u)
+        return u + lam * vhi < w
+
+    while below(hi):
+        hi += max(1.0, abs(hi))
+    while above(lo):
+        lo -= max(1.0, abs(lo))
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if above(mid):
+            hi = mid
+        elif below(mid):
+            lo = mid
+        else:
+            return mid
+    return 0.5 * (lo + hi)
+
+
+def pair_gap(kind, run1, run2, reg1, reg2, psi):
+    """Single test-function variant of ``pair_gap_battery``."""
+    return float(pair_gap_battery(kind, run1, run2, reg1, reg2, [psi])[0])

@@ -23,7 +23,7 @@ from balancelab.harness import (j_schedule_run, monotone_in_ell_check,
                                 monotone_in_m_check, scheme_tol, solve_points)
 from balancelab.measures import (MeasureContext, averaged_contraction_gap,
                                  dirac_estimate, estimate_young_measure)
-from balancelab.monotone import (MonotoneGraph, SmoothMonotoneFn,
+from balancelab.monotone import (MonotoneGraph, Table,
                                  check_inverse_convergence, resolvent, yosida)
 from balancelab.solver import Field, Grid1D, cfl_dt, regularized, solve
 from conftest import random_monotone_graph
@@ -117,7 +117,7 @@ INVERSE_SUP_ERRORS = [
 def test_criterion_2_inverse_convergence_rate():
     ns = [2 ** k for k in range(9)]
     seq = [
-        SmoothMonotoneFn.from_function(
+        Table.from_function(
             lambda u, n=n: u + (2.0 / np.pi) * np.arctan(n * u), -3.0, 3.0,
             n=8193)
         for n in ns

@@ -277,6 +277,10 @@ def test_parametrize_jump_flux_fills_one_plateau(tmp_path):
     a, b, z = meta["plateaus"][0]
     on = (s >= a) & (s <= b)
     assert on.any() and np.allclose(U[on], z)
+    # docs/formats.md: every CSV number is written with %.17g
+    for row in _read_csv(out / "parametrization.csv")[1:]:
+        for cell in row:
+            assert cell == "%.17g" % float(cell)
 
 
 # ---------------------------------------------------------------------------

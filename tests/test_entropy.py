@@ -9,12 +9,12 @@ import pytest
 from balancelab.entropy import (EntropyReport, ResidualEvaluator, TestFunction,
                                 bump_profile, bump_profile_dy,
                                 initial_trace_error, k_samples,
-                                l1_distance_curve, pair_gap, pair_gap_battery,
+                                l1_distance_curve, pair_gap_battery,
                                 standard_battery)
 from balancelab.flux import FluxCurve
 from balancelab.problem import SourceSpec
 from balancelab.solver import Field, Grid1D, cfl_dt, regularized, solve
-from conftest import canonical_spec
+from conftest import canonical_spec, pair_gap
 
 INF = float("inf")
 

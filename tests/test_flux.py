@@ -14,20 +14,19 @@ import pytest
 from balancelab.flux import (
     FluxCurve,
     Parametrization,
-    SampledCurve,
     build_parametrization,
-    composed_flux,
     smooth_flux,
 )
 from balancelab.monotone import (
     MonotoneGraph,
     ThetaField,
+    ThetaRegularization,
     compose_graphs,
     mollifier_nodes,
     regularize_theta,
     resolvent,
-    resolvent_bisect,
 )
+from conftest import resolvent_bisect
 
 
 def heaviside_flux():
@@ -193,10 +192,10 @@ def test_smooth_flux_exact_on_affine_and_constant():
     aff = FluxCurve.from_function(lambda v: 2.0 * v + 1.0, -3.0, 3.0)
     sm = smooth_flux(aff, 5, -2.0, 2.0)
     vs = np.linspace(-2.0, 2.0, 41)
-    assert np.abs(sm(vs) - (2.0 * vs + 1.0)).max() < 1e-10
+    assert np.abs(sm(0, vs) - (2.0 * vs + 1.0)).max() < 1e-10
     const = FluxCurve.from_function(lambda v: np.full_like(v, 3.25), -3.0, 3.0)
     sm = smooth_flux(const, 7, -2.0, 2.0)
-    assert np.abs(sm(vs) - 3.25).max() < 1e-12
+    assert np.abs(sm(0, vs) - 3.25).max() < 1e-12
 
 
 def test_smooth_flux_kernel_moment_oracle_and_convergence():
@@ -209,7 +208,7 @@ def test_smooth_flux_kernel_moment_oracle_and_convergence():
     errs = []
     for j in (2, 4, 8, 16):
         sm = smooth_flux(A, j, -2.0, 2.0)
-        err = float(np.abs(sm(vs) - 0.5 * vs**2).max())
+        err = float(np.abs(sm(0, vs) - 0.5 * vs**2).max())
         assert err == pytest.approx(m2 / (2.0 * j * j), rel=2e-2)
         assert err < 2.0 / j  # Lip bound on the compact
         errs.append(err)
@@ -221,13 +220,12 @@ def test_smooth_flux_kernel_moment_oracle_and_convergence():
 def test_smooth_flux_jumpy_lives_in_plateau_variable():
     A = heaviside_flux()
     sm = smooth_flux(A, 4, -2.0, 2.0)
-    assert sm.parametrization is not None
     assert sm.lo == -2.0
     assert sm.hi == 3.0
     # kernel radius 1/4 fits inside the plateau: the affine fill is exact
-    assert sm(0.5) == pytest.approx(0.5, abs=1e-12)
-    assert sm(-1.0) == pytest.approx(0.0, abs=1e-12)
-    assert sm(2.0) == pytest.approx(1.0, abs=1e-12)
+    assert sm(0, 0.5) == pytest.approx(0.5, abs=1e-12)
+    assert sm(0, -1.0) == pytest.approx(0.0, abs=1e-12)
+    assert sm(0, 2.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_smooth_flux_rejects_bad_j():
@@ -301,6 +299,35 @@ def test_composed_resolvent_matches_bisection():
 # ---------------------------------------------------------------------------
 # Composition diagnostics
 # ---------------------------------------------------------------------------
+
+
+def composed_flux(x_cell, u, theta, curve):
+    """Value (or filled interval) of the flux over theta(x_cell, u).
+
+    With a regularized theta the composition is single-valued and a float is
+    returned; with a raw ThetaField the result is a float off jumps and a
+    (lo, hi) interval across them.
+    """
+    if isinstance(theta, ThetaRegularization):
+        v = float(theta.theta_of(u)[x_cell])
+        return _curve_point(curve, v)
+    lo, hi = theta.eval(x_cell, u)
+    lo, hi = float(lo[0]), float(hi[0])
+    if lo == hi:
+        vs = curve.value_set(lo) if isinstance(curve, FluxCurve) else None
+        if vs is None:
+            return _curve_point(curve, lo)
+        return vs[0] if vs[0] == vs[1] else vs
+    if isinstance(curve, FluxCurve):
+        return curve.range_on(lo, hi)
+    vals = curve(0, np.linspace(lo, hi, 129))
+    return (float(vals.min()), float(vals.max()))
+
+
+def _curve_point(curve, v):
+    if isinstance(curve, FluxCurve):
+        return float(curve.eval(v))
+    return float(curve(0, v))
 
 
 def test_composed_flux_values():

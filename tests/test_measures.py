@@ -5,21 +5,26 @@ import json
 import numpy as np
 import pytest
 
-from balancelab.entropy import ResidualEvaluator, pair_gap, standard_battery
+from balancelab.entropy import ResidualEvaluator, standard_battery
 from balancelab.flux import FluxCurve
 from balancelab.measures import (MeasureContext, YoungMeasureEstimate,
                                  averaged_contraction_gap, chi_gamma_above,
                                  chi_gamma_below, default_support_radius,
                                  dirac_estimate, estimate_young_measure,
-                                 mu_is_atom, mv_entropy_residual,
-                                 mv_residual_table, support_and_trace_check,
-                                 write_mv_table_csv)
+                                 mu_is_atom, mv_residual_table,
+                                 support_and_trace_check, write_mv_table_csv)
 from balancelab.monotone import MonotoneGraph
 from balancelab.problem import SourceSpec
 from balancelab.solver import Field, Grid1D, cfl_dt, regularized, solve
-from conftest import canonical_spec
+from conftest import canonical_spec, pair_gap
 
 INF = float("inf")
+
+
+def mv_entropy_residual(sign, ym, mu, psi, reg, gamma=0.0):
+    """One-call form of ``MeasureContext.residual`` (build a context for
+    batteries; it caches the per-block ingredients)."""
+    return MeasureContext(ym, reg).residual(sign, mu, psi, gamma=gamma)
 
 
 def _zero_flux():

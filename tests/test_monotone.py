@@ -14,7 +14,7 @@ import pytest
 
 from balancelab.monotone import (
     MonotoneGraph,
-    SmoothMonotoneFn,
+    Table,
     ThetaField,
     check_inverse_convergence,
     graph_fn,
@@ -22,10 +22,9 @@ from balancelab.monotone import (
     mollifier_nodes,
     regularize_theta,
     resolvent,
-    resolvent_bisect,
     yosida,
 )
-from conftest import random_monotone_graph
+from conftest import random_monotone_graph, resolvent_bisect
 
 # ---------------------------------------------------------------------------
 # Oracles
@@ -262,19 +261,19 @@ def test_graph_fn_rejects_multivalued():
 
 
 def test_smooth_fn_interp_and_inverse():
-    f = SmoothMonotoneFn.from_function(lambda u: u**3 + u, -2.0, 2.0, n=4097)
+    f = Table.from_function(lambda u: u**3 + u, -2.0, 2.0, n=4097)
     xs = np.linspace(-1.5, 1.5, 101)
-    assert np.abs(f(xs) - (xs**3 + xs)).max() < 1e-5
-    assert np.abs(f.inverse(f(xs)) - xs).max() < 1e-9
+    assert np.abs(f(0, xs) - (xs**3 + xs)).max() < 1e-5
+    assert np.abs(f.inverse(0, f(0, xs)) - xs).max() < 1e-9
     # linear extension beyond the sample window with the edge slopes
     edge_slope = f.lipschitz
-    assert f(3.0) == pytest.approx(f(2.0) + edge_slope * 1.0, rel=1e-12)
+    assert f(0, 3.0) == pytest.approx(f(0, 2.0) + edge_slope * 1.0, rel=1e-12)
     assert f.margin > 0
 
 
 def test_smooth_fn_rejects_nonincreasing():
     with pytest.raises(ValueError):
-        SmoothMonotoneFn(0.0, 1.0, [0.0, 1.0, 1.0])
+        Table(0.0, 1.0, [0.0, 1.0, 1.0]).inverse(0, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +395,7 @@ def test_inverse_convergence_matches_bisection_oracle():
     ns = [1, 2, 4, 8, 16]
     assert np.allclose(_oracle_arctan_inverse_errors(ns), ARCTAN_INVERSE_ERRORS, atol=2e-9)
     seq = [
-        SmoothMonotoneFn.from_function(
+        Table.from_function(
             lambda u, n=n: u + (2.0 / np.pi) * np.arctan(n * u), -3.0, 3.0, n=8193
         )
         for n in ns
@@ -408,6 +407,6 @@ def test_inverse_convergence_matches_bisection_oracle():
 
 def test_inverse_convergence_rejects_plateau_limit():
     g = MonotoneGraph([-1.0, 1.0], [[0.0, 0.0], [0.0, 0.0]], [0.0], (1.0, 1.0))
-    seq = [SmoothMonotoneFn.from_function(lambda u: u, -3.0, 3.0)]
+    seq = [Table.from_function(lambda u: u, -3.0, 3.0)]
     with pytest.raises(ValueError):
         check_inverse_convergence(seq, g, (-2.0, 2.0))

@@ -21,7 +21,6 @@ from balancelab.solver import (
     Grid1D,
     SolverError,
     cfl_dt,
-    interface_flux,
     regularized,
     run_to_csv,
     solve,
@@ -127,6 +126,19 @@ def test_cfl_stiff_source_cap():
 # ---------------------------------------------------------------------------
 
 
+def interface_flux(uL, uR, x_iface, spec, grid=None, reg=None):
+    """Numerical flux of a single interface, located by position."""
+    if reg is None:
+        if grid is None:
+            grid = Grid1D(spec.x_lo, spec.x_hi, 64)
+        reg = regularized(spec, grid)
+    k = int(np.argmin(np.abs(reg.grid.interfaces - x_iface)))
+    value, _ = reg.numerical_flux(np.asarray([float(uL)]),
+                                  np.asarray([float(uR)]),
+                                  rows=reg.theta_if.cell_rows[k:k + 1])
+    return float(value[0])
+
+
 def test_interface_flux_consistency():
     # Identity A and theta: the regularized theta is the identity exactly
     # (affine pieces mollify exactly and the rescale undoes the Yosida
@@ -157,7 +169,7 @@ def test_interface_mean_coefficient_row():
     reg = regularized(spec, grid)
     k = int(np.argmin(np.abs(grid.interfaces - 0.0)))
     rows = reg.theta_if.cell_rows[k:k + 1]
-    got = reg.theta_if._interp(rows, np.asarray([1.0]))[0]
+    got = reg.theta_if.sampled(rows, np.asarray([1.0]))[0]
     assert got == pytest.approx(15.0 / 11.0, abs=1e-12)
 
 

@@ -1,0 +1,163 @@
+"""Property tests for the uniform sampled Table.
+
+The references below are the implementations the Table replaced: the
+comparison-count inverse over all samples of a row, the per-row
+searchsorted inverse, and the n x (widest bracket) gather of slope cells.
+The Table must agree with each of them bit for bit.
+"""
+
+import numpy as np
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+from balancelab.monotone import Table
+
+SETTINGS = settings(max_examples=150, deadline=None)
+
+
+# ---------------------------------------------------------------------------
+# References
+# ---------------------------------------------------------------------------
+
+
+def count_inverse(table, rows, v):
+    """Cell index by counting samples below v, one row per point."""
+    T = table.values[rows]
+    i = np.clip((T < v[:, None]).sum(axis=1) - 1, 0, table.n_samples - 2)
+    k = np.arange(T.shape[0])
+    lo, hi = T[k, i], T[k, i + 1]
+    return table.lo + table.du * (i + (v - lo) / (hi - lo))
+
+
+def searchsorted_inverse(table, rows, v):
+    """Cell index by searchsorted on each row separately."""
+    out = np.empty(len(v))
+    for p, (r, vp) in enumerate(zip(rows, v)):
+        row = table.values[r]
+        i = min(max(np.searchsorted(row, vp, side="right") - 1, 0),
+                table.n_samples - 2)
+        out[p] = table.lo + table.du * (i + (vp - row[i]) / (row[i + 1] - row[i]))
+    return out
+
+
+def gather_range_max(table, rows, lo, hi):
+    """Max |slope| per point by gathering a (points, widest bracket) block."""
+    n_slope = table.n_samples - 1
+    slopes = np.diff(table.values, axis=1) / table.du
+    i0 = np.clip(np.floor((lo - table.lo) / table.du).astype(int), 0, n_slope - 1)
+    i1 = np.clip(np.ceil((hi - table.lo) / table.du).astype(int), i0 + 1, n_slope)
+    width = int((i1 - i0).max())
+    idx = np.minimum(i0[:, None] + np.arange(max(width, 1))[None, :], i1[:, None] - 1)
+    return np.abs(slopes[rows[:, None], idx]).max(axis=1)
+
+
+def row_interp(values, lo, du, u):
+    """One-row linear interpolation with linear extension."""
+    t = (u - lo) / du
+    i = np.clip(np.floor(t).astype(int), 0, len(values) - 2)
+    return values[i] + (t - i) * (values[i + 1] - values[i])
+
+
+# ---------------------------------------------------------------------------
+# Inputs
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def tables(draw, increasing=True):
+    n_rows = draw(st.integers(1, 5))
+    n_samples = draw(st.integers(2, 70))
+    lo = draw(st.floats(-3.0, 1.0))
+    hi = lo + draw(st.floats(0.25, 6.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if increasing:
+        steps = rng.uniform(1e-3, 2.0, size=(n_rows, n_samples))
+        values = np.cumsum(steps, axis=1) - rng.uniform(0.0, 10.0, size=(n_rows, 1))
+    else:
+        values = rng.normal(size=(n_rows, n_samples))
+    return Table(lo, hi, values), rng
+
+
+def points(table, rng, n=60):
+    """Row per point and values: random, on table nodes, and off range."""
+    rows = rng.integers(0, len(table.values), size=n)
+    T = table.values
+    v = rng.uniform(T.min() - 1.0, T.max() + 1.0, size=n)
+    on_node = rng.random(n) < 0.3
+    v[on_node] = T[rows[on_node], rng.integers(0, table.n_samples, size=on_node.sum())]
+    return rows, v
+
+
+# ---------------------------------------------------------------------------
+# Properties
+# ---------------------------------------------------------------------------
+
+
+@seed(20140408)
+@SETTINGS
+@given(tables())
+def test_inverse_matches_both_references(case):
+    table, rng = case
+    rows, v = points(table, rng)
+    got = table.inverse(rows, v)
+    assert np.array_equal(got, count_inverse(table, rows, v))
+    assert np.array_equal(got, searchsorted_inverse(table, rows, v))
+
+
+@seed(20140409)
+@SETTINGS
+@given(tables())
+def test_inverse_broadcasts_rows_against_values(case):
+    # (values, cells) layout: every value against every row
+    table, rng = case
+    rows, v = points(table, rng, n=12)
+    got = table.inverse(rows[None, :], v[:, None])
+    for a, va in enumerate(v):
+        assert np.array_equal(got[a], count_inverse(table, rows, np.full(len(rows), va)))
+
+
+@seed(20140410)
+@SETTINGS
+@given(tables())
+def test_inverse_undoes_interpolation(case):
+    table, rng = case
+    rows = rng.integers(0, len(table.values), size=40)
+    u = rng.uniform(table.lo - 1.0, table.hi + 1.0, size=40)
+    back = table.inverse(rows, table(rows, u))
+    assert np.allclose(back, u, rtol=0, atol=1e-9 * (1.0 + np.abs(u).max()))
+
+
+@seed(20140411)
+@SETTINGS
+@given(tables(increasing=False))
+def test_call_matches_row_interpolation(case):
+    table, rng = case
+    rows = rng.integers(0, len(table.values), size=(3, 7))
+    u = rng.uniform(table.lo - 1.0, table.hi + 1.0, size=(3, 7))
+    got = table(rows, u)
+    for idx in np.ndindex(u.shape):
+        want = row_interp(table.values[rows[idx]], table.lo, table.du, u[idx])
+        assert got[idx] == want
+
+
+@seed(20140412)
+@SETTINGS
+@given(tables(increasing=False))
+def test_range_max_matches_gather(case):
+    table, rng = case
+    rows = rng.integers(0, len(table.values), size=50)
+    uL = rng.uniform(table.lo - 1.0, table.hi + 1.0, size=50)
+    uR = np.where(rng.random(50) < 0.2, uL,
+                  rng.uniform(table.lo - 1.0, table.hi + 1.0, size=50))
+    lo, hi = np.minimum(uL, uR), np.maximum(uL, uR)
+    got = table.range_max_abs_slope(rows, lo, hi)
+    assert np.array_equal(got, gather_range_max(table, rows, lo, hi))
+
+
+def test_one_row_table_takes_any_shape():
+    table = Table.from_function(lambda u: u * u, -1.0, 1.0, n=9)
+    u = np.linspace(-1.5, 1.5, 12).reshape(3, 4)
+    got = table(0, u)
+    assert got.shape == (3, 4)
+    assert np.array_equal(got.ravel(), table(0, u.ravel()))
+
