@@ -28,6 +28,7 @@ from .entropy import (
     FORMS,
     EntropyReport,
     ResidualEvaluator,
+    ResolutionError,
     TestFunction,
     battery_from_geometry,
     initial_trace_error,
@@ -109,6 +110,7 @@ __all__ = [
     "FORMS",
     "EntropyReport",
     "ResidualEvaluator",
+    "ResolutionError",
     "TestFunction",
     "battery_from_geometry",
     "initial_trace_error",

@@ -27,8 +27,9 @@ import sys
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_config, write_json
-from .entropy import (FORMS, ResidualEvaluator, battery_from_geometry,
-                      k_samples, l1_distance_curve, pair_gap_battery)
+from .entropy import (FORMS, ResidualEvaluator, ResolutionError,
+                      battery_from_geometry, k_samples, l1_distance_curve,
+                      pair_gap_battery)
 from .flux import build_parametrization
 from .harness import (j_schedule_run, monotone_in_ell_check,
                       monotone_in_m_check, scheme_tol,
@@ -124,9 +125,22 @@ def cmd_verify(cfg, out_dir, quiet):
     reg = regularized(spec, grid)
     psis = _battery(cfg)
 
-    result = solve(spec, grid, snapshots=cfg.snapshots, reg=reg)
-    evaluator = ResidualEvaluator(result, reg)
-    _, U, V = result.snapshot_matrix()
+    # A partner with the same operator but a rescaled datum, on one shared
+    # step so snapshots align; the entropy battery uses the pair's first run.
+    scale = float(cfg.options.get("partner_scale", 0.5))
+    partner = dataclasses.replace(spec, u0=_scaled_u0(spec.u0, scale))
+    u1 = spec.initial_values(grid.centers, grid.dx)
+    u2 = partner.initial_values(grid.centers, grid.dx)
+    field1 = Field(u1, reg.v_of_u(u1))
+    field2 = Field(u2, reg.v_of_u(u2))
+    dt = min(cfl_dt(field1, spec, grid, reg=reg),
+             cfl_dt(field2, partner, grid, reg=reg))
+    run1 = solve(spec, grid, snapshots=cfg.snapshots, dt_override=dt, reg=reg)
+    run2 = solve(partner, grid, snapshots=cfg.snapshots, dt_override=dt,
+                 reg=reg)
+
+    evaluator = ResidualEvaluator(run1, reg)
+    _, U, V = run1.snapshot_matrix()
 
     forms = [f for f in FORMS if f != "N1" or reg.field.smooth_in_x]
     kp = cfg.k_policy
@@ -147,19 +161,6 @@ def cmd_verify(cfg, out_dir, quiet):
         _info(quiet, "verify: %-10s min residual % .3e (tol %.3e)" % (
             form, minima[form], tol))
 
-    # Contraction check against a partner run with the same operator but a
-    # rescaled datum, on one shared time step so snapshots align.
-    scale = float(cfg.options.get("partner_scale", 0.5))
-    partner = dataclasses.replace(spec, u0=_scaled_u0(spec.u0, scale))
-    u1 = spec.initial_values(grid.centers, grid.dx)
-    u2 = partner.initial_values(grid.centers, grid.dx)
-    field1 = Field(u1, reg.v_of_u(u1))
-    field2 = Field(u2, reg.v_of_u(u2))
-    dt = min(cfl_dt(field1, spec, grid, reg=reg),
-             cfl_dt(field2, partner, grid, reg=reg))
-    run1 = solve(spec, grid, snapshots=cfg.snapshots, dt_override=dt, reg=reg)
-    run2 = solve(partner, grid, snapshots=cfg.snapshots, dt_override=dt,
-                 reg=reg)
     times, dists = l1_distance_curve(run1, run2)
     slack = 1e-12 * max(1, run1.n_steps)
     growth = float(np.max(np.diff(dists))) if len(dists) > 1 else 0.0
@@ -244,7 +245,7 @@ def cmd_ym(cfg, out_dir, quiet):
     grid = _grid(cfg)
     js = [int(j) for j in cfg.schedules["j"]]
     specs = [dataclasses.replace(spec, j=j) for j in js]
-    runs, _ = solve_points(specs, grid, snapshots=cfg.snapshots)
+    runs, _, regs = solve_points(specs, grid, snapshots=cfg.snapshots)
 
     opts = cfg.options
     macro = tuple(int(v) for v in opts.get("macro", (8, 8)))
@@ -252,11 +253,8 @@ def cmd_ym(cfg, out_dir, quiet):
     ym = estimate_young_measure(runs, macro=macro, merge_tol=merge_tol)
     ym.write_json(os.path.join(out_dir, "young_measure.json"))
 
-    reg = regularized(specs[-1], grid)
-    atoms = np.concatenate([
-        ym.atoms[bt][bx][0]
-        for bt in range(ym.n_t_blocks) for bx in range(ym.n_x_blocks)
-    ])
+    reg = regs[-1]
+    atoms = np.concatenate([v for row in ym.atoms for v, _ in row])
     kp = cfg.k_policy
     mus = k_samples(atoms, reg, n=kp["n"], space="v", pad=kp["pad"])
     psis = _battery(cfg)
@@ -273,9 +271,7 @@ def cmd_ym(cfg, out_dir, quiet):
     tol = scheme_tol(grid.dx, atoms)
     res_min = min(r[3] for r in rows) if rows else 0.0
     ok = res_min >= -tol and check["support_ok"]
-    max_atoms = max(
-        len(ym.atoms[bt][bx][0])
-        for bt in range(ym.n_t_blocks) for bx in range(ym.n_x_blocks))
+    max_atoms = max(len(v) for row in ym.atoms for v, _ in row)
     _info(quiet, "ym: %d ensemble members, %d x %d blocks, "
           "max atoms per block %d" % (len(runs), ym.n_t_blocks,
                                       ym.n_x_blocks, max_atoms))
@@ -361,15 +357,11 @@ def main(argv=None):
         return EXIT_CONFIG
     try:
         return _COMMANDS[args.command](cfg, out_dir, args.quiet)
-    except ConfigError as exc:
+    except ResolutionError as exc:
+        _emit_error("resolution", str(exc))
+        return EXIT_RESOLUTION
+    except ValueError as exc:  # ConfigError included
         _emit_error("config", str(exc))
-        return EXIT_CONFIG
-    except ValueError as exc:
-        message = str(exc)
-        if "unresolved" in message:
-            _emit_error("resolution", message)
-            return EXIT_RESOLUTION
-        _emit_error("config", message)
         return EXIT_CONFIG
 
 

@@ -46,6 +46,10 @@ MIN_CELLS_PER_RADIUS = 8
 MIN_SLABS_PER_RADIUS = 8
 
 
+class ResolutionError(ValueError):
+    """A test-function support too small for the grid or its macro blocks."""
+
+
 # ---------------------------------------------------------------------------
 # Test functions: products of the standard smooth bump
 # ---------------------------------------------------------------------------
@@ -211,6 +215,48 @@ class EntropyReport:
 # ---------------------------------------------------------------------------
 
 
+def _check_resolution(psi, dx, slab, n_cells, n_slabs, block=(1, 1)):
+    """Each radius of psi must span the required cells / slabs and one block."""
+    need_x = max(MIN_CELLS_PER_RADIUS * dx, block[1] * dx)
+    need_t = max(MIN_SLABS_PER_RADIUS * slab, block[0] * slab)
+    if psi.r_x >= need_x and psi.r_t >= need_t:
+        return
+    macro = tuple(block) != (1, 1)
+    raise ResolutionError(
+        "test function support unresolved%s: radius (%.3g, %.3g) needs "
+        "at least %d cells and %d slabs per radius; use n_cells >= %d "
+        "and snapshots >= %d%s"
+        % (" on the macro-grid" if macro else "",
+           psi.r_t, psi.r_x, MIN_CELLS_PER_RADIUS, MIN_SLABS_PER_RADIUS,
+           int(np.ceil(MIN_CELLS_PER_RADIUS * n_cells * dx / psi.r_x)),
+           int(np.ceil(MIN_SLABS_PER_RADIUS * n_slabs * slab / psi.r_t)),
+           "; the largest macro shape that resolves it on this grid is "
+           "[%d, %d]" % (psi.r_t // slab, psi.r_x // dx) if macro else ""))
+
+
+def _psi_fields(psi, t, x, cache):
+    """psi, psi_t, psi_x at slab midpoints t and cell centers x, and psi at
+    t = 0; cached per test function."""
+    key = id(psi)
+    if key not in cache:
+        cache[key] = (psi.value(t, x), psi.dt_matrix(t, x), psi.dx_matrix(t, x),
+                      psi.value(np.asarray([0.0]), x)[0])
+    return cache[key]
+
+
+def quadrature(fields, psi, t, x, dx, slab, cache, block=(1, 1)):
+    """Midpoint quadrature of psi-independent fields (G1, G2, G3[, W0]):
+    dx slab sum(G1 psi_t + G2 psi_x + G3 psi), plus dx sum(W0 psi(0, .))
+    when the initial term W0 is given."""
+    _check_resolution(psi, dx, slab, len(x), len(t), block)
+    P, Pt, Px, P0 = _psi_fields(psi, t, x, cache)
+    G1, G2, G3 = fields[:3]
+    out = dx * slab * float(np.sum(G1 * Pt) + np.sum(G2 * Px) + np.sum(G3 * P))
+    if len(fields) == 4:
+        out += dx * float(np.sum(fields[3] * P0))
+    return out
+
+
 class ResidualEvaluator:
     """Midpoint-quadrature residuals of one run against many (form, k, psi).
 
@@ -243,31 +289,6 @@ class ResidualEvaluator:
         self.AV = reg.curve(0, self.V)
         self._terms_cache = {}
         self._psi_cache = {}
-
-    # -- plumbing ---------------------------------------------------------------
-
-    def _check_resolution(self, psi):
-        need_cells = MIN_CELLS_PER_RADIUS * self.dx
-        need_slabs = MIN_SLABS_PER_RADIUS * self.slab
-        if psi.r_x < need_cells or psi.r_t < need_slabs:
-            raise ValueError(
-                "test function support unresolved: radius (%.3g, %.3g) needs "
-                "at least %d cells and %d slabs per radius; use n_cells >= %d "
-                "and snapshots >= %d"
-                % (psi.r_t, psi.r_x, MIN_CELLS_PER_RADIUS, MIN_SLABS_PER_RADIUS,
-                   int(np.ceil(MIN_CELLS_PER_RADIUS * (self.x[-1] - self.x[0] + self.dx) / psi.r_x)),
-                   int(np.ceil(MIN_SLABS_PER_RADIUS * self.spec.T / psi.r_t))))
-
-    def _psi_fields(self, psi):
-        key = id(psi)
-        if key not in self._psi_cache:
-            self._psi_cache[key] = (
-                psi.value(self.t_mid, self.x),
-                psi.dt_matrix(self.t_mid, self.x),
-                psi.dx_matrix(self.t_mid, self.x),
-                psi.value(np.asarray([0.0]), self.x)[0],
-            )
-        return self._psi_cache[key]
 
     def terms(self, form, k):
         """psi-independent integrand fields (G1, G2, G3, W0) of one form:
@@ -316,13 +337,8 @@ class ResidualEvaluator:
         return out
 
     def residual(self, form, k, psi):
-        self._check_resolution(psi)
-        G1, G2, G3, W0 = self.terms(form, k)
-        P, Pt, Px = self._psi_fields(psi)[:3]
-        P0 = self._psi_fields(psi)[3]
-        interior = self.dx * self.slab * float(
-            np.sum(G1 * Pt) + np.sum(G2 * Px) + np.sum(G3 * P))
-        return interior + self.dx * float(np.sum(W0 * P0))
+        return quadrature(self.terms(form, k), psi, self.t_mid, self.x,
+                          self.dx, self.slab, self._psi_cache)
 
     def battery_report(self, forms, ks, psis):
         """Residuals in fixed lexicographic (form, k, psi) order.
@@ -416,11 +432,6 @@ def pair_gap_battery(kind, run1, run2, reg1, reg2, psis):
         raise ValueError("pair gaps need identical flux and theta tables")
     ev1 = ResidualEvaluator(run1, reg1)
     ev2 = ResidualEvaluator(run2, reg2)
-    G1, G2, G3 = _pair_fields(kind, ev1, ev2)
-    out = []
-    for psi in psis:
-        ev1._check_resolution(psi)
-        P, Pt, Px = ev1._psi_fields(psi)[:3]
-        out.append(ev1.dx * ev1.slab * float(
-            np.sum(G1 * Pt) + np.sum(G2 * Px) + np.sum(G3 * P)))
-    return np.asarray(out)
+    fields = _pair_fields(kind, ev1, ev2)
+    return np.asarray([quadrature(fields, psi, ev1.t_mid, ev1.x, ev1.dx,
+                                  ev1.slab, ev1._psi_cache) for psi in psis])

@@ -168,7 +168,7 @@ def solve_points(specs, grid, snapshots=8, cfl=DEFAULT_CFL):
     Each point gets its own regularized tables (they record the full
     parameter set); the step is the smallest stable step over the sweep so
     consecutive runs share snapshot instants exactly.  Points run
-    concurrently and results are collected in schedule order.
+    concurrently; returns (runs, dt, tables) in schedule order.
     """
     regs = [regularized(s, grid) for s in specs]
     dts = []
@@ -182,7 +182,7 @@ def solve_points(specs, grid, snapshots=8, cfl=DEFAULT_CFL):
             lambda i: solve(specs[i], grid, snapshots=snapshots,
                             dt_override=dt, reg=regs[i]),
             range(len(specs))))
-    return runs, dt
+    return runs, dt, regs
 
 
 def _summarize(value, run, grid):
@@ -206,7 +206,7 @@ def _orders_from(distances):
 
 
 def _sweep_report(kind, schedule, specs, grid, snapshots, cfl, meta):
-    runs, dt = solve_points(specs, grid, snapshots, cfl)
+    runs, dt, _ = solve_points(specs, grid, snapshots, cfl)
     stacks = [run.snapshot_matrix() for run in runs]
     summaries = [_summarize(v, run, grid) for v, run in zip(schedule, runs)]
     tol = scheme_tol(grid.dx, np.concatenate([V.ravel() for _, _, V in stacks]))

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field as _field
 import numpy as np
 
 from .config import write_json
-from .entropy import MIN_CELLS_PER_RADIUS, MIN_SLABS_PER_RADIUS
+from .entropy import quadrature
 from .problem import perturbation
 
 
@@ -89,12 +89,7 @@ class YoungMeasureEstimate:
 
     def max_atom_spread(self):
         """Largest per-block atom spread (max - min), a concentration gauge."""
-        spread = 0.0
-        for bt in range(self.n_t_blocks):
-            for bx in range(self.n_x_blocks):
-                vals, _ = self.atoms[bt][bx]
-                spread = max(spread, float(vals.max() - vals.min()))
-        return spread
+        return max(float(v.max() - v.min()) for row in self.atoms for v, _ in row)
 
     def to_dict(self):
         return {
@@ -155,10 +150,10 @@ def estimate_young_measure(ensemble, macro=(8, 8), merge_tol=1e-9, min_samples=1
         V_stack.append(V[:-1])
     S, n = V_stack[0].shape
     mt, mx = macro
-    t_edges = np.arange(0, S, mt)
-    t_edges = np.append(t_edges, S)
-    x_edges = np.arange(0, n, mx)
-    x_edges = np.append(x_edges, n)
+    if mt < 1 or mx < 1:
+        raise ValueError("macro entries must be >= 1, got [%s, %s]" % (mt, mx))
+    t_edges = np.append(np.arange(0, S, mt), S)
+    x_edges = np.append(np.arange(0, n, mx), n)
     atoms = []
     for bt in range(len(t_edges) - 1):
         row = []
@@ -237,10 +232,27 @@ def chi_gamma_below(lam, mu, gamma):
 # ---------------------------------------------------------------------------
 
 
+def _padded_atoms(ym):
+    """(values, weights) as (t block, x block, atom) arrays, 0-padded."""
+    vals = [v for row in ym.atoms for v, _ in row]
+    counts = np.array([len(v) for v in vals])
+    index = (np.repeat(np.arange(len(counts)), counts),
+             np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts))
+    out = np.zeros((2, len(counts), counts.max()))
+    out[0][index] = np.concatenate(vals)
+    out[1][index] = np.concatenate([w for row in ym.atoms for _, w in row])
+    return out.reshape(2, ym.n_t_blocks, ym.n_x_blocks, -1)
+
+
 class MeasureContext:
-    """Precomputed per-block bracket ingredients of one estimate against one
-    regularized problem: inverse states, mollified source factors, and flux
-    values of every atom."""
+    """Bracket ingredients of one estimate against one regularized problem.
+
+    Atoms are padded into (time block, x block, atom) arrays of values,
+    weights, flux values and perturbations, and (time block, cell, atom)
+    arrays of inverse states and mollified source factors; the brackets of
+    every block are then one array expression, expanded to fields on the
+    fine (slab, cell) grid for the shared quadrature.
+    """
 
     def __init__(self, ym, reg):
         if ym.centers.shape != reg.grid.centers.shape or \
@@ -248,92 +260,69 @@ class MeasureContext:
             raise ValueError("estimate and problem live on different grids")
         self.ym = ym
         self.reg = reg
-        self.spec = reg.spec
-        spec = reg.spec
-        S, n = len(ym.times), len(ym.centers)
-        C = np.empty((S, n))
-        for s, t in enumerate(ym.times):
-            C[s] = spec.source.c_mollified(spec.j, t, ym.centers)
-        self.C = C
-        theta = reg.theta
-        self.blocks = []
-        for bt in range(ym.n_t_blocks):
-            ts, te = ym.t_idx_edges[bt], ym.t_idx_edges[bt + 1]
-            for bx in range(ym.n_x_blocks):
-                xs, xe = ym.x_idx_edges[bx], ym.x_idx_edges[bx + 1]
-                vals, wts = ym.atoms[bt][bx]
-                eta = theta.sampled.inverse(theta.cell_rows[xs:xe], vals[:, None])
-                self.blocks.append({
-                    "bt": bt, "bx": bx, "ts": ts, "te": te, "xs": xs, "xe": xe,
-                    "vals": vals, "wts": wts, "eta": eta,
-                    "g_eta": spec.source.g_mollified(spec.j, eta),
-                    "phi": perturbation(vals, spec.ell, spec.m),
-                    "A": reg.curve(0, vals),
-                })
-        self._eta_mu_cache = {}
+        self.spec = spec = reg.spec
+        self.C = np.stack([spec.source.c_mollified(spec.j, t, ym.centers)
+                           for t in ym.times])
+        self.blocks = list(np.ndindex(ym.n_t_blocks, ym.n_x_blocks))  # (bt, bx)
+        self.block_shape = (int(np.max(np.diff(ym.t_idx_edges))),
+                            int(np.max(np.diff(ym.x_idx_edges))))
+        # block index of every fine slab / cell
+        self.t_block = np.repeat(np.arange(ym.n_t_blocks), np.diff(ym.t_idx_edges))
+        self.x_block = np.repeat(np.arange(ym.n_x_blocks), np.diff(ym.x_idx_edges))
+        self.vals, self.wts = _padded_atoms(ym)
+        self.A = reg.curve(0, self.vals)
+        self.phi = perturbation(self.vals, spec.ell, spec.m)
+        # one atom slot at a time bounds the temporaries of the inverse and
+        # of the source's kernel nodes
+        etas = [reg.theta.sampled.inverse(reg.theta.cell_rows, v)
+                for v in np.moveaxis(self.vals[:, self.x_block], -1, 0)]
+        self.eta = np.stack(etas, axis=-1)
+        self.g_eta = np.stack([spec.source.g_mollified(spec.j, eta)
+                               for eta in etas], axis=-1)
+        self._eta_mu = {}
+        self._terms = (None, None)
         self._psi_cache = {}
 
-    def _check_resolution(self, psi):
-        ym = self.ym
-        block_w = float(np.max(np.diff(ym.x_idx_edges))) * ym.dx
-        block_t = float(np.max(np.diff(ym.t_idx_edges))) * ym.slab
-        need_x = max(MIN_CELLS_PER_RADIUS * ym.dx, block_w)
-        need_t = max(MIN_SLABS_PER_RADIUS * ym.slab, block_t)
-        if psi.r_x < need_x or psi.r_t < need_t:
-            raise ValueError(
-                "test function support unresolved on the macro-grid: needs "
-                "radii >= (%.3g, %.3g), got (%.3g, %.3g)"
-                % (need_t, need_x, psi.r_t, psi.r_x))
+    def fields(self, B1, B2, B3g, B3p):
+        """Fine-grid fields (G1, G2, G3 = B3g C + B3p) of brackets given per
+        (time block, cell) (B1, B3g) or per (time block, x block) (B2, B3p)."""
+        tb, xb = self.t_block, self.x_block
+        return (B1[tb], B2[:, xb][tb], B3g[tb] * self.C + B3p[:, xb][tb])
 
-    def _psi_fields(self, psi):
-        key = id(psi)
-        if key not in self._psi_cache:
-            self._psi_cache[key] = (
-                psi.value(self.ym.times, self.ym.centers),
-                psi.dt_matrix(self.ym.times, self.ym.centers),
-                psi.dx_matrix(self.ym.times, self.ym.centers),
-            )
-        return self._psi_cache[key]
-
-    def _eta_mu(self, mu):
-        """eta(x_i, mu) over all cells, one inversion per level."""
-        key = float(mu)
-        if key not in self._eta_mu_cache:
-            self._eta_mu_cache[key] = self.reg.theta.eta_cells(key)
-        return self._eta_mu_cache[key]
+    def terms(self, sign, mu, gamma=0.0):
+        """psi-independent fields (G1, G2, G3) of (EQ+) / negated (EQ-) at
+        level mu; the last level's fields are kept for the next psi."""
+        if sign not in ("PLUS", "MINUS"):
+            raise ValueError("sign must be PLUS or MINUS")
+        key = (sign, float(mu), float(gamma))
+        if self._terms[0] == key:
+            return self._terms[1]
+        A_mu = float(self.reg.curve(0, mu))
+        if key[1] not in self._eta_mu:  # one inversion per level
+            self._eta_mu[key[1]] = self.reg.theta.eta_cells(key[1])
+        eta_mu = self._eta_mu[key[1]][:, None]
+        plus = sign == "PLUS"
+        side = 1.0 if plus else -1.0
+        chi_flux = self.wts * ((self.vals > mu) if plus else (self.vals < mu))
+        chi_src = self.wts * (chi_gamma_above if plus else chi_gamma_below)(
+            self.vals, mu, gamma)
+        gap = side * (self.eta - eta_mu)
+        np.maximum(gap, 0.0, out=gap)
+        xb = self.x_block
+        out = self.fields(
+            np.einsum("tca,tca->tc", self.wts[:, xb], gap),
+            np.sum(chi_flux * side * (self.A - A_mu), axis=-1),
+            side * np.einsum("tca,tca->tc", chi_src[:, xb], self.g_eta),
+            side * np.sum(chi_src * self.phi, axis=-1))
+        self._terms = (key, out)
+        return out
 
     def residual(self, sign, mu, psi, gamma=0.0):
         """Quadrature value of (EQ+) / negated (EQ-) at level mu."""
-        if sign not in ("PLUS", "MINUS"):
-            raise ValueError("sign must be PLUS or MINUS")
-        self._check_resolution(psi)
-        P, Pt, Px = self._psi_fields(psi)
-        A_mu = float(self.reg.curve(0, mu))
-        eta_mu_cells = self._eta_mu(mu)
-        total = 0.0
-        for blk in self.blocks:
-            vals, wts, eta = blk["vals"], blk["wts"], blk["eta"]
-            eta_mu = eta_mu_cells[blk["xs"]:blk["xe"]]
-            if sign == "PLUS":
-                B1 = wts @ np.maximum(eta - eta_mu, 0.0)
-                chi_flux = wts * (vals > mu)
-                chi_src = wts * chi_gamma_above(vals, mu, gamma)
-                B2 = float(chi_flux @ (blk["A"] - A_mu))
-                B3g = chi_src @ blk["g_eta"]
-                B3p = float(chi_src @ blk["phi"])
-            else:
-                B1 = wts @ np.maximum(eta_mu - eta, 0.0)
-                chi_flux = wts * (vals < mu)
-                chi_src = wts * chi_gamma_below(vals, mu, gamma)
-                B2 = float(chi_flux @ (A_mu - blk["A"]))
-                B3g = -(chi_src @ blk["g_eta"])
-                B3p = -float(chi_src @ blk["phi"])
-            sl = np.s_[blk["ts"]:blk["te"], blk["xs"]:blk["xe"]]
-            Pb, Ptb, Pxb = P[sl], Pt[sl], Px[sl]
-            CP = self.C[sl] * Pb
-            total += float(B1 @ Ptb.sum(axis=0)) + B2 * float(Pxb.sum()) \
-                + float(B3g @ CP.sum(axis=0)) + B3p * float(Pb.sum())
-        return self.ym.dx * self.ym.slab * total
+        ym = self.ym
+        return quadrature(self.terms(sign, mu, gamma), psi, ym.times,
+                          ym.centers, ym.dx, ym.slab, self._psi_cache,
+                          block=self.block_shape)
 
 
 def mu_is_atom(ym, mu, tol=1e-9):
@@ -387,24 +376,24 @@ def averaged_contraction_gap(ym1, ym2, psi, reg):
         raise ValueError("estimates have mismatched grids or macro layouts")
     ctx1 = MeasureContext(ym1, reg)
     ctx2 = MeasureContext(ym2, reg)
-    ctx1._check_resolution(psi)
-    P, Pt, Px = ctx1._psi_fields(psi)
-    total = 0.0
-    for blk1, blk2 in zip(ctx1.blocks, ctx2.blocks):
-        W = np.outer(blk1["wts"], blk2["wts"])
-        sg = np.sign(blk1["vals"][:, None] - blk2["vals"][None, :])
-        B1 = np.einsum("ab,abc->c", W,
-                       np.abs(blk1["eta"][:, None, :] - blk2["eta"][None, :, :]))
-        B2 = float(np.sum(W * sg * (blk1["A"][:, None] - blk2["A"][None, :])))
-        B3g = np.einsum("ab,abc->c", W * sg,
-                        blk1["g_eta"][:, None, :] - blk2["g_eta"][None, :, :])
-        B3p = float(np.sum(W * sg * (blk1["phi"][:, None] - blk2["phi"][None, :])))
-        sl = np.s_[blk1["ts"]:blk1["te"], blk1["xs"]:blk1["xe"]]
-        Pb, Ptb, Pxb = P[sl], Pt[sl], Px[sl]
-        CP = ctx1.C[sl] * Pb
-        total += float(B1 @ Ptb.sum(axis=0)) + B2 * float(Pxb.sum()) \
-            + float(B3g @ CP.sum(axis=0)) + B3p * float(Pb.sum())
-    return ym1.dx * ym1.slab * total
+
+    # Every product bracket <sgn(lam - mu) (g(lam) - g(mu)), nu x sigma> is
+    # linear in g, so the atoms of nu carry the weights r1 and those of
+    # sigma the weights r2; eta(x, .) is increasing, so the same sign also
+    # gives |eta(x, lam) - eta(x, mu)| = sgn(lam - mu) (eta(x, lam) - eta(x, mu)).
+    WS = ctx1.wts[..., :, None] * ctx2.wts[..., None, :] \
+        * np.sign(ctx1.vals[..., :, None] - ctx2.vals[..., None, :])
+    r1, r2 = WS.sum(axis=-1), WS.sum(axis=-2)
+    xb = ctx1.x_block
+
+    def bracket(name, cells=slice(None)):
+        return (np.sum(r1[:, cells] * getattr(ctx1, name), axis=-1)
+                - np.sum(r2[:, cells] * getattr(ctx2, name), axis=-1))
+
+    fields = ctx1.fields(bracket("eta", xb), bracket("A"),
+                         bracket("g_eta", xb), bracket("phi"))
+    return quadrature(fields, psi, ym1.times, ym1.centers, ym1.dx, ym1.slab,
+                      ctx1._psi_cache, block=ctx1.block_shape)
 
 
 # ---------------------------------------------------------------------------

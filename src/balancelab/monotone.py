@@ -657,12 +657,16 @@ def regularize_theta(field, j, u_lo, u_hi, n_samples=1025, outer=None):
     pts = np.concatenate([grid, [0.0]])[:, None] - r * nodes[None, :]  # (n+1, 16)
 
     def u_mollified_yosida(graph, scaled_lam):
-        vals = resolvent(graph, scaled_lam, pts.ravel()).reshape(pts.shape)
-        yos = (pts - vals) / scaled_lam
+        # in place on the resolvent's fresh array: one temporary per call, not
+        # four, so the allocator does not shrink and regrow the heap each call
+        yos = resolvent(graph, scaled_lam, pts.ravel()).reshape(pts.shape)
+        np.subtract(pts, yos, out=yos)
+        yos /= scaled_lam
+        yos *= weights
         # row-wise kernel sum: rows with identical content reduce to
         # bit-identical values, so the appended u = 0 row normalizes the
         # 0 node of the table to exactly 0
-        return (yos * weights).sum(axis=1)
+        return yos.sum(axis=1)
 
     def cell_column(c):
         if outer is None:

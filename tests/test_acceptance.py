@@ -330,7 +330,7 @@ def test_criterion_6_measure_valued_consistency():
     js = [4, 8, 16, 32]
     specs = [dataclasses.replace(base, j=j) for j in js] + \
             [dataclasses.replace(partner, j=j) for j in js]
-    runs, _ = solve_points(specs, grid, snapshots=64)
+    runs, _, _ = solve_points(specs, grid, snapshots=64)
     ym1 = estimate_young_measure(runs[:len(js)], macro=(4, 4))
     ym2 = estimate_young_measure(runs[len(js):], macro=(4, 4))
     reg_top = regularized(specs[len(js) - 1], grid)

@@ -247,6 +247,34 @@ def test_ym_one_member_ensemble_is_single_atom(tmp_path):
     assert min(float(r[3]) for r in rows[1:]) >= -1e-10
 
 
+def _ym_with_macro(tmp_path, macro):
+    d = _load("constant_state").to_dict()
+    d["options"]["macro"] = macro
+    path = tmp_path / "macro.json"
+    path.write_text(json.dumps(d))
+    return main(["ym", "--config", str(path), "--out", str(tmp_path / "o"),
+                 "--quiet"])
+
+
+def test_ym_unresolved_macro_exits_3(tmp_path, capsys):
+    # 32-slab blocks are wider in time than the 9.6-slab battery radius
+    code = _ym_with_macro(tmp_path, [32, 8])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "resolution"
+    assert "unresolved" in err["message"] and "macro" in err["message"]
+    assert "largest macro shape that resolves it on this grid is [9, 9]" \
+        in err["message"]
+
+
+def test_ym_macro_entry_below_one_exits_2(tmp_path, capsys):
+    code = _ym_with_macro(tmp_path, [0, 8])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert "macro" in err["message"]
+
+
 # ---------------------------------------------------------------------------
 # parametrize
 # ---------------------------------------------------------------------------

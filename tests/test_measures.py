@@ -1,12 +1,18 @@
 """Tests for Young-measure estimation and measure-valued diagnostics."""
 
+import dataclasses
+import functools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from balancelab.entropy import ResidualEvaluator, standard_battery
+from balancelab.entropy import (ResidualEvaluator, ResolutionError,
+                               standard_battery)
 from balancelab.flux import FluxCurve
+from balancelab.harness import solve_points
 from balancelab.measures import (MeasureContext, YoungMeasureEstimate,
                                  averaged_contraction_gap, chi_gamma_above,
                                  chi_gamma_below, default_support_radius,
@@ -14,7 +20,7 @@ from balancelab.measures import (MeasureContext, YoungMeasureEstimate,
                                  mu_is_atom, mv_residual_table,
                                  support_and_trace_check, write_mv_table_csv)
 from balancelab.monotone import MonotoneGraph
-from balancelab.problem import SourceSpec
+from balancelab.problem import SourceSpec, perturbation
 from balancelab.solver import Field, Grid1D, cfl_dt, regularized, solve
 from conftest import canonical_spec, pair_gap
 
@@ -185,7 +191,7 @@ def test_mv_residual_resolution_guard():
     res, reg = _box_source_run()
     ym = estimate_young_measure([res], macro=(32, 8))
     psi = standard_battery(reg.spec)[0]
-    with pytest.raises(ValueError, match="macro"):
+    with pytest.raises(ResolutionError, match="macro"):
         mv_entropy_residual("PLUS", ym, 0.2, psi, reg)
 
 
@@ -319,6 +325,172 @@ def test_averaged_contraction_layout_mismatch_rejected():
     ym2 = estimate_young_measure([res], macro=(8, 16))
     with pytest.raises(ValueError, match="mismatch"):
         averaged_contraction_gap(ym1, ym2, standard_battery(reg.spec)[0], reg)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-block bracket loops
+# ---------------------------------------------------------------------------
+#
+# The evaluation that MeasureContext and averaged_contraction_gap replaced:
+# one dict of bracket ingredients per macro block and a Python loop that
+# contracts each block's brackets with the block sums of the psi fields.
+# Kept here as an independent oracle for the padded-array path.
+
+
+def _reference_blocks(ym, reg):
+    """(C, per-block ingredient dicts) of one estimate."""
+    spec = reg.spec
+    theta = reg.theta
+    C = np.empty((len(ym.times), len(ym.centers)))
+    for s, t in enumerate(ym.times):
+        C[s] = spec.source.c_mollified(spec.j, t, ym.centers)
+    blocks = []
+    for bt in range(ym.n_t_blocks):
+        ts, te = ym.t_idx_edges[bt], ym.t_idx_edges[bt + 1]
+        for bx in range(ym.n_x_blocks):
+            xs, xe = ym.x_idx_edges[bx], ym.x_idx_edges[bx + 1]
+            vals, wts = ym.atoms[bt][bx]
+            eta = theta.sampled.inverse(theta.cell_rows[xs:xe], vals[:, None])
+            blocks.append({
+                "ts": ts, "te": te, "xs": xs, "xe": xe,
+                "vals": vals, "wts": wts, "eta": eta,
+                "g_eta": spec.source.g_mollified(spec.j, eta),
+                "phi": perturbation(vals, spec.ell, spec.m),
+                "A": reg.curve(0, vals),
+            })
+    return C, blocks
+
+
+def _reference_psi(ym, psi):
+    return (psi.value(ym.times, ym.centers), psi.dt_matrix(ym.times, ym.centers),
+            psi.dx_matrix(ym.times, ym.centers))
+
+
+def _reference_contract(C, blk, psi_fields, B1, B2, B3g, B3p):
+    """One block's share of the quadrature sum."""
+    sl = np.s_[blk["ts"]:blk["te"], blk["xs"]:blk["xe"]]
+    Pb, Ptb, Pxb = (F[sl] for F in psi_fields)
+    CP = C[sl] * Pb
+    return float(B1 @ Ptb.sum(axis=0)) + B2 * float(Pxb.sum()) \
+        + float(B3g @ CP.sum(axis=0)) + B3p * float(Pb.sum())
+
+
+def _reference_mv_residual(ym, reg, ref, sign, mu, psi, gamma=0.0):
+    C, blocks = ref
+    A_mu = float(reg.curve(0, mu))
+    eta_mu_cells = reg.theta.eta_cells(float(mu))
+    psi_fields = _reference_psi(ym, psi)
+    total = 0.0
+    for blk in blocks:
+        vals, wts, eta = blk["vals"], blk["wts"], blk["eta"]
+        eta_mu = eta_mu_cells[blk["xs"]:blk["xe"]]
+        if sign == "PLUS":
+            B1 = wts @ np.maximum(eta - eta_mu, 0.0)
+            chi_flux = wts * (vals > mu)
+            chi_src = wts * chi_gamma_above(vals, mu, gamma)
+            B2 = float(chi_flux @ (blk["A"] - A_mu))
+            B3g = chi_src @ blk["g_eta"]
+            B3p = float(chi_src @ blk["phi"])
+        else:
+            B1 = wts @ np.maximum(eta_mu - eta, 0.0)
+            chi_flux = wts * (vals < mu)
+            chi_src = wts * chi_gamma_below(vals, mu, gamma)
+            B2 = float(chi_flux @ (A_mu - blk["A"]))
+            B3g = -(chi_src @ blk["g_eta"])
+            B3p = -float(chi_src @ blk["phi"])
+        total += _reference_contract(C, blk, psi_fields, B1, B2, B3g, B3p)
+    return ym.dx * ym.slab * total
+
+
+def _reference_averaged_gap(ym1, ym2, ref1, ref2, psi):
+    C, blocks1 = ref1
+    psi_fields = _reference_psi(ym1, psi)
+    total = 0.0
+    for blk1, blk2 in zip(blocks1, ref2[1]):
+        W = np.outer(blk1["wts"], blk2["wts"])
+        sg = np.sign(blk1["vals"][:, None] - blk2["vals"][None, :])
+        B1 = np.einsum("ab,abc->c", W,
+                       np.abs(blk1["eta"][:, None, :] - blk2["eta"][None, :, :]))
+        B2 = float(np.sum(W * sg * (blk1["A"][:, None] - blk2["A"][None, :])))
+        B3g = np.einsum("ab,abc->c", W * sg,
+                        blk1["g_eta"][:, None, :] - blk2["g_eta"][None, :, :])
+        B3p = float(np.sum(W * sg * (blk1["phi"][:, None] - blk2["phi"][None, :])))
+        total += _reference_contract(C, blk1, psi_fields, B1, B2, B3g, B3p)
+    return ym1.dx * ym1.slab * total
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_ensembles():
+    """Two 3-member j ensembles (a datum and its 0.6-scaled partner) of a
+    problem whose inverse states depend on the cell (two coefficient
+    regions) and whose source and perturbation brackets are nonzero, on
+    64 cells x 64 slabs; plus the top-j tables."""
+    src = SourceSpec("arctan", {"c": 1.0})
+    coeff = {"kind": "pwc", "region_c": [1.0, 1.5], "x_breaks": [0.0]}
+    ensembles = []
+    for height in (1.0, 0.6):
+        base = canonical_spec(
+            u0={"id": "box", "params": {"height": height, "a": -0.75, "b": 0.25}},
+            source=src, coeff=coeff, ell=2.0, m=2.0)
+        specs = [dataclasses.replace(base, j=j) for j in (4, 8, 16)]
+        grid = Grid1D(base.x_lo, base.x_hi, 64)
+        runs, _, regs = solve_points(specs, grid, snapshots=64)
+        ensembles.append(runs)
+    return ensembles[0], ensembles[1], regs[-1]
+
+
+@st.composite
+def layouts(draw):
+    """Ensemble size and macro shape; 64 cells and slabs make every shape
+    but 4 and 8 ragged, and 9 is the widest the battery radii resolve."""
+    return (draw(st.integers(1, 3)), draw(st.integers(3, 9)),
+            draw(st.integers(3, 9)))
+
+
+MV_SETTINGS = settings(max_examples=20, deadline=None)
+
+
+def _assert_close(got, want):
+    """Agreement within 1e-12 of the largest reference residual."""
+    scale = max(abs(w) for w in want)
+    err = max(abs(g - w) for g, w in zip(got, want))
+    assert err <= 1e-12 * scale, (err, scale)
+
+
+@seed(20140409)
+@MV_SETTINGS
+@given(layouts(), st.sampled_from(["PLUS", "MINUS"]),
+       st.one_of(st.just(0.0), st.floats(1e-3, 0.1)),
+       st.floats(-0.3, 1.3), st.integers(0, 10 ** 6))
+def test_mv_residual_matches_per_block_reference(layout, sign, gamma, mu, pick):
+    n_runs, mt, mx = layout
+    runs, _, reg = _reference_ensembles()
+    ym = estimate_young_measure(runs[:n_runs], macro=(mt, mx), min_samples=1)
+    atoms = np.concatenate([v for row in ym.atoms for v, _ in row])
+    mus = [mu, float(atoms[pick % len(atoms)])]  # a free level and an atom
+    psis = standard_battery(reg.spec)[::5]
+    ctx = MeasureContext(ym, reg)
+    ref = _reference_blocks(ym, reg)
+    got = [ctx.residual(sign, m, psi, gamma=gamma) for m in mus for psi in psis]
+    want = [_reference_mv_residual(ym, reg, ref, sign, m, psi, gamma)
+            for m in mus for psi in psis]
+    _assert_close(got, want)
+
+
+@seed(20140410)
+@MV_SETTINGS
+@given(layouts(), st.integers(1, 3))
+def test_averaged_contraction_matches_per_block_reference(layout, n_partner):
+    n_runs, mt, mx = layout
+    runs, partners, reg = _reference_ensembles()
+    ym1 = estimate_young_measure(runs[:n_runs], macro=(mt, mx), min_samples=1)
+    ym2 = estimate_young_measure(partners[:n_partner], macro=(mt, mx),
+                                 min_samples=1)
+    ref1, ref2 = _reference_blocks(ym1, reg), _reference_blocks(ym2, reg)
+    psis = standard_battery(reg.spec)[::5]
+    got = [averaged_contraction_gap(ym1, ym2, psi, reg) for psi in psis]
+    want = [_reference_averaged_gap(ym1, ym2, ref1, ref2, psi) for psi in psis]
+    _assert_close(got, want)
 
 
 # ---------------------------------------------------------------------------

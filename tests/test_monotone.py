@@ -25,11 +25,7 @@ from balancelab.monotone import (
     resolvent,
     yosida,
 )
-from conftest import (
-    _oracle_arctan_inverse_errors,
-    random_monotone_graph,
-    resolvent_bisect,
-)
+from conftest import random_monotone_graph, resolvent_bisect
 
 # ---------------------------------------------------------------------------
 # Oracles
@@ -53,16 +49,6 @@ def _oracle_regularized(graph, c, j, u, kernel):
         return acc
 
     return (1.0 + lam) * (molly(u) - molly(0.0))
-
-
-# Frozen: _oracle_arctan_inverse_errors([1, 2, 4, 8, 16])
-ARCTAN_INVERSE_ERRORS = [
-    0.6376330865576232,
-    0.499388518406946,
-    0.37406609252468903,
-    0.2726566326330421,
-    0.1957494414203546,
-]
 
 
 # ---------------------------------------------------------------------------
@@ -369,20 +355,6 @@ def test_field_validation():
 # ---------------------------------------------------------------------------
 # Inverse convergence
 # ---------------------------------------------------------------------------
-
-
-def test_inverse_convergence_matches_bisection_oracle():
-    ns = [1, 2, 4, 8, 16]
-    assert np.allclose(_oracle_arctan_inverse_errors(ns), ARCTAN_INVERSE_ERRORS, atol=2e-9)
-    seq = [
-        Table.from_function(
-            lambda u, n=n: u + (2.0 / np.pi) * np.arctan(n * u), -3.0, 3.0, n=8193
-        )
-        for n in ns
-    ]
-    errors = check_inverse_convergence(seq, MonotoneGraph.sign_plus_identity(), (-2.0, 2.0))
-    assert np.allclose(errors, ARCTAN_INVERSE_ERRORS, atol=5e-4)
-    assert all(b < a for a, b in zip(errors, errors[1:]))
 
 
 def test_inverse_convergence_rejects_plateau_limit():
