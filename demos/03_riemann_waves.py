@@ -8,9 +8,14 @@ should sit within a couple of cells of its exact position and the fan
 should match in L1.
 """
 
+import os
+
 import numpy as np
 
 from balancelab import Grid1D, load_config, solve
+
+CONFIG = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                      "configs", "burgers_riemann.json")
 
 
 def exact_box(x, t, a=-1.0, b=0.5, h=1.0):
@@ -25,7 +30,7 @@ def exact_box(x, t, a=-1.0, b=0.5, h=1.0):
 
 
 def main():
-    cfg = load_config("configs/burgers_riemann.json")
+    cfg = load_config(CONFIG)
     spec = cfg.problem
     grid = Grid1D(spec.x_lo, spec.x_hi, 1024)
     run = solve(spec, grid, snapshots=4)

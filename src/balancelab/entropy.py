@@ -5,7 +5,11 @@ quadrature on the run's own space-time grid (slab-midpoint snapshots in
 time, cell centers in space), against smooth product-bump test functions
 with analytic derivatives.  The convention throughout: a residual is the
 inequality's left side minus its right side, so nonnegative means the
-inequality holds with margin.
+inequality holds with margin.  Each psi is a product b_t(t) b_x(x), so its
+quadrature against a field G is the bilinear form b_t^T G b_x: the fields
+of one level are built once and meet the whole battery in one thin matmul
+per field with the distinct b_x columns, contracted with the b_t columns.
+Only one level's fields are live at a time.
 
 Scalar forms, for a state u with transformed companion v and k ranging
 over the transformed variable (eta denotes the per-cell inverse map
@@ -18,6 +22,7 @@ u = eta(x, v)):
               initial term int (eta(x,k) - u0)^+ psi(0,.)
   SGN / N2    |u - eta(x,k)| psi_t + sgn(v-k)(A(v)-A(k)) psi_x
               + sgn(v-k) f psi + int |u0 - eta(x,k)| psi(0,.)
+              (one integrand: a battery evaluates each level once)
   N1          k in u-space: |u-k| psi_t + sgn(u-k)(Phi(x,u)-Phi(x,k)) psi_x
               + sgn(u-k)(f - div_x Phi(x,k)) psi + int |u0-k| psi(0,.)
               (smooth-in-x coefficients only)
@@ -78,7 +83,8 @@ def bump_profile_dy(y):
 
 @dataclass
 class TestFunction:
-    """Nonnegative space-time bump psi(t,x) = b((t-tc)/rt) b((x-xc)/rx)."""
+    """Nonnegative space-time bump psi(t,x) = b((t-tc)/rt) b((x-xc)/rx);
+    the quadrature evaluates its two factors."""
 
     __test__ = False  # keep pytest from collecting the class by its name
 
@@ -94,19 +100,6 @@ class TestFunction:
         if not self.label:
             self.label = "t%g_x%g_r%gx%g" % (self.t_center, self.x_center,
                                              self.r_t, self.r_x)
-
-    def value(self, t, x):
-        """(len(t), len(x)) matrix of psi values."""
-        return np.outer(bump_profile((np.asarray(t, dtype=float) - self.t_center) / self.r_t),
-                        bump_profile((np.asarray(x, dtype=float) - self.x_center) / self.r_x))
-
-    def dt_matrix(self, t, x):
-        return np.outer(bump_profile_dy((np.asarray(t, dtype=float) - self.t_center) / self.r_t) / self.r_t,
-                        bump_profile((np.asarray(x, dtype=float) - self.x_center) / self.r_x))
-
-    def dx_matrix(self, t, x):
-        return np.outer(bump_profile((np.asarray(t, dtype=float) - self.t_center) / self.r_t),
-                        bump_profile_dy((np.asarray(x, dtype=float) - self.x_center) / self.r_x) / self.r_x)
 
 
 def battery_from_geometry(spec, t_fracs=(0.3, 0.5, 0.7),
@@ -234,34 +227,41 @@ def _check_resolution(psi, dx, slab, n_cells, n_slabs, block=(1, 1)):
            "[%d, %d]" % (psi.r_t // slab, psi.r_x // dx) if macro else ""))
 
 
-def _psi_fields(psi, t, x, cache):
-    """psi, psi_t, psi_x at slab midpoints t and cell centers x, and psi at
-    t = 0; cached per test function."""
-    key = id(psi)
-    if key not in cache:
-        cache[key] = (psi.value(t, x), psi.dt_matrix(t, x), psi.dx_matrix(t, x),
-                      psi.value(np.asarray([0.0]), x)[0])
-    return cache[key]
+def _columns(y, keys):
+    """Bump columns b((y - c)/r) and their y-derivatives, (len(y), m), of
+    the m distinct (c, r) among keys, and the column of every key."""
+    index = {}
+    cols = [index.setdefault(key, len(index)) for key in keys]
+    c, r = np.array(list(index), dtype=float).reshape(-1, 2).T
+    z = (np.asarray(y, dtype=float)[:, None] - c) / r
+    return bump_profile(z), bump_profile_dy(z) / r, cols
 
 
-def quadrature(fields, psi, t, x, dx, slab, cache, block=(1, 1)):
-    """Midpoint quadrature of psi-independent fields (G1, G2, G3[, W0]):
-    dx slab sum(G1 psi_t + G2 psi_x + G3 psi), plus dx sum(W0 psi(0, .))
-    when the initial term W0 is given."""
-    _check_resolution(psi, dx, slab, len(x), len(t), block)
-    P, Pt, Px, P0 = _psi_fields(psi, t, x, cache)
+def quadrature(fields, psis, t, x, dx, slab, block=(1, 1)):
+    """Midpoint quadrature of psi-independent fields (G1, G2, G3[, W0]),
+    one value per psi = b_t(t) b_x(x):
+    dx slab (b_t'^T G1 b_x + b_t^T G2 b_x' + b_t^T G3 b_x), plus
+    dx b_t(0) W0 b_x when the initial term W0 is given.  Each field meets
+    the battery's distinct b_x columns in one thin matmul."""
+    for psi in psis:
+        _check_resolution(psi, dx, slab, len(x), len(t), block)
+    # the last row of the time columns is t = 0, for the initial term
+    Bt, Bt1, it = _columns(np.append(t, 0.0),
+                           [(p.t_center, p.r_t) for p in psis])
+    Bx, Bx1, ix = _columns(x, [(p.x_center, p.r_x) for p in psis])
     G1, G2, G3 = fields[:3]
-    out = dx * slab * float(np.sum(G1 * Pt) + np.sum(G2 * Px) + np.sum(G3 * P))
+    H = Bt1[:-1].T @ (G1 @ Bx) + Bt[:-1].T @ (G2 @ Bx1 + G3 @ Bx)
+    out = dx * slab * H[it, ix]
     if len(fields) == 4:
-        out += dx * float(np.sum(fields[3] * P0))
+        out += dx * np.outer(Bt[-1], fields[3] @ Bx)[it, ix]
     return out
 
 
 class ResidualEvaluator:
     """Midpoint-quadrature residuals of one run against many (form, k, psi).
 
-    Precomputes the psi-independent integrand fields per (form, k) and the
-    psi fields per test function, so batteries reuse both caches.
+    Builds the psi-independent integrand fields of one (form, k) level at a
+    time and evaluates the whole battery against them in one quadrature.
     """
 
     def __init__(self, run, reg):
@@ -287,15 +287,16 @@ class ResidualEvaluator:
                 + perturbation(self.V[s], self.spec.ell, self.spec.m)
         self.f_cells = F
         self.AV = reg.curve(0, self.V)
-        self._terms_cache = {}
-        self._psi_cache = {}
+        self._terms = (None, None)
 
     def terms(self, form, k):
         """psi-independent integrand fields (G1, G2, G3, W0) of one form:
-        residual = int (G1 psi_t + G2 psi_x + G3 psi) + int W0 psi(0, .)."""
+        residual = int (G1 psi_t + G2 psi_x + G3 psi) + int W0 psi(0, .);
+        only the last level's fields are kept."""
         key = (form, float(k))
-        if key in self._terms_cache:
-            return self._terms_cache[key]
+        if self._terms[0] == key:
+            return self._terms[1]
+        self._terms = (None, None)  # release the old level before the next
         theta = self.reg.theta
         curve = self.reg.curve
         if form == "N1":
@@ -333,12 +334,13 @@ class ResidualEvaluator:
                        np.abs(self.u0 - eta_k))
             else:
                 raise ValueError("unknown form %r" % (form,))
-        self._terms_cache[key] = out
+        self._terms = (key, out)
         return out
 
-    def residual(self, form, k, psi):
-        return quadrature(self.terms(form, k), psi, self.t_mid, self.x,
-                          self.dx, self.slab, self._psi_cache)
+    def residual(self, form, k, psis):
+        """Residuals of one (form, k) level, one per test function."""
+        return quadrature(self.terms(form, k), psis, self.t_mid, self.x,
+                          self.dx, self.slab)
 
     def battery_report(self, forms, ks, psis):
         """Residuals in fixed lexicographic (form, k, psi) order.
@@ -352,11 +354,15 @@ class ResidualEvaluator:
             "T": self.spec.T,
         }
         report = EntropyReport(info)
+        levels = {}  # SGN and N2 share one integrand
         for form in forms:
             k_list = ks[form] if isinstance(ks, dict) else ks
             for k in np.asarray(k_list, dtype=float):
-                for psi in psis:
-                    report.append(form, k, psi.label, self.residual(form, k, psi))
+                key = ("SGN" if form == "N2" else form, k)
+                if key not in levels:
+                    levels[key] = self.residual(form, k, psis)
+                for psi, res in zip(psis, levels[key]):
+                    report.append(form, k, psi.label, res)
         return report
 
 
@@ -432,6 +438,5 @@ def pair_gap_battery(kind, run1, run2, reg1, reg2, psis):
         raise ValueError("pair gaps need identical flux and theta tables")
     ev1 = ResidualEvaluator(run1, reg1)
     ev2 = ResidualEvaluator(run2, reg2)
-    fields = _pair_fields(kind, ev1, ev2)
-    return np.asarray([quadrature(fields, psi, ev1.t_mid, ev1.x, ev1.dx,
-                                  ev1.slab, ev1._psi_cache) for psi in psis])
+    return quadrature(_pair_fields(kind, ev1, ev2), psis, ev1.t_mid, ev1.x,
+                      ev1.dx, ev1.slab)

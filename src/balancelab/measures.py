@@ -281,7 +281,6 @@ class MeasureContext:
                                for eta in etas], axis=-1)
         self._eta_mu = {}
         self._terms = (None, None)
-        self._psi_cache = {}
 
     def fields(self, B1, B2, B3g, B3p):
         """Fine-grid fields (G1, G2, G3 = B3g C + B3p) of brackets given per
@@ -291,7 +290,7 @@ class MeasureContext:
 
     def terms(self, sign, mu, gamma=0.0):
         """psi-independent fields (G1, G2, G3) of (EQ+) / negated (EQ-) at
-        level mu; the last level's fields are kept for the next psi."""
+        level mu; only the last level's fields are kept."""
         if sign not in ("PLUS", "MINUS"):
             raise ValueError("sign must be PLUS or MINUS")
         key = (sign, float(mu), float(gamma))
@@ -317,12 +316,12 @@ class MeasureContext:
         self._terms = (key, out)
         return out
 
-    def residual(self, sign, mu, psi, gamma=0.0):
-        """Quadrature value of (EQ+) / negated (EQ-) at level mu."""
+    def residual(self, sign, mu, psis, gamma=0.0):
+        """Quadrature values of (EQ+) / negated (EQ-) at level mu, one per
+        test function."""
         ym = self.ym
-        return quadrature(self.terms(sign, mu, gamma), psi, ym.times,
-                          ym.centers, ym.dx, ym.slab, self._psi_cache,
-                          block=self.block_shape)
+        return quadrature(self.terms(sign, mu, gamma), psis, ym.times,
+                          ym.centers, ym.dx, ym.slab, block=self.block_shape)
 
 
 def mu_is_atom(ym, mu, tol=1e-9):
@@ -342,9 +341,8 @@ def mv_residual_table(ym, reg, mus, psis, signs=("PLUS", "MINUS"), gamma=0.0):
     for sign in signs:
         for mu in np.asarray(mus, dtype=float):
             flag = mu_is_atom(ym, mu)
-            for psi in psis:
-                rows.append((sign, float(mu), psi.label,
-                             ctx.residual(sign, mu, psi, gamma=gamma), flag))
+            for psi, res in zip(psis, ctx.residual(sign, mu, psis, gamma)):
+                rows.append((sign, float(mu), psi.label, float(res), flag))
     return rows
 
 
@@ -361,9 +359,10 @@ def write_mv_table_csv(rows, path):
 # ---------------------------------------------------------------------------
 
 
-def averaged_contraction_gap(ym1, ym2, psi, reg):
-    """Quadrature value of the averaged contraction inequality for two
-    estimates sharing grid and macro layout (positive = holds with margin).
+def averaged_contraction_gap(ym1, ym2, psis, reg):
+    """Quadrature values of the averaged contraction inequality for two
+    estimates sharing grid and macro layout, one per test function
+    (positive = holds with margin).
 
     Product brackets are exact double sums over atom pairs; the sign factor
     vanishes on the exact diagonal, matching the zero of the subdifferential
@@ -392,8 +391,8 @@ def averaged_contraction_gap(ym1, ym2, psi, reg):
 
     fields = ctx1.fields(bracket("eta", xb), bracket("A"),
                          bracket("g_eta", xb), bracket("phi"))
-    return quadrature(fields, psi, ym1.times, ym1.centers, ym1.dx, ym1.slab,
-                      ctx1._psi_cache, block=ctx1.block_shape)
+    return quadrature(fields, psis, ym1.times, ym1.centers, ym1.dx, ym1.slab,
+                      block=ctx1.block_shape)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Shared test helpers: seeded random graphs, a canonical problem, the
-resolvent and arctan-inverse bisection oracles and the single-test-function
-pair gap."""
+resolvent and arctan-inverse bisection oracles, the single-test-function
+pair gap and the elementwise psi matrices of the quadrature oracles."""
 
 import numpy as np
 
-from balancelab.entropy import pair_gap_battery
+from balancelab.entropy import bump_profile, bump_profile_dy, pair_gap_battery
 from balancelab.flux import FluxCurve
 from balancelab.monotone import MonotoneGraph
 from balancelab.problem import ProblemSpec, SourceSpec
@@ -141,3 +141,14 @@ def _oracle_arctan_inverse_errors(ns, n_grid=1000):
 def pair_gap(kind, run1, run2, reg1, reg2, psi):
     """Single test-function variant of ``pair_gap_battery``."""
     return float(pair_gap_battery(kind, run1, run2, reg1, reg2, [psi])[0])
+
+
+def psi_matrices(psi, t, x):
+    """(psi, psi_t, psi_x) as (len(t), len(x)) matrices, built elementwise
+    from the bump profile as independent oracles of the factored
+    quadrature."""
+    zt = (np.asarray(t, dtype=float) - psi.t_center) / psi.r_t
+    zx = (np.asarray(x, dtype=float) - psi.x_center) / psi.r_x
+    return (np.outer(bump_profile(zt), bump_profile(zx)),
+            np.outer(bump_profile_dy(zt) / psi.r_t, bump_profile(zx)),
+            np.outer(bump_profile(zt), bump_profile_dy(zx) / psi.r_x))

@@ -2,12 +2,13 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from balancelab.entropy import (EntropyReport, ResidualEvaluator, TestFunction,
-                                bump_profile, bump_profile_dy,
+                                _columns, bump_profile, bump_profile_dy,
                                 initial_trace_error, k_samples,
                                 l1_distance_curve, pair_gap_battery,
                                 standard_battery)
@@ -60,17 +61,20 @@ def test_bump_profile_shape_and_derivative():
 
 
 def test_test_function_derivatives_match_finite_differences():
+    # psi = b_t(t) b_x(x): the quadrature's factor columns of each axis and
+    # their derivatives, which give psi_t = b_t' b_x and psi_x = b_t b_x'
     psi = TestFunction(0.25, 0.1, 0.2, 0.8)
     t = np.linspace(0.08, 0.42, 7)
     x = np.linspace(-0.6, 0.8, 9)
     h = 1e-6
-    fd_t = (psi.value(t + h, x) - psi.value(t - h, x)) / (2 * h)
-    fd_x = (psi.value(t, x + h) - psi.value(t, x - h)) / (2 * h)
-    assert np.max(np.abs(psi.dt_matrix(t, x) - fd_t)) < 1e-5
-    assert np.max(np.abs(psi.dx_matrix(t, x) - fd_x)) < 1e-5
+    for y, key in ((t, (psi.t_center, psi.r_t)), (x, (psi.x_center, psi.r_x))):
+        _, d, _ = _columns(y, [key])
+        fd = (_columns(y + h, [key])[0] - _columns(y - h, [key])[0]) / (2 * h)
+        assert np.max(np.abs(d - fd)) < 1e-5
     # compact support
-    assert psi.value(np.array([0.46]), x) == pytest.approx(0.0)
-    assert psi.value(t, np.array([-0.95, 0.95])) == pytest.approx(0.0)
+    assert _columns(np.array([0.46]), [(psi.t_center, psi.r_t)])[0] == pytest.approx(0.0)
+    assert _columns(np.array([-0.95, 0.95]), [(psi.x_center, psi.r_x)])[0] == \
+        pytest.approx(0.0)
 
 
 def test_standard_battery_layout():
@@ -117,10 +121,8 @@ def test_constant_run_zero_residual_all_forms():
     k_v = float(reg.theta.theta_of(0.5)[0])
     psis = standard_battery(reg.spec)[::5]
     for form in ("SEMI_PLUS", "SEMI_MINUS", "SGN", "N2"):
-        for psi in psis:
-            assert abs(ev.residual(form, k_v, psi)) <= 1e-8
-    for psi in psis:
-        assert abs(ev.residual("N1", 0.5, psi)) <= 1e-8
+        assert np.all(np.abs(ev.residual(form, k_v, psis)) <= 1e-8)
+    assert np.all(np.abs(ev.residual("N1", 0.5, psis)) <= 1e-8)
 
 
 def test_semi_forms_vanish_beyond_state_range():
@@ -130,9 +132,9 @@ def test_semi_forms_vanish_beyond_state_range():
     res, reg = _run(spec, 96, snapshots=64)
     ev = ResidualEvaluator(res, reg)
     _, _, V = res.snapshot_matrix()
-    psi = standard_battery(spec)[0]
-    assert abs(ev.residual("SEMI_PLUS", float(V.max()) + 0.4, psi)) <= 1e-8
-    assert abs(ev.residual("SEMI_MINUS", float(V.min()) - 0.4, psi)) <= 1e-8
+    psis = standard_battery(spec)[:1]
+    assert abs(ev.residual("SEMI_PLUS", float(V.max()) + 0.4, psis)[0]) <= 1e-8
+    assert abs(ev.residual("SEMI_MINUS", float(V.min()) - 0.4, psis)[0]) <= 1e-8
 
 
 def test_sgn_is_sum_of_semi_forms():
@@ -144,10 +146,10 @@ def test_sgn_is_sum_of_semi_forms():
     ev = ResidualEvaluator(res, reg)
     _, _, V = res.snapshot_matrix()
     ks = k_samples(V, reg, n=7)
+    psis = standard_battery(spec)[::4]
     for k in ks:
-        for psi in standard_battery(spec)[::4]:
-            lhs = ev.residual("SEMI_PLUS", k, psi) + ev.residual("SEMI_MINUS", k, psi)
-            assert abs(lhs - ev.residual("SGN", k, psi)) <= 1e-9
+        lhs = ev.residual("SEMI_PLUS", k, psis) + ev.residual("SEMI_MINUS", k, psis)
+        assert np.all(np.abs(lhs - ev.residual("SGN", k, psis)) <= 1e-9)
 
 
 def test_shock_battery_sgn_above_tolerance_curve():
@@ -180,9 +182,8 @@ def test_u_space_and_v_space_forms_agree_for_plain_coefficients():
     psis = standard_battery(spec)[::4]
     for k_u in (-0.3, 0.2, 0.55, 0.9):
         k_v = float(reg.theta.theta_of(k_u)[0])
-        for psi in psis:
-            diff = ev.residual("N1", k_u, psi) - ev.residual("N2", k_v, psi)
-            assert abs(diff) <= 1e-6
+        diff = ev.residual("N1", k_u, psis) - ev.residual("N2", k_v, psis)
+        assert np.all(np.abs(diff) <= 1e-6)
 
 
 def test_u_space_form_rejects_discontinuous_coefficients():
@@ -190,25 +191,25 @@ def test_u_space_form_rejects_discontinuous_coefficients():
     res, reg = _run(spec, 64, snapshots=64)
     ev = ResidualEvaluator(res, reg)
     with pytest.raises(ValueError, match="smooth"):
-        ev.residual("N1", 0.3, standard_battery(spec)[0])
+        ev.residual("N1", 0.3, standard_battery(spec)[:1])
 
 
 def test_unresolved_support_is_rejected_with_hint():
     spec = canonical_spec()
-    psi = standard_battery(spec)[0]
+    psis = standard_battery(spec)[:1]
     res, reg = _run(spec, 128, snapshots=8)
     with pytest.raises(ValueError, match="snapshots >="):
-        ResidualEvaluator(res, reg).residual("SGN", 0.1, psi)
+        ResidualEvaluator(res, reg).residual("SGN", 0.1, psis)
     res, reg = _run(spec, 16, snapshots=64)
     with pytest.raises(ValueError, match="unresolved"):
-        ResidualEvaluator(res, reg).residual("SGN", 0.1, psi)
+        ResidualEvaluator(res, reg).residual("SGN", 0.1, psis)
 
 
 def test_unknown_form_rejected():
     res, reg = _constant_run()
     ev = ResidualEvaluator(res, reg)
     with pytest.raises(ValueError, match="form"):
-        ev.residual("MODULUS", 0.0, standard_battery(reg.spec)[0])
+        ev.residual("MODULUS", 0.0, standard_battery(reg.spec)[:1])
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +420,28 @@ def test_battery_report_per_form_levels():
     ks = {"SGN": np.array([0.1, 0.2]), "N1": np.array([0.3])}
     report = ev.battery_report(("SGN", "N1"), ks, psis)
     assert [r[0] for r in report.rows] == ["SGN"] * 4 + ["N1"] * 2
+
+
+def test_battery_report_keeps_one_level_live():
+    # memory guard: the battery walks its (form, k) levels one at a time and
+    # keeps only the last level's fields, so the traced peak stays below a
+    # fixed number of (slab, cell) fields however many levels it walks
+    # (caching every level would hold three fields per level)
+    spec = canonical_spec(u0={"id": "box", "params": {"height": 1.0, "a": -0.75, "b": 0.0}},
+                          source=SourceSpec("arctan", {"c": 0.8}), ell=2.0, m=2.0)
+    res, reg = _run(spec, 128, snapshots=64)
+    ev = ResidualEvaluator(res, reg)
+    forms = ("SEMI_PLUS", "SEMI_MINUS", "SGN", "N1", "N2")
+    ks = np.linspace(-0.5, 1.5, 6)
+    field_bytes = ev.U.nbytes
+    tracemalloc.start()
+    try:
+        report = ev.battery_report(forms, ks, standard_battery(spec))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.rows) == len(forms) * len(ks) * 18
+    assert peak < 8 * field_bytes, peak / field_bytes
 
 
 def test_report_rejects_nonfinite():

@@ -10,7 +10,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from balancelab.entropy import (ResidualEvaluator, ResolutionError,
-                               standard_battery)
+                               pair_gap_battery, standard_battery)
 from balancelab.flux import FluxCurve
 from balancelab.harness import solve_points
 from balancelab.measures import (MeasureContext, YoungMeasureEstimate,
@@ -22,15 +22,15 @@ from balancelab.measures import (MeasureContext, YoungMeasureEstimate,
 from balancelab.monotone import MonotoneGraph
 from balancelab.problem import SourceSpec, perturbation
 from balancelab.solver import Field, Grid1D, cfl_dt, regularized, solve
-from conftest import canonical_spec, pair_gap
+from conftest import canonical_spec, psi_matrices
 
 INF = float("inf")
 
 
 def mv_entropy_residual(sign, ym, mu, psi, reg, gamma=0.0):
-    """One-call form of ``MeasureContext.residual`` (build a context for
-    batteries; it caches the per-block ingredients)."""
-    return MeasureContext(ym, reg).residual(sign, mu, psi, gamma=gamma)
+    """One-call, one-psi form of ``MeasureContext.residual`` (build a
+    context for batteries; it caches the per-block ingredients)."""
+    return MeasureContext(ym, reg).residual(sign, mu, [psi], gamma=gamma)[0]
 
 
 def _zero_flux():
@@ -153,11 +153,10 @@ def test_dirac_collapse_matches_single_run_residuals():
     ctx = MeasureContext(ym, reg)
     psis = standard_battery(reg.spec)[::7]
     for mu in (-0.1, 0.25, 0.6):
-        for psi in psis:
-            assert ctx.residual("PLUS", mu, psi) == pytest.approx(
-                ev.residual("SEMI_PLUS", mu, psi), abs=1e-9)
-            assert ctx.residual("MINUS", mu, psi) == pytest.approx(
-                ev.residual("SEMI_MINUS", mu, psi), abs=1e-9)
+        assert ctx.residual("PLUS", mu, psis) == pytest.approx(
+            ev.residual("SEMI_PLUS", mu, psis), abs=1e-9)
+        assert ctx.residual("MINUS", mu, psis) == pytest.approx(
+            ev.residual("SEMI_MINUS", mu, psis), abs=1e-9)
 
 
 def test_mv_plus_vanishes_above_all_atoms():
@@ -220,12 +219,11 @@ def test_chi_gamma_ordering_for_dissipative_source():
     psis = standard_battery(reg.spec)[::7]
     for sign in ("PLUS", "MINUS"):
         for mu in (-0.2, 0.1, 0.5):
-            for psi in psis:
-                sharp = ctx.residual(sign, mu, psi, gamma=0.0)
-                fine = ctx.residual(sign, mu, psi, gamma=1e-3)
-                coarse = ctx.residual(sign, mu, psi, gamma=1e-2)
-                assert sharp <= fine + 1e-12
-                assert fine <= coarse + 1e-12
+            sharp = ctx.residual(sign, mu, psis, gamma=0.0)
+            fine = ctx.residual(sign, mu, psis, gamma=1e-3)
+            coarse = ctx.residual(sign, mu, psis, gamma=1e-2)
+            assert np.all(sharp <= fine + 1e-12)
+            assert np.all(fine <= coarse + 1e-12)
 
 
 def test_mv_table_flags_atom_levels(tmp_path):
@@ -256,8 +254,8 @@ def test_mv_table_flags_atom_levels(tmp_path):
 def test_averaged_contraction_identical_dirac_is_zero():
     res, reg = _box_source_run()
     ym = dirac_estimate(res)
-    for psi in standard_battery(reg.spec)[::7]:
-        assert abs(averaged_contraction_gap(ym, ym, psi, reg)) <= 1e-9
+    gaps = averaged_contraction_gap(ym, ym, standard_battery(reg.spec)[::7], reg)
+    assert np.all(np.abs(gaps) <= 1e-9)
 
 
 def test_averaged_contraction_dirac_pair_matches_pair_gap():
@@ -274,13 +272,13 @@ def test_averaged_contraction_dirac_pair_matches_pair_gap():
     res_a = solve(spec_a, grid, snapshots=64, dt_override=dt, reg=reg_a)
     res_b = solve(spec_b, grid, snapshots=64, dt_override=dt, reg=reg_b)
     ym_a, ym_b = dirac_estimate(res_a), dirac_estimate(res_b)
-    for psi in standard_battery(spec_a)[::7]:
-        gap_mv = averaged_contraction_gap(ym_a, ym_b, psi, reg_a)
-        gap_runs = pair_gap("CONTRACTION", res_a, res_b, reg_a, reg_b, psi)
-        assert gap_mv == pytest.approx(gap_runs, abs=1e-9)
-        # product bracket symmetry: swapping the measures changes nothing
-        assert averaged_contraction_gap(ym_b, ym_a, psi, reg_a) == \
-            pytest.approx(gap_mv, abs=1e-12)
+    psis = standard_battery(spec_a)[::7]
+    gap_mv = averaged_contraction_gap(ym_a, ym_b, psis, reg_a)
+    gap_runs = pair_gap_battery("CONTRACTION", res_a, res_b, reg_a, reg_b, psis)
+    assert gap_mv == pytest.approx(gap_runs, abs=1e-9)
+    # product bracket symmetry: swapping the measures changes nothing
+    assert averaged_contraction_gap(ym_b, ym_a, psis, reg_a) == \
+        pytest.approx(gap_mv, abs=1e-12)
 
 
 def test_averaged_contraction_bilinear_in_both_measures():
@@ -290,9 +288,9 @@ def test_averaged_contraction_bilinear_in_both_measures():
     ym1 = estimate_young_measure(runs[:2])
     ym2 = estimate_young_measure(runs[2:])
     diracs = [dirac_estimate(r) for r in runs]
-    psi = standard_battery(specs[0])[4]
-    pooled = averaged_contraction_gap(ym1, ym2, psi, reg)
-    parts = [averaged_contraction_gap(diracs[i], diracs[j], psi, reg)
+    psis = standard_battery(specs[0])[4:5]
+    pooled = averaged_contraction_gap(ym1, ym2, psis, reg)[0]
+    parts = [averaged_contraction_gap(diracs[i], diracs[j], psis, reg)[0]
              for i in (0, 1) for j in (2, 3)]
     assert pooled == pytest.approx(0.25 * sum(parts), abs=1e-9)
 
@@ -315,8 +313,9 @@ def test_averaged_contraction_nonnegative_on_nested_pair():
     _, _, V_b = res_b.snapshot_matrix()
     tol = 10.0 * grid.dx * (1.0 + max(float(np.abs(V_a).max()),
                                       float(np.abs(V_b).max())))
-    for psi in standard_battery(spec_a)[::4]:
-        assert averaged_contraction_gap(ym_a, ym_b, psi, reg_a) >= -tol
+    gaps = averaged_contraction_gap(ym_a, ym_b, standard_battery(spec_a)[::4],
+                                    reg_a)
+    assert np.all(gaps >= -tol)
 
 
 def test_averaged_contraction_layout_mismatch_rejected():
@@ -324,7 +323,7 @@ def test_averaged_contraction_layout_mismatch_rejected():
     ym1 = estimate_young_measure([res])
     ym2 = estimate_young_measure([res], macro=(8, 16))
     with pytest.raises(ValueError, match="mismatch"):
-        averaged_contraction_gap(ym1, ym2, standard_battery(reg.spec)[0], reg)
+        averaged_contraction_gap(ym1, ym2, standard_battery(reg.spec)[:1], reg)
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +361,7 @@ def _reference_blocks(ym, reg):
 
 
 def _reference_psi(ym, psi):
-    return (psi.value(ym.times, ym.centers), psi.dt_matrix(ym.times, ym.centers),
-            psi.dx_matrix(ym.times, ym.centers))
+    return psi_matrices(psi, ym.times, ym.centers)
 
 
 def _reference_contract(C, blk, psi_fields, B1, B2, B3g, B3p):
@@ -471,7 +469,7 @@ def test_mv_residual_matches_per_block_reference(layout, sign, gamma, mu, pick):
     psis = standard_battery(reg.spec)[::5]
     ctx = MeasureContext(ym, reg)
     ref = _reference_blocks(ym, reg)
-    got = [ctx.residual(sign, m, psi, gamma=gamma) for m in mus for psi in psis]
+    got = np.concatenate([ctx.residual(sign, m, psis, gamma=gamma) for m in mus])
     want = [_reference_mv_residual(ym, reg, ref, sign, m, psi, gamma)
             for m in mus for psi in psis]
     _assert_close(got, want)
@@ -488,7 +486,7 @@ def test_averaged_contraction_matches_per_block_reference(layout, n_partner):
                                  min_samples=1)
     ref1, ref2 = _reference_blocks(ym1, reg), _reference_blocks(ym2, reg)
     psis = standard_battery(reg.spec)[::5]
-    got = [averaged_contraction_gap(ym1, ym2, psi, reg) for psi in psis]
+    got = averaged_contraction_gap(ym1, ym2, psis, reg)
     want = [_reference_averaged_gap(ym1, ym2, ref1, ref2, psi) for psi in psis]
     _assert_close(got, want)
 
