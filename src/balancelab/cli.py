@@ -10,9 +10,10 @@ Five subcommands share one JSON run-configuration format (see
 * ``parametrize``  sampled plateau-filling reparametrization of the flux
 
 Exit codes: 0 success, 1 a checked property failed, 2 configuration error,
-3 a test function or window is unresolved at the grid resolution.  All
-outputs are deterministic; rerunning a command reproduces each artifact
-bit for bit.
+3 a test function or window is unresolved at the grid resolution, 4 the
+evolution produced a non-finite state.  Exit codes 2 to 4 print one JSON
+object ``{"error": kind, "message": ...}`` on stderr.  All outputs are
+deterministic; rerunning a command reproduces each artifact bit for bit.
 """
 
 from __future__ import annotations
@@ -37,12 +38,14 @@ from .harness import (j_schedule_run, monotone_in_ell_check,
 from .measures import (default_support_radius, estimate_young_measure,
                        mv_residual_table, support_and_trace_check,
                        write_mv_table_csv)
-from .solver import Field, Grid1D, cfl_dt, regularized, run_to_csv, solve
+from .solver import (Field, Grid1D, SolverError, cfl_dt, regularized,
+                     run_to_csv, solve)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 EXIT_RESOLUTION = 3
+EXIT_NUMERICAL = 4
 
 
 # ---------------------------------------------------------------------------
@@ -63,19 +66,12 @@ def _info(quiet, message):
         print(message)
 
 
-def _grid(cfg, size=None):
-    n = int(cfg.grid_sizes[0] if size is None else size)
-    return Grid1D(cfg.problem.x_lo, cfg.problem.x_hi, n)
+def _grid(cfg):
+    return Grid1D(cfg.problem.x_lo, cfg.problem.x_hi, cfg.grid_sizes[0])
 
 
 def _battery(cfg):
-    b = cfg.battery
-    return battery_from_geometry(
-        cfg.problem,
-        t_fracs=tuple(b["t_fracs"]),
-        x_fracs=tuple(b["x_fracs"]),
-        radius_fracs=tuple(b["radius_fracs"]),
-    )
+    return battery_from_geometry(cfg.problem, **cfg.battery)
 
 
 def _jsonable(x):
@@ -133,8 +129,7 @@ def cmd_verify(cfg, out_dir, quiet):
     u2 = partner.initial_values(grid.centers, grid.dx)
     field1 = Field(u1, reg.v_of_u(u1))
     field2 = Field(u2, reg.v_of_u(u2))
-    dt = min(cfl_dt(field1, spec, grid, reg=reg),
-             cfl_dt(field2, partner, grid, reg=reg))
+    dt = min(cfl_dt(field1, reg), cfl_dt(field2, reg))
     run1 = solve(spec, grid, snapshots=cfg.snapshots, dt_override=dt, reg=reg)
     run2 = solve(partner, grid, snapshots=cfg.snapshots, dt_override=dt,
                  reg=reg)
@@ -289,14 +284,8 @@ def cmd_parametrize(cfg, out_dir, quiet):
     spec = cfg.problem
     par = build_parametrization(spec.flux, spec.gap_slope)
     plateaus = par.plateaus
-    v_lo, v_hi = float(spec.flux.xs[0]), float(spec.flux.xs[-1])
-    if plateaus:
-        m = par.gap_slope
-        z = [p[2] for p in plateaus]
-        s_lo = plateaus[0][0] + (v_lo - z[0]) / m
-        s_hi = plateaus[-1][1] + (v_hi - z[-1]) / m
-    else:
-        s_lo, s_hi = v_lo, v_hi
+    s_lo = float(par.s_of_v(spec.flux.xs[0]))
+    s_hi = float(par.s_sup_of_v(spec.flux.xs[-1]))
     n = int(cfg.options.get("n_samples", 257))
     csv_path = os.path.join(out_dir, "parametrization.csv")
     par.export_csv(csv_path, s_lo, s_hi, n=n)
@@ -360,6 +349,9 @@ def main(argv=None):
     except ResolutionError as exc:
         _emit_error("resolution", str(exc))
         return EXIT_RESOLUTION
+    except SolverError as exc:
+        _emit_error("numerical", str(exc))
+        return EXIT_NUMERICAL
     except ValueError as exc:  # ConfigError included
         _emit_error("config", str(exc))
         return EXIT_CONFIG

@@ -14,8 +14,9 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import math
 
-from .problem import ProblemSpec
+from .problem import ProblemSpec, check_keys
 
 
 class ConfigError(ValueError):
@@ -27,6 +28,9 @@ _TOP_KEYS = {"problem", "grid_sizes", "snapshots", "k_policy", "battery",
 _K_KEYS = {"n", "pad"}
 _BATTERY_KEYS = {"t_fracs", "x_fracs", "radius_fracs"}
 _SCHEDULE_KEYS = {"j", "ell", "m", "ell_fixed", "m_fixed"}
+# options of every subcommand: verify, ym (four), parametrize
+_OPTION_KEYS = {"partner_scale", "macro", "merge_tol", "gamma",
+                "support_radius", "n_samples"}
 
 DEFAULT_K_POLICY = {"n": 33, "pad": 0.5}
 DEFAULT_BATTERY = {"t_fracs": [0.3, 0.5, 0.7],
@@ -42,6 +46,35 @@ DEFAULT_SCHEDULES = {"j": [4, 8, 16, 32, 64],
 def _require(cond, message):
     if not cond:
         raise ConfigError(message)
+
+
+def _number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _check_options(opts):
+    check_keys(opts, _OPTION_KEYS, "options")
+    for key, v in opts.items():
+        if key == "macro":
+            _require(isinstance(v, list) and len(v) == 2 and all(map(_number, v)),
+                     "options.macro must be a list of two numbers")
+        elif key == "n_samples":
+            _require(isinstance(v, int) and v >= 2,
+                     "options.n_samples must be an integer >= 2")
+        else:
+            _require(_number(v), f"options.{key} must be a number")
+
+
+def _check_values(node, where):
+    """No key takes true, false, null, NaN or an infinity (Python's JSON
+    reader accepts the last two)."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            _check_values(value, f"{where}.{key}")
+    elif node is None or isinstance(node, bool) or (
+            isinstance(node, float) and not math.isfinite(node)):
+        raise ConfigError(f"{where} is {json.dumps(node)}, which no key takes")
 
 
 def _check_fracs(name, vals):
@@ -60,7 +93,7 @@ def _check_schedule(name, vals, integral=False):
     for v in vals:
         _require(isinstance(v, (int, float)), f"schedules.{name} entries must be numbers")
         if integral:
-            _require(float(v) == int(v) and v >= 1,
+            _require(float(v).is_integer() and v >= 1,
                      f"schedules.{name} entries must be integers >= 1")
             out.append(int(v))
         else:
@@ -87,7 +120,7 @@ class RunConfig:
                  "grid_sizes must be a nonempty list")
         sizes = []
         for n in self.grid_sizes:
-            _require(isinstance(n, (int, float)) and float(n) == int(n) and int(n) >= 4,
+            _require(isinstance(n, (int, float)) and float(n).is_integer() and n >= 4,
                      "grid_sizes entries must be integers >= 4")
             sizes.append(int(n))
         self.grid_sizes = sizes
@@ -95,9 +128,7 @@ class RunConfig:
                  "snapshots must be an integer >= 1")
 
         k = dict(DEFAULT_K_POLICY)
-        _require(set(self.k_policy) <= _K_KEYS,
-                 f"unknown k_policy keys {sorted(set(self.k_policy) - _K_KEYS)}")
-        k.update(self.k_policy)
+        k.update(check_keys(self.k_policy, _K_KEYS, "k_policy"))
         _require(isinstance(k["n"], int) and k["n"] >= 2, "k_policy.n must be an integer >= 2")
         _require(isinstance(k["pad"], (int, float)) and float(k["pad"]) >= 0.0,
                  "k_policy.pad must be nonnegative")
@@ -105,16 +136,12 @@ class RunConfig:
         self.k_policy = k
 
         b = copy.deepcopy(DEFAULT_BATTERY)
-        _require(set(self.battery) <= _BATTERY_KEYS,
-                 f"unknown battery keys {sorted(set(self.battery) - _BATTERY_KEYS)}")
-        b.update(self.battery)
+        b.update(check_keys(self.battery, _BATTERY_KEYS, "battery"))
         self.battery = {name: _check_fracs(name, b[name]) for name in
                         ("t_fracs", "x_fracs", "radius_fracs")}
 
         s = copy.deepcopy(DEFAULT_SCHEDULES)
-        _require(set(self.schedules) <= _SCHEDULE_KEYS,
-                 f"unknown schedules keys {sorted(set(self.schedules) - _SCHEDULE_KEYS)}")
-        s.update(self.schedules)
+        s.update(check_keys(self.schedules, _SCHEDULE_KEYS, "schedules"))
         self.schedules = {
             "j": _check_schedule("j", s["j"], integral=True),
             "ell": _check_schedule("ell", s["ell"]),
@@ -127,7 +154,7 @@ class RunConfig:
 
         _require(isinstance(self.out_dir, str) and self.out_dir,
                  "out_dir must be a nonempty string")
-        _require(isinstance(self.options, dict), "options must be an object")
+        _check_options(self.options)
 
     def to_dict(self):
         return {
@@ -144,27 +171,27 @@ class RunConfig:
 
     @staticmethod
     def from_dict(d):
-        _require(isinstance(d, dict), "config must be a JSON object")
-        unknown = set(d) - _TOP_KEYS
-        _require(not unknown, f"unknown config keys {sorted(unknown)}")
-        _require("problem" in d, "config needs a 'problem' section")
-        _require("grid_sizes" in d, "config needs 'grid_sizes'")
+        """Parse a JSON object; every rejection is a ConfigError."""
         try:
-            problem = ProblemSpec.from_dict(d["problem"])
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"problem section is malformed: {exc!r}") from exc
+            _check_values(check_keys(d, _TOP_KEYS, "config"), "config")
+            _require("problem" in d, "config needs a 'problem' section")
+            _require("grid_sizes" in d, "config needs 'grid_sizes'")
+            return RunConfig(
+                problem=ProblemSpec.from_dict(d["problem"]),
+                grid_sizes=d["grid_sizes"],
+                snapshots=d.get("snapshots", 8),
+                k_policy=d.get("k_policy", {}),
+                battery=d.get("battery", {}),
+                schedules=d.get("schedules", {}),
+                out_dir=d.get("out_dir", "out"),
+                options=d.get("options", {}),
+            )
+        except ConfigError:
+            raise
+        except (IndexError, KeyError, TypeError) as exc:
+            raise ConfigError(f"config is malformed: {exc!r}") from exc
         except ValueError as exc:
-            raise ConfigError(f"problem section invalid: {exc}") from exc
-        return RunConfig(
-            problem=problem,
-            grid_sizes=d["grid_sizes"],
-            snapshots=d.get("snapshots", 8),
-            k_policy=dict(d.get("k_policy", {})),
-            battery=dict(d.get("battery", {})),
-            schedules=dict(d.get("schedules", {})),
-            out_dir=d.get("out_dir", "out"),
-            options=dict(d.get("options", {})),
-        )
+            raise ConfigError(str(exc)) from exc
 
 
 def load_config(path):
@@ -184,8 +211,3 @@ def write_json(payload, path):
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def save_config(cfg, path):
-    write_json(cfg.to_dict(), path)
-

@@ -32,7 +32,6 @@ Pair gaps for two runs sharing grid, times, and regularized operator:
   CONTRACTION |u1-u2| psi_t + sgn(v1-v2)(A(v1)-A(v2)) psi_x
               + sgn(v1-v2)(f1-f2) psi + int_{v1=v2} |f1-f2| psi
   COMPARISON  positive-part variant with diagonal (f1-f2)^+
-  KATO        the u-space modulus variant with diagonal on {u1=u2}
 """
 
 import csv
@@ -41,10 +40,11 @@ from dataclasses import dataclass, field as _field
 import numpy as np
 
 from .config import write_json
+from .monotone import bump_profile
 from .problem import perturbation
 
 FORMS = ("SEMI_PLUS", "SEMI_MINUS", "SGN", "N1", "N2")
-PAIR_KINDS = ("CONTRACTION", "COMPARISON", "KATO")
+PAIR_KINDS = ("CONTRACTION", "COMPARISON")
 
 # required resolution of a test-function support: cells / time slabs per radius
 MIN_CELLS_PER_RADIUS = 8
@@ -58,16 +58,6 @@ class ResolutionError(ValueError):
 # ---------------------------------------------------------------------------
 # Test functions: products of the standard smooth bump
 # ---------------------------------------------------------------------------
-
-
-def bump_profile(y):
-    """exp(1 - 1/(1 - y^2)) inside |y| < 1, zero outside; peak value 1."""
-    y = np.asarray(y, dtype=float)
-    out = np.zeros_like(y)
-    inside = np.abs(y) < 1.0
-    yi = y[inside]
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - yi * yi))
-    return out
 
 
 def bump_profile_dy(y):
@@ -126,12 +116,6 @@ def battery_from_geometry(spec, t_fracs=(0.3, 0.5, 0.7),
                     rho * spec.T, rho * length,
                     label="t%.2g_x%.2g_r%.2g" % (tf, xf, rho)))
     return out
-
-
-def standard_battery(spec):
-    """The fixed 18-member battery: centers at {0.3, 0.5, 0.7} fractions of
-    the time and space extents, radii at {0.15, 0.25} fractions."""
-    return battery_from_geometry(spec)
 
 
 def k_samples(values, reg, n=33, space="v", pad=0.5):
@@ -305,7 +289,7 @@ class ResidualEvaluator:
                     "the u-space Kruzkov form needs coefficients smooth in x "
                     "(div of the composed flux is measure-valued otherwise)")
             sg = np.sign(self.U - k)
-            phi_k = curve(0, theta.theta_of(k))
+            phi_k = curve(0, theta.v_of_u(k))
             div_phi_k = np.gradient(phi_k, self.dx)
             out = (np.abs(self.U - k),
                    sg * (self.AV - phi_k),
@@ -413,13 +397,9 @@ def _pair_fields(kind, ev1, ev2):
         sg = np.sign(V1 - V2)
         return (np.abs(U1 - U2), sg * (A1 - A2),
                 sg * (f1 - f2) + np.where(V1 == V2, np.abs(f1 - f2), 0.0))
-    if kind == "COMPARISON":
-        chi = (V1 > V2).astype(float)
-        return (np.maximum(U1 - U2, 0.0), chi * (A1 - A2),
-                chi * (f1 - f2) + np.where(V1 == V2, np.maximum(f1 - f2, 0.0), 0.0))
-    sg = np.sign(U1 - U2)
-    return (np.abs(U1 - U2), sg * (A1 - A2),
-            sg * (f1 - f2) + np.where(U1 == U2, np.abs(f1 - f2), 0.0))
+    chi = (V1 > V2).astype(float)
+    return (np.maximum(U1 - U2, 0.0), chi * (A1 - A2),
+            chi * (f1 - f2) + np.where(V1 == V2, np.maximum(f1 - f2, 0.0), 0.0))
 
 
 def pair_gap_battery(kind, run1, run2, reg1, reg2, psis):

@@ -298,8 +298,8 @@ class Parametrization:
         slopes = np.full(len(z) - 1, 1.0 / m)
         return MonotoneGraph(z, jumps, slopes, (1.0 / m, 1.0 / m))
 
-    def export_csv(self, path, s_lo, s_hi, n=1001):
-        """Write sampled rows s, U(s), calA(s)."""
+    def export_csv(self, path, s_lo, s_hi, n):
+        """Write n sampled rows s, U(s), calA(s)."""
         ss = np.linspace(s_lo, s_hi, n)
         data = np.stack([ss, self.U(ss), self.calA(ss)], axis=1)
         header = "s,U,calA"
@@ -325,29 +325,34 @@ def build_parametrization(flux, gap_slope=1.0):
 # ---------------------------------------------------------------------------
 
 
-def mollify_callable(fn, j, lo, hi, n_samples=4097):
+# samples of a mollified flux curve
+FLUX_SAMPLES = 4097
+
+
+def mollify_callable(fn, j, lo, hi):
     """Sampled mollification of a scalar curve with radius 1/j on [lo, hi],
-    as a one-row Table."""
+    as a one-row Table of FLUX_SAMPLES samples."""
     if j < 1:
         raise ValueError("approximation index j must be >= 1")
     r = 1.0 / j
     nodes, weights = mollifier_nodes()
-    grid = np.linspace(lo, hi, n_samples)
+    grid = np.linspace(lo, hi, FLUX_SAMPLES)
     pts = grid[:, None] - r * nodes[None, :]
     vals = np.asarray(fn(pts.ravel()), dtype=float).reshape(pts.shape) @ weights
     return Table(lo, hi, vals)
 
 
-def smooth_flux(flux, j, lo, hi, n_samples=4097, gap_slope=1.0):
+def smooth_flux(flux, j, lo, hi):
     """Mollified flux approximant with radius 1/j on a working compact.
 
     Continuous fluxes are mollified directly in v.  Jump-continuous fluxes
-    are first reparametrized; the returned curve then samples the mollified
-    calA over the image [s(lo), s(hi)] of the plateau-filled variable.
+    are first reparametrized with unit gap slope; the returned curve then
+    samples the mollified calA over the image [s(lo), s(hi)] of the
+    plateau-filled variable.
     """
     if not flux.has_jumps:
-        return mollify_callable(flux.eval, j, lo, hi, n_samples)
-    par = build_parametrization(flux, gap_slope)
+        return mollify_callable(flux.eval, j, lo, hi)
+    par = build_parametrization(flux)
     s_lo = float(par.s_of_v(lo))
     s_hi = float(par.s_sup_of_v(hi))
-    return mollify_callable(par.calA, j, s_lo, s_hi, n_samples)
+    return mollify_callable(par.calA, j, s_lo, s_hi)

@@ -35,7 +35,7 @@ from concurrent import futures
 import numpy as np
 
 from .config import write_json
-from .solver import DEFAULT_CFL, Field, cfl_dt, regularized, solve
+from .solver import Field, cfl_dt, regularized, solve
 
 SCHEDULE_KINDS = ("m", "ell", "j")
 
@@ -162,7 +162,7 @@ class ScheduleReport:
 # ---------------------------------------------------------------------------
 
 
-def solve_points(specs, grid, snapshots=8, cfl=DEFAULT_CFL):
+def solve_points(specs, grid, snapshots=8):
     """Solve one run per spec with a single shared time step.
 
     Each point gets its own regularized tables (they record the full
@@ -174,7 +174,7 @@ def solve_points(specs, grid, snapshots=8, cfl=DEFAULT_CFL):
     dts = []
     for s, r in zip(specs, regs):
         u0 = s.initial_values(grid.centers, grid.dx)
-        dts.append(cfl_dt(Field(u0, r.v_of_u(u0)), s, grid, reg=r, cfl=cfl))
+        dts.append(cfl_dt(Field(u0, r.v_of_u(u0)), r))
     dt = float(min(dts))
     workers = max(1, min(len(specs), os.cpu_count() or 1))
     with futures.ThreadPoolExecutor(max_workers=workers) as ex:
@@ -205,8 +205,8 @@ def _orders_from(distances):
     return orders
 
 
-def _sweep_report(kind, schedule, specs, grid, snapshots, cfl, meta):
-    runs, dt, _ = solve_points(specs, grid, snapshots, cfl)
+def _sweep_report(kind, schedule, specs, grid, snapshots, meta):
+    runs, dt, _ = solve_points(specs, grid, snapshots)
     stacks = [run.snapshot_matrix() for run in runs]
     summaries = [_summarize(v, run, grid) for v, run in zip(schedule, runs)]
     tol = scheme_tol(grid.dx, np.concatenate([V.ravel() for _, _, V in stacks]))
@@ -244,8 +244,7 @@ def _sweep_report(kind, schedule, specs, grid, snapshots, cfl, meta):
 # ---------------------------------------------------------------------------
 
 
-def monotone_in_m_check(spec, grid, ell, m_schedule, snapshots=8,
-                        cfl=DEFAULT_CFL):
+def monotone_in_m_check(spec, grid, ell, m_schedule, snapshots=8):
     """Check cellwise v_{l,m} <= v_{l,m'} + tol for consecutive m < m'.
 
     Solves once per schedule entry with the given fixed ell, compares
@@ -255,12 +254,11 @@ def monotone_in_m_check(spec, grid, ell, m_schedule, snapshots=8,
     """
     values = _validate_schedule(m_schedule)
     specs = [dataclasses.replace(spec, ell=float(ell), m=v) for v in values]
-    return _sweep_report("m", values, specs, grid, snapshots, cfl,
+    return _sweep_report("m", values, specs, grid, snapshots,
                          {"ell": float(ell), "j": spec.j})
 
 
-def monotone_in_ell_check(spec, grid, ell_schedule, m, snapshots=8,
-                          cfl=DEFAULT_CFL):
+def monotone_in_ell_check(spec, grid, ell_schedule, m, snapshots=8):
     """Check cellwise v_{l',m} <= v_{l,m} + tol for consecutive l < l'.
 
     Mirror of :func:`monotone_in_m_check` with the order reversed: raising
@@ -269,11 +267,11 @@ def monotone_in_ell_check(spec, grid, ell_schedule, m, snapshots=8,
     """
     values = _validate_schedule(ell_schedule)
     specs = [dataclasses.replace(spec, ell=v, m=float(m)) for v in values]
-    return _sweep_report("ell", values, specs, grid, snapshots, cfl,
+    return _sweep_report("ell", values, specs, grid, snapshots,
                          {"m": float(m), "j": spec.j})
 
 
-def j_schedule_run(spec, grid, j_schedule, snapshots=8, cfl=DEFAULT_CFL):
+def j_schedule_run(spec, grid, j_schedule, snapshots=8):
     """Sweep the graph-smoothing index with fixed (ell, m).
 
     Reports consecutive L1 distances of u at the final time; callers
@@ -287,28 +285,11 @@ def j_schedule_run(spec, grid, j_schedule, snapshots=8, cfl=DEFAULT_CFL):
             raise ValueError("j schedule entries must be integers >= 1")
         js.append(int(v))
     specs = [dataclasses.replace(spec, j=j) for j in js]
-    return _sweep_report("j", js, specs, grid, snapshots, cfl,
+    return _sweep_report("j", js, specs, grid, snapshots,
                          {"ell": spec.ell, "m": spec.m})
 
 
-def double_limit_run(spec, grid, ell_schedule, m_schedule, snapshots=8,
-                     cfl=DEFAULT_CFL):
-    """Execute the nested double limit: m sweeps inside an ell sweep.
-
-    For each ell the full m schedule is checked (inner limit), then the
-    ell schedule is checked once at the largest m (outer limit).  Returns
-    ``{"m_reports": [one per ell], "ell_report": ...}``.
-    """
-    ells = _validate_schedule(ell_schedule)
-    ms = _validate_schedule(m_schedule)
-    m_reports = [monotone_in_m_check(spec, grid, ell, ms, snapshots=snapshots,
-                                     cfl=cfl) for ell in ells]
-    ell_report = monotone_in_ell_check(spec, grid, ells, ms[-1],
-                                       snapshots=snapshots, cfl=cfl)
-    return {"m_reports": m_reports, "ell_report": ell_report}
-
-
-def self_convergence_order(spec, grids, snapshots=4, cfl=DEFAULT_CFL):
+def self_convergence_order(spec, grids, snapshots=4):
     """Estimated refinement order from a dx-halving grid triple.
 
     order = log2(||u_dx - u_{dx/2}||_1 / ||u_{dx/2} - u_{dx/4}||_1) with
@@ -323,8 +304,7 @@ def self_convergence_order(spec, grids, snapshots=4, cfl=DEFAULT_CFL):
             raise ValueError("grids must share the domain")
         if g_hi.n_cells != 2 * g_lo.n_cells:
             raise ValueError("grids must halve dx at each step")
-    finals = [solve(spec, g, snapshots=snapshots, cfl=cfl).final_u
-              for g in grids]
+    finals = [solve(spec, g, snapshots=snapshots).final_u for g in grids]
 
     def restrict(u):
         return u.reshape(-1, 2).mean(axis=1)

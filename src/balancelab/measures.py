@@ -324,21 +324,21 @@ class MeasureContext:
                           ym.centers, ym.dx, ym.slab, block=self.block_shape)
 
 
-def mu_is_atom(ym, mu, tol=1e-9):
-    """Whether mu coincides with an atom anywhere (the exceptional level
-    set: flagged in reports, never excluded)."""
+def mu_is_atom(ym, mu):
+    """Whether mu lies within 1e-9 of an atom anywhere (the exceptional
+    level set: flagged in reports, never excluded)."""
     for row in ym.atoms:
         for vals, _ in row:
-            if np.any(np.abs(vals - mu) <= tol):
+            if np.any(np.abs(vals - mu) <= 1e-9):
                 return True
     return False
 
 
-def mv_residual_table(ym, reg, mus, psis, signs=("PLUS", "MINUS"), gamma=0.0):
+def mv_residual_table(ym, reg, mus, psis, gamma=0.0):
     """Rows (sign, mu, psi_id, residual, mu_is_atom) in fixed order."""
     ctx = MeasureContext(ym, reg)
     rows = []
-    for sign in signs:
+    for sign in ("PLUS", "MINUS"):
         for mu in np.asarray(mus, dtype=float):
             flag = mu_is_atom(ym, mu)
             for psi, res in zip(psis, ctx.residual(sign, mu, psis, gamma)):

@@ -45,6 +45,16 @@ def mollifier_nodes():
     return nodes, weights
 
 
+def bump_profile(y):
+    """exp(1 - 1/(1 - y^2)) inside |y| < 1, zero outside; peak value 1."""
+    y = np.asarray(y, dtype=float)
+    out = np.zeros_like(y)
+    inside = np.abs(y) < 1.0
+    yi = y[inside]
+    out[inside] = np.exp(1.0 - 1.0 / (1.0 - yi * yi))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # MonotoneGraph
 # ---------------------------------------------------------------------------
@@ -308,18 +318,6 @@ def _canonical(graph):
     return MonotoneGraph(nb, nj, ns, graph.tail_slopes)
 
 
-def graph_fn(graph):
-    """Vectorized callable for a single-valued graph (all jumps degenerate)."""
-    if len(graph.breakpoints) and np.any(graph.jumps[:, 1] > graph.jumps[:, 0]):
-        raise ValueError("graph is multivalued; no function evaluation")
-
-    def f(u):
-        lo, _ = graph.eval(np.asarray(u, dtype=float))
-        return lo
-
-    return f
-
-
 # ---------------------------------------------------------------------------
 # Graph composition
 # ---------------------------------------------------------------------------
@@ -509,9 +507,7 @@ class ThetaField:
     graph: MonotoneGraph
     kind: str  # "const" | "pwc" | "smooth" | "rows"
     cell_c: np.ndarray
-    c_fn: object = None           # smooth coefficient callable
-    x_breaks: np.ndarray = None   # pwc region boundaries
-    region_c: np.ndarray = None   # pwc region values
+    c_fn: object = None  # smooth coefficient callable
 
     @staticmethod
     def homogeneous(x_centers, graph):
@@ -528,8 +524,7 @@ class ThetaField:
             raise ValueError("need one region value more than break count")
         if np.any(rc <= 0):
             raise ValueError("coefficients must be positive")
-        cell = rc[np.searchsorted(xb, x, side="right")]
-        return ThetaField(x, graph, "pwc", cell, x_breaks=xb, region_c=rc)
+        return ThetaField(x, graph, "pwc", rc[np.searchsorted(xb, x, side="right")])
 
     @staticmethod
     def separable_smooth(x_centers, graph, c_fn):
@@ -552,19 +547,6 @@ class ThetaField:
     def smooth_in_x(self):
         return self.kind in ("const", "smooth")
 
-    def c_at(self, x):
-        """Coefficient at arbitrary positions (used by the mollifier)."""
-        x = np.asarray(x, dtype=float)
-        if self.kind == "const":
-            return np.ones_like(x)
-        if self.kind == "pwc":
-            return self.region_c[np.searchsorted(self.x_breaks, x, side="right")]
-        if self.kind == "rows":
-            idx = np.clip(np.searchsorted(self.x_centers, x), 0,
-                          len(self.x_centers) - 1)
-            return self.cell_c[idx]
-        return np.asarray(self.c_fn(x), dtype=float)
-
     def eval(self, i, u):
         """Value set of theta(x_i, .) at u."""
         lo, hi = self.graph.eval(np.asarray(u, dtype=float))
@@ -572,22 +554,19 @@ class ThetaField:
         return lo * c, hi * c
 
     def distinct_rows(self):
-        """(row index per cell, coefficient per row): shared-table layout."""
-        if self.kind == "const":
-            return np.zeros(len(self.x_centers), dtype=int), np.array([1.0])
-        if self.kind == "pwc":
-            rows = np.searchsorted(self.x_breaks, self.x_centers, side="right")
-            return rows, self.region_c
-        if self.kind == "rows":
-            uniq, inv = np.unique(self.cell_c, return_inverse=True)
-            return inv, uniq
-        return np.arange(len(self.x_centers)), self.cell_c
+        """(row index per cell, coefficient per row): one row per distinct
+        coefficient, in increasing order."""
+        uniq, inv = np.unique(self.cell_c, return_inverse=True)
+        return inv, uniq
 
 
 # ---------------------------------------------------------------------------
 # Regularization: Yosida (lam = 1/sqrt(j)) + mollification (radius 1/j)
 # + zero-normalization theta_j(x, 0) = 0.
 # ---------------------------------------------------------------------------
+
+# samples per theta_j table row, on [u_lo, u_hi]
+THETA_SAMPLES = 1025
 
 
 @dataclass
@@ -607,10 +586,6 @@ class ThetaRegularization:
             raise ValueError("regularized theta lost strict monotonicity; widen the sample grid")
 
     @property
-    def u_grid(self):
-        return self.u_lo + self.sampled.du * np.arange(self.sampled.n_samples)
-
-    @property
     def lipschitz(self):
         return self.sampled.lipschitz
 
@@ -619,23 +594,17 @@ class ThetaRegularization:
         return self.sampled.margin
 
     def v_of_u(self, u_cells):
-        """theta_j(x_i, u_i) for a per-cell state vector (or S x n matrix)."""
+        """theta_j(x_i, u_i) for a per-cell state vector (or S x n matrix),
+        or for one scalar u across all cells."""
         return self.sampled(self.cell_rows, u_cells)
 
-    def theta_of(self, u_value):
-        """theta_j(x_i, u) for one scalar u across all cells."""
-        return self.sampled(self.cell_rows, float(u_value))
-
     def eta_cells(self, v_value):
-        """Inverse: u with theta_j(x_i, u) = v, one scalar v across all cells."""
+        """Inverse: u with theta_j(x_i, u) = v, per cell for a per-cell v
+        vector (or S x n matrix), or for one scalar v across all cells."""
         return self.sampled.inverse(self.cell_rows, v_value)
 
-    def u_of_v(self, v_cells):
-        """Inverse per cell for a per-cell v vector (or S x n matrix)."""
-        return self.sampled.inverse(self.cell_rows, v_cells)
 
-
-def regularize_theta(field, j, u_lo, u_hi, n_samples=1025, outer=None):
+def regularize_theta(field, j, u_lo, u_hi, outer=None):
     """Yosida transform with lam = 1/sqrt(j) rescaled by (1 + lam),
     mollification with radius 1/j in u (and in x for smooth coefficient
     fields), then zero-normalization so that theta_j(x, 0) = 0 exactly.
@@ -652,7 +621,7 @@ def regularize_theta(field, j, u_lo, u_hi, n_samples=1025, outer=None):
     lam = 1.0 / math.sqrt(j)
     r = 1.0 / j
     nodes, weights = mollifier_nodes()
-    grid = np.linspace(u_lo, u_hi, n_samples)
+    grid = np.linspace(u_lo, u_hi, THETA_SAMPLES)
     # evaluation points for the u-convolution, plus u = 0 for normalization
     pts = np.concatenate([grid, [0.0]])[:, None] - r * nodes[None, :]  # (n+1, 16)
 
@@ -675,9 +644,9 @@ def regularize_theta(field, j, u_lo, u_hi, n_samples=1025, outer=None):
         return (1.0 + lam) * u_mollified_yosida(
             compose_graphs(outer, field.graph.scaled(c)), lam)
 
-    if field.kind in ("const", "pwc", "rows"):
+    if field.kind != "smooth":
         cell_rows, row_c = field.distinct_rows()
-        table = np.empty((len(row_c), n_samples))
+        table = np.empty((len(row_c), THETA_SAMPLES))
         for k, c in enumerate(row_c):
             col = cell_column(c)
             table[k] = col[:-1] - col[-1]
@@ -685,10 +654,10 @@ def regularize_theta(field, j, u_lo, u_hi, n_samples=1025, outer=None):
 
     # smooth coefficient: additional convolution across x with the same kernel
     x = field.x_centers
-    table = np.empty((len(x), n_samples))
+    table = np.empty((len(x), THETA_SAMPLES))
     for i in range(len(x)):
-        cvals = field.c_at(x[i] - r * nodes)
-        acc = np.zeros(n_samples + 1)
+        cvals = field.c_fn(x[i] - r * nodes)
+        acc = np.zeros(THETA_SAMPLES + 1)
         for p in range(_N_KERNEL):
             acc += weights[p] * cell_column(cvals[p])
         table[i] = acc[:-1] - acc[-1]
@@ -700,19 +669,19 @@ def regularize_theta(field, j, u_lo, u_hi, n_samples=1025, outer=None):
 # ---------------------------------------------------------------------------
 
 
-def check_inverse_convergence(seq, limit, compact, n_grid=1000):
+def check_inverse_convergence(seq, limit, compact):
     """Sup distance of seq_n^{-1} to the limit's inverse on a compact window.
 
     ``seq`` is a list of strictly increasing one-row Tables; ``limit`` a
     MonotoneGraph whose inverse must be continuous (no interior plateaus of
     the limit map turn into jumps inside the window).  Returns one
-    sup-error per member.
+    sup-error per member, over 1000 uniform points of the window.
     """
     a, b = compact
     inv = invert_graph(limit)
     inside = (inv.breakpoints >= a) & (inv.breakpoints <= b)
     if np.any(inside & (inv.jumps[:, 1] > inv.jumps[:, 0])):
         raise ValueError("limit inverse is discontinuous on the window")
-    ys = np.linspace(a, b, n_grid)
+    ys = np.linspace(a, b, 1000)
     ref_lo, _ = inv.eval(ys)
     return [float(np.abs(fn.inverse(0, ys) - ref_lo).max()) for fn in seq]

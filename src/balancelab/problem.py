@@ -20,7 +20,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flux import FluxCurve, build_parametrization
-from .monotone import MonotoneGraph, ThetaField, compose_graphs, mollifier_nodes
+from .monotone import (MonotoneGraph, ThetaField, bump_profile, compose_graphs,
+                       mollifier_nodes)
+
+
+def check_keys(obj, allowed, where):
+    """``obj`` itself, if it is a JSON object whose keys all lie in
+    ``allowed``; ValueError naming ``where`` otherwise."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be an object")
+    unknown = set(obj) - set(allowed)
+    if unknown:
+        raise ValueError(f"unknown {where} keys {sorted(unknown)}")
+    return obj
+
 
 # ---------------------------------------------------------------------------
 # Strictly dissipative perturbation
@@ -60,11 +73,13 @@ def _kernel_cos_factor(z):
 
 
 _SOURCES = {
-    "zero": {"dissipative": True, "test_only": False},
-    "linear": {"dissipative": True, "test_only": False},
-    "arctan": {"dissipative": True, "test_only": False},
-    "modulated": {"dissipative": True, "test_only": False},
-    "antilinear_test": {"dissipative": False, "test_only": True},
+    "zero": {"dissipative": True, "test_only": False, "params": ()},
+    "linear": {"dissipative": True, "test_only": False, "params": ("c",)},
+    "arctan": {"dissipative": True, "test_only": False, "params": ("c",)},
+    "modulated": {"dissipative": True, "test_only": False,
+                  "params": ("amp", "mod", "freq_t", "freq_x", "g")},
+    "antilinear_test": {"dissipative": False, "test_only": True,
+                        "params": ("c",)},
 }
 
 
@@ -78,7 +93,8 @@ class SourceSpec:
     def __post_init__(self):
         if self.id not in _SOURCES:
             raise ValueError(f"unknown source id {self.id!r}")
-        p = dict(self.params)
+        p = dict(check_keys(self.params, _SOURCES[self.id]["params"],
+                            "problem.source.params"))
         if self.id in ("linear", "arctan", "antilinear_test"):
             p.setdefault("c", 1.0)
             if p["c"] < 0:
@@ -182,7 +198,8 @@ class SourceSpec:
 
     @staticmethod
     def from_dict(d):
-        return SourceSpec(d["id"], dict(d.get("params", {})))
+        check_keys(d, ("id", "params"), "problem.source")
+        return SourceSpec(d["id"], d.get("params", {}))
 
 
 # ---------------------------------------------------------------------------
@@ -190,16 +207,9 @@ class SourceSpec:
 # ---------------------------------------------------------------------------
 
 
-def _bump(y):
-    """C-infinity bump normalized to peak 1 at y = 0, supported on (-1, 1)."""
-    y = np.asarray(y, dtype=float)
-    out = np.zeros_like(y)
-    inside = np.abs(y) < 1.0
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - y[inside] ** 2))
-    return out
-
-
-_U0_IDS = ("zero", "constant", "box", "bump", "twolobe")
+_U0_PARAMS = {"zero": (), "constant": ("value",), "box": ("height", "a", "b"),
+              "bump": ("height", "a", "b"),
+              "twolobe": ("height", "a", "b", "skew")}
 
 
 def initial_state(u0, x_centers, dx):
@@ -211,21 +221,22 @@ def initial_state(u0, x_centers, dx):
         return np.zeros_like(x)
     if uid == "constant":
         return np.full_like(x, float(p.get("value", 1.0)))
+    if uid not in ("box", "bump", "twolobe"):
+        raise ValueError(f"unknown initial datum id {uid!r}")
+    h, a, b = float(p["height"]), float(p["a"]), float(p["b"])
+    if not a < b:
+        raise ValueError(f"initial datum {uid!r} needs a < b")
     if uid == "box":
-        h, a, b = float(p["height"]), float(p["a"]), float(p["b"])
         left = np.maximum(x - 0.5 * dx, a)
         right = np.minimum(x + 0.5 * dx, b)
         return h * np.clip((right - left) / dx, 0.0, 1.0)
     if uid == "bump":
-        h, a, b = float(p["height"]), float(p["a"]), float(p["b"])
         y = (2.0 * (x - a) / (b - a)) - 1.0
-        return h * _bump(y)
-    if uid == "twolobe":
-        h, a, b = float(p["height"]), float(p["a"]), float(p["b"])
-        skew = float(p.get("skew", 0.8))
-        r = 0.25 * (b - a)
-        return h * _bump((x - (a + r)) / r) - skew * h * _bump((x - (b - r)) / r)
-    raise ValueError(f"unknown initial datum id {uid!r}")
+        return h * bump_profile(y)
+    skew = float(p.get("skew", 0.8))
+    r = 0.25 * (b - a)
+    return (h * bump_profile((x - (a + r)) / r)
+            - skew * h * bump_profile((x - (b - r)) / r))
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +246,10 @@ def initial_state(u0, x_centers, dx):
 
 def _index_to_json(v):
     return "inf" if math.isinf(v) else v
+
+
+_COEFF_KEYS = {"const": ("kind",), "pwc": ("kind", "x_breaks", "region_c"),
+               "smooth": ("kind", "a", "b", "k", "phase")}
 
 
 @dataclass
@@ -265,16 +280,25 @@ class ProblemSpec:
             raise ValueError("indices j, ell, m must be >= 1")
         if self.sample_radius <= 0:
             raise ValueError("sample radius must be positive")
+        if not isinstance(self.coeff, dict):
+            raise ValueError("problem.theta.coeff must be an object")
         kind = self.coeff.get("kind", "const")
-        if kind not in ("const", "pwc", "smooth"):
+        if kind not in _COEFF_KEYS:
             raise ValueError(f"unknown coefficient kind {kind!r}")
+        check_keys(self.coeff, _COEFF_KEYS[kind], "problem.theta.coeff")
         if kind == "smooth":
             a = float(self.coeff.get("a", 1.0))
             b = float(self.coeff.get("b", 0.0))
             if a - abs(b) <= 0:
                 raise ValueError("smooth coefficient must stay positive: need a > |b|")
-        if self.u0.get("id", "zero") not in _U0_IDS:
-            raise ValueError(f"unknown initial datum id {self.u0.get('id')!r}")
+        uid = check_keys(self.u0, ("id", "params"), "problem.u0").get("id", "zero")
+        if uid not in _U0_PARAMS:
+            raise ValueError(f"unknown initial datum id {uid!r}")
+        check_keys(self.u0.get("params", {}), _U0_PARAMS[uid], "problem.u0.params")
+        # one evaluation each rejects a missing or wrong-typed parameter here
+        initial_state(self.u0, [0.0], 1.0)
+        self.make_theta_field([0.0])
+        self.source.eval_mollified(self.j, 0.0, [0.0], [0.0])
 
     # -- materialization -------------------------------------------------------
 
@@ -316,21 +340,35 @@ class ProblemSpec:
 
     @staticmethod
     def from_dict(d):
-        dom = d["domain"]
-        idx = d.get("indices", {})
+        check_keys(d, ("domain", "theta", "flux", "source", "u0", "indices",
+                       "sample_radius"), "problem")
+        dom = check_keys(d["domain"], ("x_lo", "x_hi", "T", "pad"), "problem.domain")
+        theta = check_keys(d["theta"], ("graph", "coeff"), "problem.theta")
+        flux = check_keys(d["flux"], ("curve", "gap_slope"), "problem.flux")
+        curve = check_keys(flux["curve"], ("samples", "jumps"), "problem.flux.curve")
+        if not isinstance(curve.get("jumps", []), list):
+            raise ValueError("problem.flux.curve.jumps must be a list")
+        for jump in curve.get("jumps", []):
+            check_keys(jump, ("z", "left", "right"), "problem.flux.curve.jumps entry")
+        idx = check_keys(d.get("indices", {}), ("j", "ell", "m"), "problem.indices")
+        j = idx.get("j", 16)
+        if not (isinstance(j, int) or (isinstance(j, float) and j.is_integer())):
+            raise ValueError(f"indices.j must be an integer >= 1, not {j!r}")
         return ProblemSpec(
             x_lo=float(dom["x_lo"]),
             x_hi=float(dom["x_hi"]),
             T=float(dom["T"]),
-            theta_graph=MonotoneGraph.from_dict(d["theta"]["graph"]),
-            coeff=dict(d["theta"].get("coeff", {"kind": "const"})),
-            flux=FluxCurve.from_dict(d["flux"]["curve"]),
+            theta_graph=MonotoneGraph.from_dict(check_keys(
+                theta["graph"], ("breakpoints", "jumps", "slopes", "tail_slopes"),
+                "problem.theta.graph")),
+            coeff=theta.get("coeff", {"kind": "const"}),
+            flux=FluxCurve.from_dict(curve),
             source=SourceSpec.from_dict(d.get("source", {"id": "zero"})),
-            u0=dict(d.get("u0", {"id": "zero"})),
-            j=int(idx.get("j", 16)),
+            u0=d.get("u0", {"id": "zero"}),
+            j=int(j),
             ell=float(idx.get("ell", 1.0)),
             m=float(idx.get("m", 1.0)),
-            gap_slope=float(d["flux"].get("gap_slope", 1.0)),
+            gap_slope=float(flux.get("gap_slope", 1.0)),
             sample_radius=float(d.get("sample_radius", 2.0)),
             pad=float(dom.get("pad", 0.0)),
         )
@@ -377,16 +415,6 @@ class ValidationReport:
         return lines
 
 
-def _minimal_selection_from_eval(field, i, u):
-    lo, hi = field.eval(i, np.asarray([u], dtype=float))
-    lo, hi = float(lo[0]), float(hi[0])
-    if lo > 0.0:
-        return lo
-    if hi < 0.0:
-        return hi
-    return 0.0
-
-
 def validate_spec(spec, n_cells=64, n_u=65, field=None):
     """Discrete hypothesis checks; returns a structured report, never raises.
 
@@ -421,8 +449,8 @@ def validate_spec(spec, n_cells=64, n_u=65, field=None):
     us = np.linspace(-R, R, n_u)
     sel = np.empty((n_cells, n_u))
     for i in range(n_cells):
-        for k, u in enumerate(us):
-            sel[i, k] = abs(_minimal_selection_from_eval(field, i, float(u)))
+        lo, hi = field.eval(i, us)
+        sel[i] = np.abs(np.where(lo > 0.0, lo, np.where(hi < 0.0, hi, 0.0)))
     h1 = sel.min(axis=0)
     h2 = sel.max(axis=0)
     mid = n_u // 2

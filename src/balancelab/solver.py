@@ -44,15 +44,12 @@ class Grid1D:
     x_lo: float
     x_hi: float
     n_cells: int
-    n_ghost: int = 2
 
     def __post_init__(self):
         if not self.x_hi > self.x_lo:
             raise ValueError("domain must have positive length")
         if self.n_cells < 4:
             raise ValueError("need at least four cells")
-        if self.n_ghost < 2:
-            raise ValueError("need at least two ghost cells")
         self.dx = (self.x_hi - self.x_lo) / self.n_cells
         self.centers = self.x_lo + self.dx * (np.arange(self.n_cells) + 0.5)
         self.interfaces = self.x_lo + self.dx * np.arange(self.n_cells + 1)
@@ -76,11 +73,6 @@ class Field:
 
 class SolverError(RuntimeError):
     """Raised when the evolution produces a non-finite state."""
-
-    def __init__(self, message, t=None, snapshot=None):
-        super().__init__(message)
-        self.t = t
-        self.snapshot = snapshot
 
 
 @dataclass
@@ -224,7 +216,7 @@ class RegularizedProblem:
         return f + perturbation(v, spec.ell, spec.m)
 
 
-def regularized(spec, grid, n_samples=1025, n_flux_samples=4097):
+def regularized(spec, grid):
     """Materialize the regularization tables of a problem on a grid.
 
     Builds the theta_j tables on [-sample_radius, sample_radius] for cells
@@ -240,8 +232,7 @@ def regularized(spec, grid, n_samples=1025, n_flux_samples=4097):
     if spec.flux.has_jumps:
         par = build_parametrization(spec.flux, spec.gap_slope)
         outer = par.inverse_graph()
-    theta = regularize_theta(field, spec.j, -rad, rad,
-                             n_samples=n_samples, outer=outer)
+    theta = regularize_theta(field, spec.j, -rad, rad, outer=outer)
 
     # Interface coefficients: arithmetic mean of the two adjacent cell
     # coefficients, extended constantly into the ghost region.
@@ -251,15 +242,13 @@ def regularized(spec, grid, n_samples=1025, n_flux_samples=4097):
     c_if[0] = c[0]
     c_if[-1] = c[-1]
     field_if = ThetaField.explicit(grid.interfaces, field.graph, c_if)
-    theta_if = regularize_theta(field_if, spec.j, -rad, rad,
-                                n_samples=n_samples, outer=outer)
+    theta_if = regularize_theta(field_if, spec.j, -rad, rad, outer=outer)
 
     v_lo = min(theta.table.min(), theta_if.table.min())
     v_hi = max(theta.table.max(), theta_if.table.max())
     pad = max(1e-9, 0.05 * (v_hi - v_lo))
     curve = mollify_callable(spec.flux.eval if par is None else par.calA,
-                             spec.j, v_lo - pad, v_hi + pad,
-                             n_samples=n_flux_samples)
+                             spec.j, v_lo - pad, v_hi + pad)
     flux = Table(theta_if.u_lo, theta_if.u_hi, curve(0, theta_if.table))
     return RegularizedProblem(spec, grid, field, theta, theta_if, curve, par,
                               flux)
@@ -270,18 +259,17 @@ def regularized(spec, grid, n_samples=1025, n_flux_samples=4097):
 # ---------------------------------------------------------------------------
 
 
-def cfl_dt(field, spec, grid, reg=None, cfl=DEFAULT_CFL):
-    """Stable time step: cfl * dx / max wave speed over the field's range,
-    capped so that dt * Lip(source in u) <= 1/2 and dt <= dx (the latter
-    covers the zero-wave-speed pure-source regime)."""
-    if reg is None:
-        reg = regularized(spec, grid)
+def cfl_dt(field, reg):
+    """Stable time step: DEFAULT_CFL * dx / max wave speed over the field's
+    range, capped so that dt * Lip(source in u) <= 1/2 and dt <= dx (the
+    latter covers the zero-wave-speed pure-source regime)."""
     lo = min(float(field.u.min()), 0.0)
     hi = max(float(field.u.max()), 0.0)
     speed = reg.max_speed(lo, hi)
-    dt = grid.dx
+    dx = reg.grid.dx
+    dt = dx
     if speed > 0.0:
-        dt = min(dt, cfl * grid.dx / speed)
+        dt = min(dt, DEFAULT_CFL * dx / speed)
     lip = reg.lip_source
     if lip > 0.0:
         dt = min(dt, _SOURCE_CAP / lip)
@@ -297,18 +285,15 @@ def step(field, dt, t, reg):
     grid = reg.grid
     n = grid.n_cells
     with np.errstate(over="ignore", invalid="ignore"):
-        u_ext = np.zeros(n + 2 * grid.n_ghost)
-        u_ext[grid.n_ghost:grid.n_ghost + n] = field.u
-        uL = u_ext[grid.n_ghost - 1:grid.n_ghost + n]
-        uR = u_ext[grid.n_ghost:grid.n_ghost + n + 1]
-        flux, a = reg.numerical_flux(uL, uR)
+        u_ext = np.zeros(n + 2)  # one ghost cell per side
+        u_ext[1:-1] = field.u
+        flux, a = reg.numerical_flux(u_ext[:-1], u_ext[1:])
         src = reg.source_values(t, field.u, field.v)
         u_new = field.u - (dt / grid.dx) * np.diff(flux) + dt * src
         v_new = reg.v_of_u(u_new) if np.all(np.isfinite(u_new)) else None
     if v_new is None or not np.all(np.isfinite(v_new)):
         raise SolverError(
-            "non-finite state at t = %.6g (check CFL and source bounds)" % t,
-            t=t, snapshot=field)
+            "non-finite state at t = %.6g (check CFL and source bounds)" % t)
     info = {
         "flux_left": float(flux[0]),
         "flux_right": float(flux[-1]),
@@ -318,7 +303,7 @@ def step(field, dt, t, reg):
     return Field(u_new, v_new), info
 
 
-def solve(spec, grid, snapshots=8, cfl=DEFAULT_CFL, dt_override=None, reg=None):
+def solve(spec, grid, snapshots=8, dt_override=None, reg=None):
     """Evolve the regularized problem to time T.
 
     Snapshots are captured at the midpoints of ``snapshots`` equal time
@@ -333,7 +318,7 @@ def solve(spec, grid, snapshots=8, cfl=DEFAULT_CFL, dt_override=None, reg=None):
     if np.max(np.abs(u)) > spec.sample_radius:
         raise ValueError("initial data exceeds sample_radius; tables too narrow")
     field = Field(u, reg.v_of_u(u))
-    dt_base = dt_override if dt_override is not None else cfl_dt(field, spec, grid, reg=reg, cfl=cfl)
+    dt_base = dt_override if dt_override is not None else cfl_dt(field, reg)
 
     slab = spec.T / snapshots
     targets = [(k + 0.5) * slab for k in range(snapshots)] + [spec.T]

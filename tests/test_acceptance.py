@@ -48,7 +48,7 @@ def _shared_dt(pairs, grid):
     dts = []
     for spec, reg in pairs:
         u0 = spec.initial_values(grid.centers, grid.dx)
-        dts.append(cfl_dt(Field(u0, reg.v_of_u(u0)), spec, grid, reg=reg))
+        dts.append(cfl_dt(Field(u0, reg.v_of_u(u0)), reg))
     return min(dts)
 
 

@@ -1,16 +1,21 @@
 """Config layer and command-line front end."""
 
+import contextlib
 import csv
 import filecmp
+import io
 import json
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from balancelab.cli import main
-from balancelab.config import ConfigError, RunConfig, load_config, save_config
+from balancelab.config import ConfigError, RunConfig, load_config, write_json
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -54,7 +59,7 @@ def test_config_round_trip_identity(name, tmp_path):
     d2 = RunConfig.from_dict(d1).to_dict()
     assert d1 == d2
     path = tmp_path / "copy.json"
-    save_config(cfg, path)
+    write_json(cfg.to_dict(), path)
     assert load_config(path).to_dict() == d1
 
 
@@ -106,6 +111,140 @@ def test_config_validates_battery_fractions():
         RunConfig.from_dict(d)
 
 
+# every object the contract declares a key set for, in a config that has it
+NESTED_OBJECTS = [
+    ("burgers_riemann", ["problem"]),
+    ("burgers_riemann", ["problem", "domain"]),
+    ("burgers_riemann", ["problem", "theta"]),
+    ("burgers_riemann", ["problem", "theta", "coeff"]),
+    ("pwc_coeff", ["problem", "theta", "coeff"]),
+    ("het_smooth_coeff", ["problem", "theta", "coeff"]),
+    ("burgers_riemann", ["problem", "theta", "graph"]),
+    ("burgers_riemann", ["problem", "flux"]),
+    ("burgers_riemann", ["problem", "flux", "curve"]),
+    ("jumpflux_parametrize", ["problem", "flux", "curve", "jumps", 0]),
+    ("burgers_riemann", ["problem", "source"]),
+    ("burgers_riemann", ["problem", "source", "params"]),
+    ("linear_decay", ["problem", "source", "params"]),
+    ("burgers_riemann", ["problem", "u0"]),
+    ("burgers_riemann", ["problem", "u0", "params"]),
+    ("constant_state", ["problem", "u0", "params"]),
+    ("burgers_riemann", ["problem", "indices"]),
+    ("burgers_riemann", ["options"]),
+]
+
+
+def _parametrize_exit(d, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(d))
+    code = main(["parametrize", "--config", str(path), "--out",
+                 str(tmp_path / "o"), "--quiet"])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,where", NESTED_OBJECTS)
+def test_unknown_key_in_nested_object_exits_2(name, where, tmp_path, capsys):
+    d = _load(name).to_dict()
+    obj = d
+    for key in where:
+        obj = obj[key]
+    # a key of another coefficient kind, source or datum counts as unknown
+    for bogus in ("bogus", "region_c", "amp", "skew"):
+        if bogus not in obj:
+            break
+    obj[bogus] = 1.0
+    code, err = _parametrize_exit(d, tmp_path, capsys)
+    assert code == 2
+    err = json.loads(err)
+    assert err["error"] == "config"
+    assert "unknown" in err["message"] and bogus in err["message"]
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_literal_exits_2(literal, tmp_path, capsys):
+    text = json.dumps(_load("burgers_riemann").to_dict())
+    path = tmp_path / "cfg.json"
+    path.write_text(text.replace('"T": 0.5', '"T": %s' % literal, 1))
+    code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and literal in err["message"]
+
+
+@pytest.mark.parametrize("uid", ["box", "bump", "twolobe"])
+def test_empty_datum_interval_exits_2(uid, tmp_path, capsys):
+    d = _load("burgers_riemann").to_dict()
+    d["problem"]["u0"] = {"id": uid, "params": {"height": 1.0, "a": 0.5,
+                                                "b": 0.5}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(d))
+    code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and "a < b" in err["message"]
+
+
+def test_non_integral_j_exits_2(tmp_path, capsys):
+    d = _load("burgers_riemann").to_dict()
+    d["problem"]["indices"]["j"] = 1.5
+    code, err = _parametrize_exit(d, tmp_path, capsys)
+    assert code == 2
+    err = json.loads(err)
+    assert err["error"] == "config" and "indices.j" in err["message"]
+
+
+# values of every JSON type; a mutation draws one whose type differs from
+# the value it replaces
+WRONG_VALUES = [None, True, 3, 2.5, "x", [], [1, 2], {}, {"a": 1}]
+
+
+def _positions(node):
+    """(container, key) of every value below a JSON node; of a long list
+    (the flux samples) only the first two entries."""
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node[:2] if len(node) > 4 else node)
+    out = []
+    for key, child in items:
+        out.append((node, key))
+        if isinstance(child, (dict, list)):
+            out += _positions(child)
+    return out
+
+
+@st.composite
+def mutated_configs(draw):
+    """A shipped config with one unknown key or one wrong-typed value at a
+    place drawn uniformly from all of its values, the root included."""
+    holder = {"root": _load(draw(st.sampled_from(SHIPPED))).to_dict()}
+    parent, key = draw(st.sampled_from(_positions(holder)))
+    node = parent[key]
+    if isinstance(node, dict) and draw(st.booleans()):
+        node["bogus"] = draw(st.sampled_from(WRONG_VALUES))
+    else:
+        parent[key] = draw(st.sampled_from(
+            [v for v in WRONG_VALUES if type(v) is not type(node)]))
+    return holder["root"]
+
+
+@seed(20140411)
+@settings(max_examples=250, deadline=None)
+@given(mutated_configs())
+def test_mutated_configs_exit_0_or_2_with_json(d):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(d, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["parametrize", "--config", path, "--out",
+                         os.path.join(tmp, "o"), "--quiet"])
+    assert code in (0, 2)
+    if code:
+        assert json.loads(err.getvalue())["error"] == "config"
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
@@ -143,6 +282,22 @@ def test_solve_unknown_source_names_the_id(tmp_path, capsys):
     code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "frobnicate" in capsys.readouterr().err
+
+
+def test_solve_non_finite_state_exits_4(tmp_path, capsys):
+    # an anti-dissipative source far past the source cap blows up near t = 4.4
+    d = _load("antidissipative_demo").to_dict()
+    d["grid_sizes"] = [32]
+    d["problem"]["source"] = {"id": "antilinear_test", "params": {"c": 200}}
+    d["problem"]["domain"]["T"] = 5
+    path = tmp_path / "blowup.json"
+    path.write_text(json.dumps(d))
+    code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    err = json.loads(err)
+    assert err["error"] == "numerical" and "non-finite" in err["message"]
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from balancelab.entropy import (EntropyReport, ResidualEvaluator, TestFunction,
-                                _columns, bump_profile, bump_profile_dy,
-                                initial_trace_error, k_samples,
-                                l1_distance_curve, pair_gap_battery,
-                                standard_battery)
+                                _columns, battery_from_geometry, bump_profile,
+                                bump_profile_dy, initial_trace_error,
+                                k_samples, l1_distance_curve,
+                                pair_gap_battery)
 from balancelab.flux import FluxCurve
 from balancelab.problem import SourceSpec
 from balancelab.solver import Field, Grid1D, cfl_dt, regularized, solve
@@ -41,8 +41,8 @@ def _verification_tol(run):
 def _shared_dt(spec_a, spec_b, grid, reg_a, reg_b):
     ua = spec_a.initial_values(grid.centers, grid.dx)
     ub = spec_b.initial_values(grid.centers, grid.dx)
-    return min(cfl_dt(Field(ua, reg_a.v_of_u(ua)), spec_a, grid, reg=reg_a),
-               cfl_dt(Field(ub, reg_b.v_of_u(ub)), spec_b, grid, reg=reg_b))
+    return min(cfl_dt(Field(ua, reg_a.v_of_u(ua)), reg_a),
+               cfl_dt(Field(ub, reg_b.v_of_u(ub)), reg_b))
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +79,7 @@ def test_test_function_derivatives_match_finite_differences():
 
 def test_standard_battery_layout():
     spec = canonical_spec()
-    psis = standard_battery(spec)
+    psis = battery_from_geometry(spec)
     assert len(psis) == 18
     assert len({p.label for p in psis}) == 18
     for p in psis:
@@ -118,8 +118,8 @@ def test_constant_run_zero_residual_all_forms():
     # every integrand of every form vanish identically
     res, reg = _constant_run()
     ev = ResidualEvaluator(res, reg)
-    k_v = float(reg.theta.theta_of(0.5)[0])
-    psis = standard_battery(reg.spec)[::5]
+    k_v = float(reg.theta.v_of_u(0.5)[0])
+    psis = battery_from_geometry(reg.spec)[::5]
     for form in ("SEMI_PLUS", "SEMI_MINUS", "SGN", "N2"):
         assert np.all(np.abs(ev.residual(form, k_v, psis)) <= 1e-8)
     assert np.all(np.abs(ev.residual("N1", 0.5, psis)) <= 1e-8)
@@ -132,7 +132,7 @@ def test_semi_forms_vanish_beyond_state_range():
     res, reg = _run(spec, 96, snapshots=64)
     ev = ResidualEvaluator(res, reg)
     _, _, V = res.snapshot_matrix()
-    psis = standard_battery(spec)[:1]
+    psis = battery_from_geometry(spec)[:1]
     assert abs(ev.residual("SEMI_PLUS", float(V.max()) + 0.4, psis)[0]) <= 1e-8
     assert abs(ev.residual("SEMI_MINUS", float(V.min()) - 0.4, psis)[0]) <= 1e-8
 
@@ -146,7 +146,7 @@ def test_sgn_is_sum_of_semi_forms():
     ev = ResidualEvaluator(res, reg)
     _, _, V = res.snapshot_matrix()
     ks = k_samples(V, reg, n=7)
-    psis = standard_battery(spec)[::4]
+    psis = battery_from_geometry(spec)[::4]
     for k in ks:
         lhs = ev.residual("SEMI_PLUS", k, psis) + ev.residual("SEMI_MINUS", k, psis)
         assert np.all(np.abs(lhs - ev.residual("SGN", k, psis)) <= 1e-9)
@@ -163,7 +163,7 @@ def test_shock_battery_sgn_above_tolerance_curve():
         ev = ResidualEvaluator(res, reg)
         _, _, V = res.snapshot_matrix()
         ks = k_samples(V, reg)
-        report = ev.battery_report(("SGN",), ks, standard_battery(spec))
+        report = ev.battery_report(("SGN",), ks, battery_from_geometry(spec))
         assert len(report.rows) == len(ks) * 18
         worst = report.minima()["SGN"]
         assert worst >= -_verification_tol(res)
@@ -179,9 +179,9 @@ def test_u_space_and_v_space_forms_agree_for_plain_coefficients():
                           source=SourceSpec("arctan", {"c": 0.6}), ell=2.0, m=2.0)
     res, reg = _run(spec, 128, snapshots=64)
     ev = ResidualEvaluator(res, reg)
-    psis = standard_battery(spec)[::4]
+    psis = battery_from_geometry(spec)[::4]
     for k_u in (-0.3, 0.2, 0.55, 0.9):
-        k_v = float(reg.theta.theta_of(k_u)[0])
+        k_v = float(reg.theta.v_of_u(k_u)[0])
         diff = ev.residual("N1", k_u, psis) - ev.residual("N2", k_v, psis)
         assert np.all(np.abs(diff) <= 1e-6)
 
@@ -191,12 +191,12 @@ def test_u_space_form_rejects_discontinuous_coefficients():
     res, reg = _run(spec, 64, snapshots=64)
     ev = ResidualEvaluator(res, reg)
     with pytest.raises(ValueError, match="smooth"):
-        ev.residual("N1", 0.3, standard_battery(spec)[:1])
+        ev.residual("N1", 0.3, battery_from_geometry(spec)[:1])
 
 
 def test_unresolved_support_is_rejected_with_hint():
     spec = canonical_spec()
-    psis = standard_battery(spec)[:1]
+    psis = battery_from_geometry(spec)[:1]
     res, reg = _run(spec, 128, snapshots=8)
     with pytest.raises(ValueError, match="snapshots >="):
         ResidualEvaluator(res, reg).residual("SGN", 0.1, psis)
@@ -209,7 +209,7 @@ def test_unknown_form_rejected():
     res, reg = _constant_run()
     ev = ResidualEvaluator(res, reg)
     with pytest.raises(ValueError, match="form"):
-        ev.residual("MODULUS", 0.0, standard_battery(reg.spec)[:1])
+        ev.residual("MODULUS", 0.0, battery_from_geometry(reg.spec)[:1])
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +264,12 @@ def test_pair_gap_identical_runs_is_zero():
     spec = canonical_spec(source=SourceSpec("arctan", {"c": 0.5}), ell=2.0, m=2.0)
     res1, reg = _run(spec, 64, snapshots=64)
     res2, _ = _run(spec, 64, snapshots=64, reg=reg)
-    psi = standard_battery(spec)[7]
-    for kind in ("CONTRACTION", "COMPARISON", "KATO"):
+    psi = battery_from_geometry(spec)[7]
+    for kind in ("CONTRACTION", "COMPARISON"):
         assert abs(pair_gap(kind, res1, res2, reg, reg, psi)) <= 1e-10
 
 
-def test_pair_gap_contraction_and_kato_nonnegative():
+def test_pair_gap_contraction_nonnegative():
     src = SourceSpec("arctan", {"c": 1.0})
     spec_a = canonical_spec(u0={"id": "box", "params": {"height": 0.6, "a": -1.0, "b": 0.5}},
                             source=src, ell=2.0, m=2.0)
@@ -282,10 +282,9 @@ def test_pair_gap_contraction_and_kato_nonnegative():
     res_a = solve(spec_a, grid, snapshots=64, dt_override=dt, reg=reg_a)
     res_b = solve(spec_b, grid, snapshots=64, dt_override=dt, reg=reg_b)
     tol = max(_verification_tol(res_a), _verification_tol(res_b))
-    psis = standard_battery(spec_a)
-    for kind in ("CONTRACTION", "KATO"):
-        gaps = pair_gap_battery(kind, res_a, res_b, reg_a, reg_b, psis)
-        assert float(np.min(gaps)) >= -tol
+    psis = battery_from_geometry(spec_a)
+    gaps = pair_gap_battery("CONTRACTION", res_a, res_b, reg_a, reg_b, psis)
+    assert float(np.min(gaps)) >= -tol
 
 
 def test_pair_gap_comparison_of_ordered_data_vanishes():
@@ -303,7 +302,7 @@ def test_pair_gap_comparison_of_ordered_data_vanishes():
     res_a = solve(spec_a, grid, snapshots=64, dt_override=dt, reg=reg_a)
     res_b = solve(spec_b, grid, snapshots=64, dt_override=dt, reg=reg_b)
     gaps = pair_gap_battery("COMPARISON", res_a, res_b, reg_a, reg_b,
-                            standard_battery(spec_a))
+                            battery_from_geometry(spec_a))
     assert float(np.max(np.abs(gaps))) <= 1e-10
 
 
@@ -318,7 +317,7 @@ def test_pair_gap_distinct_sources_nonnegative():
     res_b = solve(spec_b, grid, snapshots=64, dt_override=dt, reg=reg_b)
     tol = max(_verification_tol(res_a), _verification_tol(res_b))
     gaps = pair_gap_battery("CONTRACTION", res_a, res_b, reg_a, reg_b,
-                            standard_battery(spec_a))
+                            battery_from_geometry(spec_a))
     assert float(np.min(gaps)) >= -tol
 
 
@@ -326,12 +325,12 @@ def test_pair_gap_mismatched_runs_rejected():
     spec = canonical_spec()
     res1, reg1 = _run(spec, 64, snapshots=16)
     res2, reg2 = _run(spec, 96, snapshots=16)
-    psi = standard_battery(spec)[0]
+    psi = battery_from_geometry(spec)[0]
     with pytest.raises(ValueError, match="grids"):
-        pair_gap("KATO", res1, res2, reg1, reg2, psi)
+        pair_gap("CONTRACTION", res1, res2, reg1, reg2, psi)
     res3, reg3 = _run(spec, 64, snapshots=8)
     with pytest.raises(ValueError, match="snapshot"):
-        pair_gap("KATO", res1, res3, reg1, reg3, psi)
+        pair_gap("CONTRACTION", res1, res3, reg1, reg3, psi)
     with pytest.raises(ValueError, match="kind"):
         pair_gap("L1", res1, res1, reg1, reg1, psi)
 
@@ -390,7 +389,7 @@ def test_entropy_report_serialization(tmp_path):
     ev = ResidualEvaluator(res, reg)
     _, _, V = res.snapshot_matrix()
     ks = k_samples(V, reg, n=5)
-    psis = standard_battery(spec)[:4]
+    psis = battery_from_geometry(spec)[:4]
     report = ev.battery_report(("SEMI_PLUS", "SGN"), ks, psis)
     assert len(report.rows) == 2 * len(ks) * 4
     minima = report.minima()
@@ -416,7 +415,7 @@ def test_entropy_report_serialization(tmp_path):
 def test_battery_report_per_form_levels():
     res, reg = _constant_run()
     ev = ResidualEvaluator(res, reg)
-    psis = standard_battery(reg.spec)[:2]
+    psis = battery_from_geometry(reg.spec)[:2]
     ks = {"SGN": np.array([0.1, 0.2]), "N1": np.array([0.3])}
     report = ev.battery_report(("SGN", "N1"), ks, psis)
     assert [r[0] for r in report.rows] == ["SGN"] * 4 + ["N1"] * 2
@@ -436,7 +435,7 @@ def test_battery_report_keeps_one_level_live():
     field_bytes = ev.U.nbytes
     tracemalloc.start()
     try:
-        report = ev.battery_report(forms, ks, standard_battery(spec))
+        report = ev.battery_report(forms, ks, battery_from_geometry(spec))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -309,7 +309,7 @@ def composed_flux(x_cell, u, theta, curve):
     (lo, hi) interval across them.
     """
     if isinstance(theta, ThetaRegularization):
-        v = float(theta.theta_of(u)[x_cell])
+        v = float(theta.v_of_u(u)[x_cell])
         return _curve_point(curve, v)
     lo, hi = theta.eval(x_cell, u)
     lo, hi = float(lo[0]), float(hi[0])

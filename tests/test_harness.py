@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from balancelab.flux import FluxCurve
-from balancelab.harness import (ScheduleReport, double_limit_run,
-                                j_schedule_run, monotone_in_ell_check,
-                                monotone_in_m_check, scheme_tol,
-                                self_convergence_order)
+from balancelab.harness import (ScheduleReport, j_schedule_run,
+                                monotone_in_ell_check, monotone_in_m_check,
+                                scheme_tol, self_convergence_order)
 from balancelab.monotone import MonotoneGraph
 from balancelab.problem import SourceSpec
 from balancelab.solver import Grid1D
@@ -141,17 +140,6 @@ def test_monotone_violations_shrink_under_refinement():
                                 1.0, [1, 2, 4]) for n in (48, 96)]
     assert reps[1].max_violation <= reps[0].max_violation
     assert reps[1].tolerance < reps[0].tolerance
-
-
-def test_double_limit_nested_structure():
-    grid = Grid1D(-2.0, 2.0, 48)
-    out = double_limit_run(_mixed_sign_spec(), grid, [1, 2], [1, 2],
-                           snapshots=4)
-    assert [r.kind for r in out["m_reports"]] == ["m", "m"]
-    assert [r.meta["ell"] for r in out["m_reports"]] == [1.0, 2.0]
-    assert out["ell_report"].kind == "ell"
-    # the outer sweep runs at the largest inner schedule value
-    assert out["ell_report"].meta["m"] == 2.0
 
 
 # ---------------------------------------------------------------------------

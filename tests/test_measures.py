@@ -10,7 +10,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from balancelab.entropy import (ResidualEvaluator, ResolutionError,
-                               pair_gap_battery, standard_battery)
+                               battery_from_geometry, pair_gap_battery)
 from balancelab.flux import FluxCurve
 from balancelab.harness import solve_points
 from balancelab.measures import (MeasureContext, YoungMeasureEstimate,
@@ -54,8 +54,8 @@ def _constant_spec(value, **kw):
 def _shared_dt(spec_a, spec_b, grid, reg_a, reg_b):
     ua = spec_a.initial_values(grid.centers, grid.dx)
     ub = spec_b.initial_values(grid.centers, grid.dx)
-    return min(cfl_dt(Field(ua, reg_a.v_of_u(ua)), spec_a, grid, reg=reg_a),
-               cfl_dt(Field(ub, reg_b.v_of_u(ub)), spec_b, grid, reg=reg_b))
+    return min(cfl_dt(Field(ua, reg_a.v_of_u(ua)), reg_a),
+               cfl_dt(Field(ub, reg_b.v_of_u(ub)), reg_b))
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +66,7 @@ def _shared_dt(spec_a, spec_b, grid, reg_a, reg_b):
 def test_estimate_single_constant_run_is_dirac():
     res, reg = _run(_constant_spec(0.5))
     ym = estimate_young_measure([res])
-    c = float(reg.theta.theta_of(0.5)[0])
+    c = float(reg.theta.v_of_u(0.5)[0])
     assert ym.n_t_blocks == 8 and ym.n_x_blocks == 8
     for bt in range(ym.n_t_blocks):
         for bx in range(ym.n_x_blocks):
@@ -151,7 +151,7 @@ def test_dirac_collapse_matches_single_run_residuals():
     ym = dirac_estimate(res)
     ev = ResidualEvaluator(res, reg)
     ctx = MeasureContext(ym, reg)
-    psis = standard_battery(reg.spec)[::7]
+    psis = battery_from_geometry(reg.spec)[::7]
     for mu in (-0.1, 0.25, 0.6):
         assert ctx.residual("PLUS", mu, psis) == pytest.approx(
             ev.residual("SEMI_PLUS", mu, psis), abs=1e-9)
@@ -163,7 +163,7 @@ def test_mv_plus_vanishes_above_all_atoms():
     res, reg = _box_source_run()
     ym = estimate_young_measure([res])
     top = max(float(v.max()) for row in ym.atoms for v, _ in row)
-    psi = standard_battery(reg.spec)[0]
+    psi = battery_from_geometry(reg.spec)[0]
     assert abs(mv_entropy_residual("PLUS", ym, top + 0.3, psi, reg)) <= 1e-9
     with pytest.raises(ValueError, match="sign"):
         mv_entropy_residual("BOTH", ym, 0.0, psi, reg)
@@ -177,7 +177,7 @@ def test_two_atom_residual_is_average_of_diracs():
     ym = estimate_young_measure([res1, res2])
     d1 = dirac_estimate(res1)
     d2 = dirac_estimate(res2)
-    psi = standard_battery(reg.spec)[3]
+    psi = battery_from_geometry(reg.spec)[3]
     for mu in (0.2, 0.5):
         for sign in ("PLUS", "MINUS"):
             pooled = mv_entropy_residual(sign, ym, mu, psi, reg)
@@ -189,7 +189,7 @@ def test_two_atom_residual_is_average_of_diracs():
 def test_mv_residual_resolution_guard():
     res, reg = _box_source_run()
     ym = estimate_young_measure([res], macro=(32, 8))
-    psi = standard_battery(reg.spec)[0]
+    psi = battery_from_geometry(reg.spec)[0]
     with pytest.raises(ResolutionError, match="macro"):
         mv_entropy_residual("PLUS", ym, 0.2, psi, reg)
 
@@ -216,7 +216,7 @@ def test_chi_gamma_ordering_for_dissipative_source():
     res, reg = _box_source_run()
     ym = estimate_young_measure([res])
     ctx = MeasureContext(ym, reg)
-    psis = standard_battery(reg.spec)[::7]
+    psis = battery_from_geometry(reg.spec)[::7]
     for sign in ("PLUS", "MINUS"):
         for mu in (-0.2, 0.1, 0.5):
             sharp = ctx.residual(sign, mu, psis, gamma=0.0)
@@ -232,7 +232,7 @@ def test_mv_table_flags_atom_levels(tmp_path):
     atom = float(ym.atoms[0][0][0][0])
     assert mu_is_atom(ym, atom)
     assert not mu_is_atom(ym, atom + 0.1)
-    psis = standard_battery(reg.spec)[:2]
+    psis = battery_from_geometry(reg.spec)[:2]
     rows = mv_residual_table(ym, reg, [atom, atom + 0.1], psis)
     assert len(rows) == 2 * 2 * 2
     flags = {(r[0], r[1]): r[4] for r in rows}
@@ -254,7 +254,7 @@ def test_mv_table_flags_atom_levels(tmp_path):
 def test_averaged_contraction_identical_dirac_is_zero():
     res, reg = _box_source_run()
     ym = dirac_estimate(res)
-    gaps = averaged_contraction_gap(ym, ym, standard_battery(reg.spec)[::7], reg)
+    gaps = averaged_contraction_gap(ym, ym, battery_from_geometry(reg.spec)[::7], reg)
     assert np.all(np.abs(gaps) <= 1e-9)
 
 
@@ -272,7 +272,7 @@ def test_averaged_contraction_dirac_pair_matches_pair_gap():
     res_a = solve(spec_a, grid, snapshots=64, dt_override=dt, reg=reg_a)
     res_b = solve(spec_b, grid, snapshots=64, dt_override=dt, reg=reg_b)
     ym_a, ym_b = dirac_estimate(res_a), dirac_estimate(res_b)
-    psis = standard_battery(spec_a)[::7]
+    psis = battery_from_geometry(spec_a)[::7]
     gap_mv = averaged_contraction_gap(ym_a, ym_b, psis, reg_a)
     gap_runs = pair_gap_battery("CONTRACTION", res_a, res_b, reg_a, reg_b, psis)
     assert gap_mv == pytest.approx(gap_runs, abs=1e-9)
@@ -288,7 +288,7 @@ def test_averaged_contraction_bilinear_in_both_measures():
     ym1 = estimate_young_measure(runs[:2])
     ym2 = estimate_young_measure(runs[2:])
     diracs = [dirac_estimate(r) for r in runs]
-    psis = standard_battery(specs[0])[4:5]
+    psis = battery_from_geometry(specs[0])[4:5]
     pooled = averaged_contraction_gap(ym1, ym2, psis, reg)[0]
     parts = [averaged_contraction_gap(diracs[i], diracs[j], psis, reg)[0]
              for i in (0, 1) for j in (2, 3)]
@@ -313,7 +313,7 @@ def test_averaged_contraction_nonnegative_on_nested_pair():
     _, _, V_b = res_b.snapshot_matrix()
     tol = 10.0 * grid.dx * (1.0 + max(float(np.abs(V_a).max()),
                                       float(np.abs(V_b).max())))
-    gaps = averaged_contraction_gap(ym_a, ym_b, standard_battery(spec_a)[::4],
+    gaps = averaged_contraction_gap(ym_a, ym_b, battery_from_geometry(spec_a)[::4],
                                     reg_a)
     assert np.all(gaps >= -tol)
 
@@ -323,7 +323,7 @@ def test_averaged_contraction_layout_mismatch_rejected():
     ym1 = estimate_young_measure([res])
     ym2 = estimate_young_measure([res], macro=(8, 16))
     with pytest.raises(ValueError, match="mismatch"):
-        averaged_contraction_gap(ym1, ym2, standard_battery(reg.spec)[:1], reg)
+        averaged_contraction_gap(ym1, ym2, battery_from_geometry(reg.spec)[:1], reg)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +466,7 @@ def test_mv_residual_matches_per_block_reference(layout, sign, gamma, mu, pick):
     ym = estimate_young_measure(runs[:n_runs], macro=(mt, mx), min_samples=1)
     atoms = np.concatenate([v for row in ym.atoms for v, _ in row])
     mus = [mu, float(atoms[pick % len(atoms)])]  # a free level and an atom
-    psis = standard_battery(reg.spec)[::5]
+    psis = battery_from_geometry(reg.spec)[::5]
     ctx = MeasureContext(ym, reg)
     ref = _reference_blocks(ym, reg)
     got = np.concatenate([ctx.residual(sign, m, psis, gamma=gamma) for m in mus])
@@ -485,7 +485,7 @@ def test_averaged_contraction_matches_per_block_reference(layout, n_partner):
     ym2 = estimate_young_measure(partners[:n_partner], macro=(mt, mx),
                                  min_samples=1)
     ref1, ref2 = _reference_blocks(ym1, reg), _reference_blocks(ym2, reg)
-    psis = standard_battery(reg.spec)[::5]
+    psis = battery_from_geometry(reg.spec)[::5]
     got = averaged_contraction_gap(ym1, ym2, psis, reg)
     want = [_reference_averaged_gap(ym1, ym2, ref1, ref2, psi) for psi in psis]
     _assert_close(got, want)

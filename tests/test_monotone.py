@@ -18,7 +18,6 @@ from balancelab.monotone import (
     Table,
     ThetaField,
     check_inverse_convergence,
-    graph_fn,
     invert_graph,
     mollifier_nodes,
     regularize_theta,
@@ -214,13 +213,6 @@ def test_invert_requires_positive_tails():
         invert_graph(MonotoneGraph.sign())
 
 
-def test_graph_fn_rejects_multivalued():
-    with pytest.raises(ValueError):
-        graph_fn(MonotoneGraph.sign())
-    f = graph_fn(MonotoneGraph.from_knots([(-1.0, -1.0), (1.0, 1.0)], (2.0, 2.0)))
-    assert np.allclose(f(np.array([-2.0, 0.5, 2.0])), [-3.0, 0.5, 3.0])
-
-
 # ---------------------------------------------------------------------------
 # Sampled increasing functions
 # ---------------------------------------------------------------------------
@@ -256,7 +248,7 @@ def test_regularize_identity_closed_form():
     for j in (1, 4, 100, 4096):
         reg = regularize_theta(field, j, -12.0, 12.0)
         us = np.linspace(-10.0, 10.0, 41)
-        got = np.array([reg.theta_of(u)[0] for u in us])
+        got = np.array([reg.v_of_u(u)[0] for u in us])
         assert np.abs(got - us).max() < 1e-6
 
 
@@ -268,8 +260,8 @@ def test_regularize_sign_jump_hand_values():
     field = ThetaField.homogeneous(x, MonotoneGraph.sign_plus_identity())
     for j in (4, 16, 64, 256):
         reg = regularize_theta(field, j, -5.0, 5.0)
-        assert abs(reg.theta_of(2.0)[0] - 3.0) < 1e-12
-        assert abs(reg.theta_of(0.0)[0]) < 1e-14
+        assert abs(reg.v_of_u(2.0)[0] - 3.0) < 1e-12
+        assert abs(reg.v_of_u(0.0)[0]) < 1e-14
         assert reg.margin > 0
 
 
@@ -281,12 +273,12 @@ def test_regularize_matches_quadrature_oracle():
     reg = regularize_theta(field, 9, -5.0, 5.0)
     # compare at exact table nodes (no interpolation in the module path)
     for idx in (307, 471, 528, 645):
-        u = float(reg.u_grid[idx])
+        u = reg.u_lo + reg.sampled.du * idx
         want = _oracle_regularized(g, 1.0, 9, u, kernel)
         assert abs(reg.table[0][idx] - want) < 1e-10
     # off-node values go through linear interpolation of the sampled table
     want = _oracle_regularized(g, 1.0, 9, 0.15, kernel)
-    assert abs(reg.theta_of(0.15)[0] - want) < 5e-4
+    assert abs(reg.v_of_u(0.15)[0] - want) < 5e-4
 
 
 def test_regularize_pwc_field_rows():
@@ -300,15 +292,32 @@ def test_regularize_pwc_field_rows():
     # hand values: Yosida of c*(u + Sgn u) at lam=1/2 is c(u+1)/(1+lam*c)
     # for u past the jump, the kernel average is exact on the affine branch,
     # and the rescale gives (1+lam) c (u+1)/(1+lam*c): 3 at c=1, 4.5 at c=2
-    vals = reg.theta_of(2.0)
+    vals = reg.v_of_u(2.0)
     assert abs(vals[0] - 3.0) < 1e-12
     assert abs(vals[3] - 3.0) < 1e-12
     assert abs(vals[4] - 4.5) < 1e-12
     kernel = mollifier_nodes()
     idx = 389
-    want = _oracle_regularized(g, 2.0, 4, float(reg.u_grid[idx]), kernel)
+    want = _oracle_regularized(g, 2.0, 4, reg.u_lo + reg.sampled.du * idx, kernel)
     assert abs(reg.table[1][idx] - want) < 1e-10
-    assert np.abs(reg.theta_of(0.0)).max() < 1e-14
+    assert np.abs(reg.v_of_u(0.0)).max() < 1e-14
+
+
+def test_regularize_pwc_repeated_coefficient_shares_one_row():
+    # one table row per distinct coefficient, wherever its regions lie
+    g = MonotoneGraph.sign_plus_identity()
+    x = np.linspace(-0.875, 0.875, 8)
+    field = ThetaField.separable_pwc(x, g, [-0.4, 0.4], [1.0, 2.0, 1.0])
+    assert np.array_equal(field.cell_c, [1, 1, 2, 2, 2, 2, 1, 1])
+    reg = regularize_theta(field, 4, -5.0, 5.0)
+    assert reg.table.shape[0] == 2
+    assert np.array_equal(reg.cell_rows, [0, 0, 1, 1, 1, 1, 0, 0])
+    # the same cells against the rows of a build with distinct coefficients
+    distinct = regularize_theta(
+        ThetaField.separable_pwc(x, g, [0.0], [1.0, 2.0]), 4, -5.0, 5.0)
+    U = np.random.default_rng(5).uniform(-2.0, 2.0, size=(3, 8))
+    want = distinct.sampled(np.where(field.cell_c == 1.0, 0, 1), U)
+    assert np.array_equal(reg.v_of_u(U), want)
 
 
 def test_regularize_smooth_field():
@@ -317,13 +326,13 @@ def test_regularize_smooth_field():
     field = ThetaField.separable_smooth(x, g, lambda s: 1.5 + 0.5 * np.sin(s))
     reg = regularize_theta(field, 16, -4.0, 4.0)
     assert reg.margin > 0
-    assert np.abs(reg.theta_of(0.0)).max() < 1e-14
+    assert np.abs(reg.v_of_u(0.0)).max() < 1e-14
     # identity base graph: theta_j(x, u) is close to
     # (1 + lam) c(x) u / (1 + lam c(x))
     lam = 0.25
     c = 1.5 + 0.5 * np.sin(x)
     approx = (1.0 + lam) * c * 2.0 / (1.0 + lam * c)
-    assert np.abs(reg.theta_of(2.0) - approx).max() < 1e-3
+    assert np.abs(reg.v_of_u(2.0) - approx).max() < 1e-3
 
 
 def test_state_value_round_trip():
@@ -334,9 +343,9 @@ def test_state_value_round_trip():
     rng = np.random.default_rng(3)
     u = rng.uniform(-2.0, 2.0, size=8)
     v = reg.v_of_u(u)
-    assert np.abs(reg.u_of_v(v) - u).max() < 1e-10
+    assert np.abs(reg.eta_cells(v) - u).max() < 1e-10
     U = rng.uniform(-2.0, 2.0, size=(5, 8))
-    assert np.abs(reg.u_of_v(reg.v_of_u(U)) - U).max() < 1e-10
+    assert np.abs(reg.eta_cells(reg.v_of_u(U)) - U).max() < 1e-10
 
 
 def test_field_validation():

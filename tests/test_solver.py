@@ -68,13 +68,10 @@ def test_grid_geometry():
     assert g.dx == 0.5
     assert np.allclose(g.centers, -2.0 + 0.5 * (np.arange(8) + 0.5))
     assert np.allclose(g.interfaces, -2.0 + 0.5 * np.arange(9))
-    assert g.n_ghost == 2
     with pytest.raises(ValueError):
         Grid1D(1.0, -1.0, 8)
     with pytest.raises(ValueError):
         Grid1D(-1.0, 1.0, 2)
-    with pytest.raises(ValueError):
-        Grid1D(-1.0, 1.0, 8, n_ghost=1)
 
 
 def test_field_guards():
@@ -97,7 +94,7 @@ def test_cfl_burgers_example():
     assert grid.dx == pytest.approx(0.01, abs=1e-15)
     reg = regularized(spec, grid)
     u = spec.initial_values(grid.centers, grid.dx)
-    dt = cfl_dt(Field(u, reg.v_of_u(u)), spec, grid, reg=reg)
+    dt = cfl_dt(Field(u, reg.v_of_u(u)), reg)
     assert dt == pytest.approx(0.0045, rel=5e-3)
 
 
@@ -106,7 +103,7 @@ def test_cfl_zero_flux_zero_source_caps_at_dx():
     grid = Grid1D(spec.x_lo, spec.x_hi, 40)
     reg = regularized(spec, grid)
     u = spec.initial_values(grid.centers, grid.dx)
-    dt = cfl_dt(Field(u, reg.v_of_u(u)), spec, grid, reg=reg)
+    dt = cfl_dt(Field(u, reg.v_of_u(u)), reg)
     assert dt == grid.dx
 
 
@@ -117,7 +114,7 @@ def test_cfl_stiff_source_cap():
     grid = Grid1D(spec.x_lo, spec.x_hi, 40)
     reg = regularized(spec, grid)
     u = spec.initial_values(grid.centers, grid.dx)
-    dt = cfl_dt(Field(u, reg.v_of_u(u)), spec, grid, reg=reg)
+    dt = cfl_dt(Field(u, reg.v_of_u(u)), reg)
     assert dt == pytest.approx(1.0 / 200.0, rel=1e-12)
 
 
@@ -221,7 +218,7 @@ def test_step_monotone_ordering():
     ub = ua + 0.3 * (1.0 + np.cos(x)) / 2.0
     fa = Field(ua, reg.v_of_u(ua))
     fb = Field(ub, reg.v_of_u(ub))
-    dt = min(cfl_dt(fa, spec, grid, reg=reg), cfl_dt(fb, spec, grid, reg=reg))
+    dt = min(cfl_dt(fa, reg), cfl_dt(fb, reg))
     oa, _ = step(fa, dt, 0.1, reg)
     ob, _ = step(fb, dt, 0.1, reg)
     assert float(np.min(ob.u - oa.u)) >= -1e-13
@@ -315,8 +312,8 @@ def test_solve_l1_contraction_and_comparison():
     reg = regularized(spec_a, grid)
     ua = spec_a.initial_values(grid.centers, grid.dx)
     ub = spec_b.initial_values(grid.centers, grid.dx)
-    dt = min(cfl_dt(Field(ua, reg.v_of_u(ua)), spec_a, grid, reg=reg),
-             cfl_dt(Field(ub, reg.v_of_u(ub)), spec_b, grid, reg=reg))
+    dt = min(cfl_dt(Field(ua, reg.v_of_u(ua)), reg),
+             cfl_dt(Field(ub, reg.v_of_u(ub)), reg))
     res_a = solve(spec_a, grid, snapshots=5, dt_override=dt, reg=reg)
     res_b = solve(spec_b, grid, snapshots=5, dt_override=dt, reg=reg)
     assert np.array_equal(res_a.times, res_b.times)
