@@ -17,11 +17,14 @@ Three families of sweeps, all returning one ScheduleReport type:
 * ``self_convergence_order`` estimates the refinement order from a
   dx-halving grid triple by cell-pair averaging the finer runs.
 
-Every sweep builds one regularized problem per schedule point (the tables
-depend on the full parameter set) and forces one shared time step, the
-smallest stable step over the schedule, so runs stay comparable point by
-point.  Schedule points solve concurrently; aggregation is by schedule
-index, so repeated invocations give bit-identical reports.
+Every sweep builds one regularized problem per schedule point and forces
+one shared time step, the smallest stable step over the schedule, so runs
+stay comparable point by point.  Schedule points solve concurrently;
+aggregation is by schedule index, so repeated invocations give
+bit-identical reports.  The tables of a point depend on the coefficient
+field, theta_graph, the flux, gap_slope, j, sample_radius and the grid;
+ell and m enter only through the source terms, so the points of an m or
+ell sweep rebuild equal tables.
 """
 
 from __future__ import annotations
@@ -165,10 +168,11 @@ class ScheduleReport:
 def solve_points(specs, grid, snapshots=8):
     """Solve one run per spec with a single shared time step.
 
-    Each point gets its own regularized tables (they record the full
-    parameter set); the step is the smallest stable step over the sweep so
-    consecutive runs share snapshot instants exactly.  Points run
-    concurrently; returns (runs, dt, tables) in schedule order.
+    Each point gets its own regularized problem, although the tables do
+    not depend on ell and m: those enter only through ``source_values``
+    and ``lip_source``.  The step is the smallest stable step over the
+    sweep, so consecutive runs share snapshot instants exactly.  Points
+    run concurrently; returns (runs, dt, tables) in schedule order.
     """
     regs = [regularized(s, grid) for s in specs]
     dts = []

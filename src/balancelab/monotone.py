@@ -19,6 +19,7 @@ approximation used by the regularization pipeline.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -419,6 +420,9 @@ def compose_graphs(outer, inner):
 # Table: rows of samples on one uniform grid (every sampled curve lives here)
 # ---------------------------------------------------------------------------
 
+# rows per block when Table scans its slopes for the margin and Lipschitz bound
+_SLOPE_BLOCK_ROWS = 64
+
 
 @dataclass
 class Table:
@@ -441,12 +445,23 @@ class Table:
         if self.n_samples < 2:
             raise ValueError("need at least two samples")
         self.du = (self.hi - self.lo) / (self.n_samples - 1)
-        slopes = np.diff(self.values, axis=1) / self.du
-        self.margin = float(slopes.min())  # > 0 certifies strict increase
+        # slope extremes a block of rows at a time, so that no temporary
+        # of the table's size is made (min and max are exact in any order)
+        min_slope, max_abs_slope = np.inf, 0.0
+        for start in range(0, len(self.values), _SLOPE_BLOCK_ROWS):
+            block = self.values[start:start + _SLOPE_BLOCK_ROWS]
+            slopes = np.diff(block, axis=1) / self.du
+            min_slope = np.minimum(min_slope, slopes.min())
+            max_abs_slope = np.maximum(max_abs_slope, np.abs(slopes).max())
+        self.margin = float(min_slope)  # > 0 certifies strict increase
+        self.lipschitz = float(max_abs_slope)
+
+    @functools.cached_property
+    def _abs_slopes(self):
         # flat |slopes| plus one sentinel, so that every bracket end is a
-        # valid np.maximum.reduceat index
-        self._abs_slopes = np.append(np.abs(slopes).ravel(), 0.0)
-        self.lipschitz = float(self._abs_slopes.max())
+        # valid np.maximum.reduceat index; only range queries read it
+        slopes = np.diff(self.values, axis=1) / self.du
+        return np.append(np.abs(slopes).ravel(), 0.0)
 
     @staticmethod
     def from_function(fn, lo, hi, n=4097):
@@ -615,6 +630,12 @@ def regularize_theta(field, j, u_lo, u_hi, outer=None):
 
     ``outer`` composes an extra monotone graph on top of each cell's scaled
     graph before regularizing (used to absorb flux jumps: outer = U^{-1}).
+
+    One column is built per distinct coefficient value and shared: across
+    cells with the same coefficient for constant and piecewise-constant
+    fields, and across the (cell, kernel node) points of a smooth field
+    whose coefficient lands on the same float.  The tables equal those of
+    one column per point bit for bit.
     """
     if j < 1:
         raise ValueError("regularization index j must be >= 1")
@@ -652,16 +673,30 @@ def regularize_theta(field, j, u_lo, u_hi, outer=None):
             table[k] = col[:-1] - col[-1]
         return ThetaRegularization(field, j, u_lo, u_hi, table, cell_rows)
 
-    # smooth coefficient: additional convolution across x with the same kernel
+    # smooth coefficient: additional convolution across x with the same
+    # kernel.  A column depends on its coefficient value alone, and the
+    # kernel points of neighbouring cells often land on the same float, so
+    # each distinct value's column is built once and held from the first
+    # to the last cell that uses it.
     x = field.x_centers
-    table = np.empty((len(x), THETA_SAMPLES))
-    for i in range(len(x)):
-        cvals = field.c_fn(x[i] - r * nodes)
+    n = len(x)
+    cvals = np.array([field.c_fn(x[i] - r * nodes) for i in range(n)])
+    values, keys = np.unique(cvals, return_inverse=True)
+    keys = keys.reshape(cvals.shape)
+    last_cell = np.zeros(len(values), dtype=int)
+    np.maximum.at(last_cell, keys, np.arange(n)[:, None])
+    cols = {}
+    table = np.empty((n, THETA_SAMPLES))
+    for i in range(n):
         acc = np.zeros(THETA_SAMPLES + 1)
-        for p in range(_N_KERNEL):
-            acc += weights[p] * cell_column(cvals[p])
+        for p, k in enumerate(keys[i].tolist()):
+            if k not in cols:
+                cols[k] = cell_column(values[k])
+            acc += weights[p] * cols[k]
         table[i] = acc[:-1] - acc[-1]
-    return ThetaRegularization(field, j, u_lo, u_hi, table, np.arange(len(x)))
+        for k in keys[i][last_cell[keys[i]] == i].tolist():
+            cols.pop(k, None)
+    return ThetaRegularization(field, j, u_lo, u_hi, table, np.arange(n))
 
 
 # ---------------------------------------------------------------------------

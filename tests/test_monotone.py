@@ -9,15 +9,21 @@ numbers.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+from balancelab import monotone
 from balancelab.monotone import (
+    THETA_SAMPLES,
     MonotoneGraph,
     Table,
     ThetaField,
     check_inverse_convergence,
+    compose_graphs,
     invert_graph,
     mollifier_nodes,
     regularize_theta,
@@ -48,6 +54,47 @@ def _oracle_regularized(graph, c, j, u, kernel):
         return acc
 
     return (1.0 + lam) * (molly(u) - molly(0.0))
+
+
+def _per_node_smooth_table(field, j, u_lo, u_hi, outer=None):
+    """Oracle for the smooth-coefficient table: one column per (cell,
+    kernel node), built afresh each time, with the row accumulation of the
+    deduplicated build (the same operations in the same order)."""
+    lam = 1.0 / math.sqrt(j)
+    r = 1.0 / j
+    nodes, weights = mollifier_nodes()
+    grid = np.linspace(u_lo, u_hi, THETA_SAMPLES)
+    pts = np.concatenate([grid, [0.0]])[:, None] - r * nodes[None, :]
+
+    def u_mollified_yosida(graph, scaled_lam):
+        yos = resolvent(graph, scaled_lam, pts.ravel()).reshape(pts.shape)
+        np.subtract(pts, yos, out=yos)
+        yos /= scaled_lam
+        yos *= weights
+        return yos.sum(axis=1)
+
+    def cell_column(c):
+        if outer is None:
+            return (1.0 + lam) * c * u_mollified_yosida(field.graph, lam * c)
+        return (1.0 + lam) * u_mollified_yosida(
+            compose_graphs(outer, field.graph.scaled(c)), lam)
+
+    x = field.x_centers
+    table = np.empty((len(x), THETA_SAMPLES))
+    for i in range(len(x)):
+        cvals = field.c_fn(x[i] - r * nodes)
+        acc = np.zeros(THETA_SAMPLES + 1)
+        for p in range(len(nodes)):
+            acc += weights[p] * cell_column(cvals[p])
+        table[i] = acc[:-1] - acc[-1]
+    return table
+
+
+def _kernel_coefficients(field, j):
+    """Coefficient value at every (cell, kernel node) point, per cell."""
+    nodes, _ = mollifier_nodes()
+    r = 1.0 / j
+    return np.array([field.c_fn(xi - r * nodes) for xi in field.x_centers])
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +380,89 @@ def test_regularize_smooth_field():
     c = 1.5 + 0.5 * np.sin(x)
     approx = (1.0 + lam) * c * 2.0 / (1.0 + lam * c)
     assert np.abs(reg.v_of_u(2.0) - approx).max() < 1e-3
+
+
+# A jump at 0.5 on top of the scaled graph, as a flux jump absorbed
+# through outer = U^{-1} would put there.
+_OUTER = MonotoneGraph([0.5], [[0.5, 1.0]], [], (1.0, 1.0))
+_GRAPHS = {
+    "identity": MonotoneGraph.identity(),
+    "sign_plus_identity": MonotoneGraph.sign_plus_identity(),
+    "knots": MonotoneGraph.from_knots([[-1.0, -0.5], [0.0, 0.0], [0.5, 1.5]], (0.5, 2.0)),
+}
+# (x_lo, x_hi, cells): dyadic dx, where the kernel points of neighbouring
+# cells coincide once j is a power of two >= 4, and grids where they do not
+_GRIDS = [(-0.25, 0.25, 8), (-0.25, 0.25, 16), (-0.25, 0.3, 9), (-0.25, 0.3, 12)]
+
+
+@seed(20140413)
+@settings(max_examples=20, deadline=None)
+@given(
+    grid=st.sampled_from(_GRIDS),
+    j=st.one_of(st.sampled_from([1, 2, 4, 8, 16, 32, 64]), st.integers(1, 64)),
+    graph=st.sampled_from(sorted(_GRAPHS)),
+    with_outer=st.booleans(),
+    a=st.floats(1.0, 2.0),
+    b_frac=st.one_of(st.floats(-0.9, -0.1), st.floats(0.1, 0.9)),
+    k=st.floats(0.5, 3.0),
+    phase=st.floats(0.0, 6.3),
+)
+def test_regularize_smooth_shares_columns_exactly(grid, j, graph, with_outer,
+                                                  a, b_frac, k, phase):
+    # the deduplicated build is bit-identical to one column per (cell,
+    # node), and calls the resolvent once per distinct coefficient value
+    x_lo, x_hi, n = grid
+    dx = (x_hi - x_lo) / n
+    x = x_lo + dx * (np.arange(n) + 0.5)
+    b = b_frac * a
+    field = ThetaField.separable_smooth(
+        x, _GRAPHS[graph], lambda s: a + b * np.sin(k * s + phase))
+    outer = _OUTER if with_outer else None
+    calls = []
+
+    def counting_resolvent(*args):
+        calls.append(args)
+        return resolvent(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(monotone, "resolvent", counting_resolvent)
+        reg = regularize_theta(field, j, -4.0, 4.0, outer=outer)
+    assert len(calls) == len(np.unique(_kernel_coefficients(field, j)))
+    want = _per_node_smooth_table(field, j, -4.0, 4.0, outer=outer)
+    assert np.array_equal(reg.table, want)
+    assert np.array_equal(reg.cell_rows, np.arange(n))
+
+
+def _excess_peak(field, j):
+    """Traced peak of one build, beyond the bytes of the table it returns."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        reg = regularize_theta(field, j, -4.0, 4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - base - reg.table.nbytes
+
+
+def test_regularize_smooth_memory_does_not_scale_with_cells():
+    # no two kernel points coincide on this grid at j = 64, so every
+    # column is built once and dropped after its only cell; what remains
+    # per cell is the bookkeeping of its 16 kernel points
+    j = 64
+    peaks = {}
+    for n in (128, 512):
+        dx = 4.3 / n
+        x = -2.0 + dx * (np.arange(n) + 0.5)
+        field = ThetaField.separable_smooth(
+            x, MonotoneGraph.identity(), lambda s: 1.5 + 0.4 * np.sin(1.3 * s))
+        assert len(np.unique(_kernel_coefficients(field, j))) == 16 * n
+        peaks[n] = _excess_peak(field, j)
+    # one table row per cell would add 8.2 kB per cell, and holding the
+    # columns of all kernel points 131 kB; allow 2 kB for the 16 points
+    assert peaks[512] - peaks[128] < 2048 * (512 - 128)
+    # nor does the working set reach a table row's worth per cell
+    assert peaks[512] < 512 * THETA_SAMPLES * 8
 
 
 def test_state_value_round_trip():

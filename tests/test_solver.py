@@ -10,6 +10,7 @@ equation is within grid resolution of the classical one.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,6 +170,25 @@ def test_interface_mean_coefficient_row():
     got = reg.theta_if.sampled(rows, np.asarray([1.0]))[0]
     assert got == pytest.approx(15.0 / 11.0, abs=1e-12)
 
+
+
+def test_regularized_smooth_retains_three_tables():
+    # the theta, interface and flux tables are what a smooth 512-cell
+    # problem keeps before its first step; the flat |slope| array that
+    # only the flux's range queries read is built on the first query
+    spec = canonical_spec(coeff={"kind": "smooth", "a": 1.0, "b": 0.3, "k": 1.0, "phase": 0.5})
+    grid = Grid1D(spec.x_lo, spec.x_hi, 512)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        reg = regularized(spec, grid)
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    one_table = (grid.n_cells + 1) * reg.n_samples * 8
+    assert retained <= 3.5 * one_table
+    # a query over the whole sample range reaches every slope cell
+    assert reg.max_speed(reg.flux.lo, reg.flux.hi) == reg.flux.lipschitz
 
 # ---------------------------------------------------------------------------
 # Single explicit Euler step
