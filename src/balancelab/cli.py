@@ -32,14 +32,13 @@ from .entropy import (FORMS, ResidualEvaluator, ResolutionError,
                       battery_from_geometry, k_samples, l1_distance_curve,
                       pair_gap_battery)
 from .flux import build_parametrization
-from .harness import (j_schedule_run, monotone_in_ell_check,
-                      monotone_in_m_check, scheme_tol,
+from .harness import (check_grid_triple, j_schedule_run,
+                      monotone_in_ell_check, monotone_in_m_check, scheme_tol,
                       self_convergence_order, solve_points)
 from .measures import (default_support_radius, estimate_young_measure,
                        mv_residual_table, support_and_trace_check,
                        write_mv_table_csv)
-from .solver import (Field, Grid1D, SolverError, cfl_dt, regularized,
-                     run_to_csv, solve)
+from .solver import Grid1D, SolverError, run_to_csv, solve
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -118,21 +117,14 @@ def cmd_solve(cfg, out_dir, quiet):
 def cmd_verify(cfg, out_dir, quiet):
     spec = cfg.problem
     grid = _grid(cfg)
-    reg = regularized(spec, grid)
     psis = _battery(cfg)
 
     # A partner with the same operator but a rescaled datum, on one shared
     # step so snapshots align; the entropy battery uses the pair's first run.
     scale = float(cfg.options.get("partner_scale", 0.5))
     partner = dataclasses.replace(spec, u0=_scaled_u0(spec.u0, scale))
-    u1 = spec.initial_values(grid.centers, grid.dx)
-    u2 = partner.initial_values(grid.centers, grid.dx)
-    field1 = Field(u1, reg.v_of_u(u1))
-    field2 = Field(u2, reg.v_of_u(u2))
-    dt = min(cfl_dt(field1, reg), cfl_dt(field2, reg))
-    run1 = solve(spec, grid, snapshots=cfg.snapshots, dt_override=dt, reg=reg)
-    run2 = solve(partner, grid, snapshots=cfg.snapshots, dt_override=dt,
-                 reg=reg)
+    (run1, run2), _, (reg, reg2) = solve_points([spec, partner], grid,
+                                                cfg.snapshots)
 
     evaluator = ResidualEvaluator(run1, reg)
     _, U, V = run1.snapshot_matrix()
@@ -160,7 +152,7 @@ def cmd_verify(cfg, out_dir, quiet):
     slack = 1e-12 * max(1, run1.n_steps)
     growth = float(np.max(np.diff(dists))) if len(dists) > 1 else 0.0
     curve_ok = growth <= slack
-    gaps = pair_gap_battery("CONTRACTION", run1, run2, reg, reg, psis)
+    gaps = pair_gap_battery("CONTRACTION", run1, run2, reg, reg2, psis)
     gap_min = float(np.min(gaps)) if len(gaps) else 0.0
     pair_ok = curve_ok and gap_min >= -tol
     _write_json({
@@ -194,6 +186,14 @@ def cmd_verify(cfg, out_dir, quiet):
 def cmd_converge(cfg, out_dir, quiet):
     spec = cfg.problem
     grid = _grid(cfg)
+    sizes = cfg.grid_sizes
+    if len(sizes) >= 3:
+        triple = [int(n) for n in sizes[:3]]
+    else:
+        triple = [int(sizes[0]), 2 * int(sizes[0]), 4 * int(sizes[0])]
+    grids = [Grid1D(spec.x_lo, spec.x_hi, n) for n in triple]
+    check_grid_triple(grids)
+
     sch = cfg.schedules
     reports = {
         "m": monotone_in_m_check(spec, grid, sch["ell_fixed"], sch["m"],
@@ -211,12 +211,6 @@ def cmd_converge(cfg, out_dir, quiet):
         if kind in ("m", "ell") and rep.max_violation > rep.tolerance:
             ok = False
 
-    sizes = cfg.grid_sizes
-    if len(sizes) >= 3:
-        triple = [int(n) for n in sizes[:3]]
-    else:
-        triple = [int(sizes[0]), 2 * int(sizes[0]), 4 * int(sizes[0])]
-    grids = [Grid1D(spec.x_lo, spec.x_hi, n) for n in triple]
     order = self_convergence_order(spec, grids, snapshots=cfg.snapshots)
     _write_json({"grids": triple, "order": _jsonable(order)},
                 os.path.join(out_dir, "convergence.json"))

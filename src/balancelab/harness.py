@@ -17,14 +17,14 @@ Three families of sweeps, all returning one ScheduleReport type:
 * ``self_convergence_order`` estimates the refinement order from a
   dx-halving grid triple by cell-pair averaging the finer runs.
 
-Every sweep builds one regularized problem per schedule point and forces
-one shared time step, the smallest stable step over the schedule, so runs
-stay comparable point by point.  Schedule points solve concurrently;
+Every sweep runs its schedule through ``solve_points``, which builds one
+table set per distinct (j, gap_slope, sample_radius, theta_graph, coeff,
+flux): ell and m enter only through the source terms, so an m or ell
+sweep builds its tables once and a j sweep once per point.  All points share
+one time step, the smallest stable step over the schedule, so runs stay
+comparable point by point.  Schedule points solve concurrently;
 aggregation is by schedule index, so repeated invocations give
-bit-identical reports.  The tables of a point depend on the coefficient
-field, theta_graph, the flux, gap_slope, j, sample_radius and the grid;
-ell and m enter only through the source terms, so the points of an m or
-ell sweep rebuild equal tables.
+bit-identical reports.
 """
 
 from __future__ import annotations
@@ -112,10 +112,6 @@ class ScheduleReport:
                 raise ValueError("estimated orders must be finite")
 
     @property
-    def n_points(self):
-        return len(self.schedule)
-
-    @property
     def n_pairs(self):
         return max(len(self.schedule) - 1, 0)
 
@@ -166,19 +162,27 @@ class ScheduleReport:
 
 
 def solve_points(specs, grid, snapshots=8):
-    """Solve one run per spec with a single shared time step.
+    """Solve one run per spec on shared tables with one shared time step.
 
-    Each point gets its own regularized problem, although the tables do
-    not depend on ell and m: those enter only through ``source_values``
-    and ``lip_source``.  The step is the smallest stable step over the
-    sweep, so consecutive runs share snapshot instants exactly.  Points
-    run concurrently; returns (runs, dt, tables) in schedule order.
+    The tables depend only on j, gap_slope, sample_radius and the
+    theta_graph, coeff and flux objects, never on ell, m or the datum, so
+    specs that share those (by identity; sweeps derive their specs with
+    ``dataclasses.replace``) share one ``regularized`` build, and each spec
+    gets a copy that reads its own ell, m and j in ``source_values`` and
+    ``lip_source``.  The step is the smallest stable step over the specs,
+    so the runs share snapshot instants exactly.  Runs go concurrently;
+    returns (runs, dt, regs) in spec order.
     """
-    regs = [regularized(s, grid) for s in specs]
-    dts = []
-    for s, r in zip(specs, regs):
+    built, regs, dts = {}, [], []
+    for s in specs:
+        key = (s.j, s.gap_slope, s.sample_radius, id(s.theta_graph),
+               id(s.coeff), id(s.flux))
+        if key not in built:
+            built[key] = regularized(s, grid)
+        reg = dataclasses.replace(built[key], spec=s)
+        regs.append(reg)
         u0 = s.initial_values(grid.centers, grid.dx)
-        dts.append(cfl_dt(Field(u0, r.v_of_u(u0)), r))
+        dts.append(cfl_dt(Field(u0, reg.v_of_u(u0)), reg))
     dt = float(min(dts))
     workers = max(1, min(len(specs), os.cpu_count() or 1))
     with futures.ThreadPoolExecutor(max_workers=workers) as ex:
@@ -293,6 +297,18 @@ def j_schedule_run(spec, grid, j_schedule, snapshots=8):
                          {"ell": spec.ell, "m": spec.m})
 
 
+def check_grid_triple(grids):
+    """Raise ValueError unless ``grids`` are three dx-halving grids of one
+    domain, the refinement ``self_convergence_order`` needs."""
+    if len(grids) != 3:
+        raise ValueError("need exactly three grids")
+    for g_lo, g_hi in zip(grids, grids[1:]):
+        if (g_lo.x_lo, g_lo.x_hi) != (g_hi.x_lo, g_hi.x_hi):
+            raise ValueError("grids must share the domain")
+        if g_hi.n_cells != 2 * g_lo.n_cells:
+            raise ValueError("grids must halve dx at each step")
+
+
 def self_convergence_order(spec, grids, snapshots=4):
     """Estimated refinement order from a dx-halving grid triple.
 
@@ -301,13 +317,7 @@ def self_convergence_order(spec, grids, snapshots=4):
     A vanishing denominator (exact agreement, e.g. constant data) returns
     the +inf sentinel.
     """
-    if len(grids) != 3:
-        raise ValueError("need exactly three grids")
-    for g_lo, g_hi in zip(grids, grids[1:]):
-        if (g_lo.x_lo, g_lo.x_hi) != (g_hi.x_lo, g_hi.x_hi):
-            raise ValueError("grids must share the domain")
-        if g_hi.n_cells != 2 * g_lo.n_cells:
-            raise ValueError("grids must halve dx at each step")
+    check_grid_triple(grids)
     finals = [solve(spec, g, snapshots=snapshots).final_u for g in grids]
 
     def restrict(u):

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field as _field
 import numpy as np
 
 from .config import write_json
-from .entropy import quadrature
+from .entropy import _require_matching, quadrature
 from .problem import perturbation
 
 
@@ -141,11 +141,7 @@ def estimate_young_measure(ensemble, macro=(8, 8), merge_tol=1e-9, min_samples=1
     t0 = ensemble[0].times
     V_stack = []
     for run in ensemble:
-        if (run.grid.n_cells != g0.n_cells or run.grid.x_lo != g0.x_lo
-                or run.grid.x_hi != g0.x_hi):
-            raise ValueError("ensemble runs live on different grids")
-        if not np.array_equal(run.times, t0):
-            raise ValueError("ensemble runs have different snapshot times")
+        _require_matching(ensemble[0], run)
         _, _, V = run.snapshot_matrix()
         V_stack.append(V[:-1])
     S, n = V_stack[0].shape
@@ -400,7 +396,7 @@ def averaged_contraction_gap(ym1, ym2, psis, reg):
 # ---------------------------------------------------------------------------
 
 
-def support_and_trace_check(ym, r_field, u0_values, reg, window=None):
+def support_and_trace_check(ym, r_field, u0_values, reg):
     """Support envelope and initial-trace report of one estimate.
 
     ``r_field`` is a scalar or (t blocks, x blocks) array bound; every atom
@@ -411,10 +407,6 @@ def support_and_trace_check(ym, r_field, u0_values, reg, window=None):
     if r_arr.ndim == 0:
         r_arr = np.full((ym.n_t_blocks, ym.n_x_blocks), float(r_arr))
     u0 = np.asarray(u0_values, dtype=float)
-    if window is None:
-        in_window = np.ones(len(ym.centers), dtype=bool)
-    else:
-        in_window = (ym.centers >= window[0]) & (ym.centers <= window[1])
     violations = []
     trace = np.zeros(ym.n_t_blocks)
     for bt in range(ym.n_t_blocks):
@@ -423,10 +415,7 @@ def support_and_trace_check(ym, r_field, u0_values, reg, window=None):
             over = np.abs(vals) > r_arr[bt, bx]
             for v in vals[over]:
                 violations.append({"t_block": bt, "x_block": bx, "atom": float(v)})
-            xs, xe = ym.x_idx_edges[bx], ym.x_idx_edges[bx + 1]
-            cells = np.arange(xs, xe)[in_window[xs:xe]]
-            if len(cells) == 0:
-                continue
+            cells = slice(ym.x_idx_edges[bx], ym.x_idx_edges[bx + 1])
             eta = reg.theta.sampled.inverse(reg.theta.cell_rows[cells], vals[:, None])
             trace[bt] += ym.dx * float(wts @ np.sum(np.abs(eta - u0[cells]), axis=1))
     return {

@@ -72,14 +72,13 @@ def _kernel_cos_factor(z):
     return float(weights @ np.cos(z * nodes))
 
 
+# source id -> its parameter names
 _SOURCES = {
-    "zero": {"dissipative": True, "test_only": False, "params": ()},
-    "linear": {"dissipative": True, "test_only": False, "params": ("c",)},
-    "arctan": {"dissipative": True, "test_only": False, "params": ("c",)},
-    "modulated": {"dissipative": True, "test_only": False,
-                  "params": ("amp", "mod", "freq_t", "freq_x", "g")},
-    "antilinear_test": {"dissipative": False, "test_only": True,
-                        "params": ("c",)},
+    "zero": (),
+    "linear": ("c",),
+    "arctan": ("c",),
+    "modulated": ("amp", "mod", "freq_t", "freq_x", "g"),
+    "antilinear_test": ("c",),
 }
 
 
@@ -93,7 +92,7 @@ class SourceSpec:
     def __post_init__(self):
         if self.id not in _SOURCES:
             raise ValueError(f"unknown source id {self.id!r}")
-        p = dict(check_keys(self.params, _SOURCES[self.id]["params"],
+        p = dict(check_keys(self.params, _SOURCES[self.id],
                             "problem.source.params"))
         if self.id in ("linear", "arctan", "antilinear_test"):
             p.setdefault("c", 1.0)
@@ -176,14 +175,6 @@ class SourceSpec:
         return self.c_mollified(j, t, x) * self.g_mollified(j, u)
 
     # -- metadata --------------------------------------------------------------
-
-    @property
-    def dissipative(self):
-        return _SOURCES[self.id]["dissipative"]
-
-    @property
-    def test_only(self):
-        return _SOURCES[self.id]["test_only"]
 
     def lipschitz_u(self):
         p = self.params
@@ -379,6 +370,12 @@ class ProblemSpec:
 # ---------------------------------------------------------------------------
 
 
+# resolution of the sampled hypothesis checks: cells of the domain and
+# points of [-sample_radius, sample_radius]
+CHECK_CELLS = 64
+CHECK_U = 65
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -406,23 +403,15 @@ class ValidationReport:
     def to_dict(self):
         return {"ok": self.ok, "checks": [c.to_dict() for c in self.checks]}
 
-    def summary_lines(self):
-        lines = []
-        for c in self.checks:
-            mark = "PASS" if c.passed else "FAIL"
-            extra = "" if c.passed else f"  witness={c.witness}"
-            lines.append(f"[{mark}] {c.name}: {c.note}{extra}")
-        return lines
 
-
-def validate_spec(spec, n_cells=64, n_u=65, field=None):
+def validate_spec(spec, field=None):
     """Discrete hypothesis checks; returns a structured report, never raises.
 
     ``field`` overrides the materialized theta field (useful for probing
     deliberately broken fields that the separable constructors cannot build).
     """
     checks = []
-    x = np.linspace(spec.x_lo, spec.x_hi, n_cells + 1)
+    x = np.linspace(spec.x_lo, spec.x_hi, CHECK_CELLS + 1)
     centers = 0.5 * (x[:-1] + x[1:])
     dx = x[1] - x[0]
     if field is None:
@@ -431,7 +420,7 @@ def validate_spec(spec, n_cells=64, n_u=65, field=None):
 
     # theta passes through (x, 0, 0) in every cell
     bad = None
-    for i in range(n_cells):
+    for i in range(CHECK_CELLS):
         lo, hi = field.eval(i, np.asarray([0.0]))
         if lo[0] > 1e-12 or hi[0] < -1e-12:
             bad = {"cell": i, "value_interval": [float(lo[0]), float(hi[0])]}
@@ -446,14 +435,14 @@ def validate_spec(spec, n_cells=64, n_u=65, field=None):
     )
 
     # coercivity envelopes h1 <= |minimal selection| <= h2 on [-R, R]
-    us = np.linspace(-R, R, n_u)
-    sel = np.empty((n_cells, n_u))
-    for i in range(n_cells):
+    us = np.linspace(-R, R, CHECK_U)
+    sel = np.empty((CHECK_CELLS, CHECK_U))
+    for i in range(CHECK_CELLS):
         lo, hi = field.eval(i, us)
         sel[i] = np.abs(np.where(lo > 0.0, lo, np.where(hi < 0.0, hi, 0.0)))
     h1 = sel.min(axis=0)
     h2 = sel.max(axis=0)
-    mid = n_u // 2
+    mid = CHECK_U // 2
     mono_ok = bool(
         np.all(np.diff(h1[mid:]) >= -1e-9) and np.all(np.diff(h1[: mid + 1]) <= 1e-9)
     )
@@ -477,7 +466,7 @@ def validate_spec(spec, n_cells=64, n_u=65, field=None):
     ts = np.linspace(0.0, spec.T, 5)
     worst = 0.0
     for t in ts:
-        worst = max(worst, float(np.abs(spec.source.eval(t, centers, np.zeros(n_cells))).max()))
+        worst = max(worst, float(np.abs(spec.source.eval(t, centers, np.zeros(CHECK_CELLS))).max()))
     checks.append(
         CheckResult(
             "source_zero",
@@ -492,7 +481,7 @@ def validate_spec(spec, n_cells=64, n_u=65, field=None):
     worst_val = -np.inf
     worst_wit = {}
     for t in (0.0, 0.5 * spec.T, spec.T):
-        for xi in centers[:: max(1, n_cells // 8)]:
+        for xi in centers[:: max(1, CHECK_CELLS // 8)]:
             fv = spec.source.eval(t, np.full_like(upairs, xi), upairs)
             prod = (fv[:, None] - fv[None, :]) * (upairs[:, None] - upairs[None, :])
             k = int(np.argmax(prod))
@@ -531,7 +520,7 @@ def validate_spec(spec, n_cells=64, n_u=65, field=None):
     if spec.flux.has_jumps:
         par = build_parametrization(spec.flux, spec.gap_slope)
         outer = par.inverse_graph()
-        _, row_c = field.distinct_rows() if hasattr(field, "distinct_rows") else (None, [1.0])
+        _, row_c = field.distinct_rows()
         err = None
         for c in np.unique(np.asarray(row_c, dtype=float)):
             try:

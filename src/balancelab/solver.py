@@ -106,10 +106,6 @@ class RunResult:
     def final_u(self):
         return self.fields[-1].u
 
-    @property
-    def final_v(self):
-        return self.fields[-1].v
-
     def snapshot_matrix(self):
         """(times, U, V) with one snapshot per row."""
         U = np.stack([f.u for f in self.fields])
@@ -191,7 +187,7 @@ class RegularizedProblem:
 
     # -- interface flux ----------------------------------------------------------
 
-    def numerical_flux(self, uL, uR, rows=None):
+    def numerical_flux(self, uL, uR):
         """Local Lax-Friedrichs flux at every interface: (flux values, max speed).
 
         The viscosity coefficient a is the exact maximum of |dF/du| over the
@@ -199,8 +195,7 @@ class RegularizedProblem:
         under bracket inclusion; together with the CFL and source caps this
         makes the full cell update order preserving.
         """
-        if rows is None:
-            rows = self.theta_if.cell_rows
+        rows = self.theta_if.cell_rows
         a = self.flux.range_max_abs_slope(rows, np.minimum(uL, uR), np.maximum(uL, uR))
         return 0.5 * (self.flux(rows, uL) + self.flux(rows, uR)) - 0.5 * a * (uR - uL), a
 

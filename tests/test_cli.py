@@ -371,6 +371,23 @@ def test_converge_reports_and_finite_order(tmp_path):
     assert math.isfinite(float(rows[1][3]))
 
 
+def test_converge_rejects_non_doubling_grids_before_sweeps(tmp_path):
+    d = _load("constant_state").to_dict()
+    d["grid_sizes"] = [64, 100, 200]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    out = tmp_path / "c"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["converge", "--config", str(path), "--out", str(out),
+                     "--quiet"])
+    assert code == 2
+    payload = json.loads(err.getvalue())
+    assert payload["error"] == "config"
+    assert "halve dx" in payload["message"]
+    assert not (out / "schedule_m.json").exists()
+
+
 def test_converge_constant_config_hits_sentinel(tmp_path):
     out = tmp_path / "c"
     code = main(["converge", "--config", _config_path("constant_state"),

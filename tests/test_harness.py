@@ -1,19 +1,22 @@
 """Schedule sweeps: ordering checks, Cauchy runs, self-convergence."""
 
 import csv
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from balancelab import harness
 from balancelab.flux import FluxCurve
 from balancelab.harness import (ScheduleReport, j_schedule_run,
                                 monotone_in_ell_check, monotone_in_m_check,
-                                scheme_tol, self_convergence_order)
+                                scheme_tol, self_convergence_order,
+                                solve_points)
 from balancelab.monotone import MonotoneGraph
 from balancelab.problem import SourceSpec
-from balancelab.solver import Grid1D
+from balancelab.solver import Grid1D, solve
 from conftest import canonical_spec
 
 INF = math.inf
@@ -74,6 +77,35 @@ def test_report_field_validation():
                           "orders": [math.nan]})
 
 
+@pytest.mark.parametrize("field, values, n_builds", [
+    ("m", [1.0, 2.0, 4.0, 8.0], 1),
+    ("j", [4, 8, 16], 3),
+])
+def test_solve_points_builds_each_table_set_once(monkeypatch, field, values,
+                                                 n_builds):
+    # ell and m enter only through the sources, so an m sweep shares one
+    # table set; j changes the tables, so a j sweep builds one per point
+    built = []
+    original = harness.regularized
+
+    def counting(spec, grid):
+        built.append(spec)
+        return original(spec, grid)
+
+    monkeypatch.setattr(harness, "regularized", counting)
+    grid = Grid1D(-2.0, 2.0, 48)
+    base = _mixed_sign_spec(ell=2.0)
+    specs = [dataclasses.replace(base, **{field: v}) for v in values]
+    runs, dt, regs = solve_points(specs, grid, snapshots=4)
+    assert len(built) == n_builds
+    for spec, run, reg in zip(specs, runs, regs):
+        assert reg.spec is spec
+        alone = solve(spec, grid, snapshots=4, dt_override=dt)
+        assert np.array_equal(run.dt_history, alone.dt_history)
+        for got, want in zip(run.snapshot_matrix(), alone.snapshot_matrix()):
+            assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # Ordering along the perturbation schedules
 # ---------------------------------------------------------------------------
@@ -84,7 +116,7 @@ def test_monotone_in_m_ordering_within_tolerance():
     rep = monotone_in_m_check(_mixed_sign_spec(), grid, 1.0, [1, 2, 4])
     assert rep.kind == "m"
     assert rep.meta["ordering"] == "increasing"
-    assert rep.n_points == 3 and rep.n_pairs == 2
+    assert len(rep.schedule) == 3 and rep.n_pairs == 2
     assert all(d > 0 for d in rep.distances)
     assert rep.max_violation <= rep.tolerance
     vmax = max(s["v_abs_max"] for s in rep.summaries)
@@ -97,7 +129,7 @@ def test_monotone_in_m_sentinel_single_entry():
     # perturbation fully disabled: one run, empty pairwise report
     grid = Grid1D(-2.0, 2.0, 48)
     rep = monotone_in_m_check(canonical_spec(u0=TWOLOBE), grid, INF, [INF])
-    assert rep.n_points == 1 and rep.n_pairs == 0
+    assert len(rep.schedule) == 1 and rep.n_pairs == 0
     assert rep.distances == [] and rep.violation_counts == []
     assert rep.orders == [] and rep.max_violation == 0.0
 

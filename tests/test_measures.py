@@ -541,17 +541,6 @@ def test_trace_curve_first_value_shrinks_with_slab():
     assert first[4] < first[16]
 
 
-def test_trace_window_restriction():
-    res, reg = _run(_constant_spec(0.5))
-    ym = estimate_young_measure([res])
-    u0 = np.full(len(res.grid.centers), 0.0)
-    full = support_and_trace_check(ym, default_support_radius(ym), u0, reg)
-    half = support_and_trace_check(ym, default_support_radius(ym), u0, reg,
-                                   window=(-1.0, 1.0))
-    assert np.all(np.asarray(half["trace_values"])
-                  <= np.asarray(full["trace_values"]) + 1e-15)
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------

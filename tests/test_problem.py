@@ -15,6 +15,7 @@ import pytest
 from balancelab.flux import FluxCurve
 from balancelab.monotone import MonotoneGraph, mollifier_nodes
 from balancelab.problem import (
+    CHECK_CELLS,
     ProblemSpec,
     SourceSpec,
     initial_state,
@@ -72,12 +73,8 @@ def test_source_values_and_zero_at_origin():
     assert combined == pytest.approx(-1.0 - math.pi / 4, abs=1e-15)
 
 
-def test_source_dissipative_flags():
-    assert SourceSpec("linear").dissipative
-    assert SourceSpec("modulated").dissipative
+def test_antilinear_source_is_antidissipative():
     anti = SourceSpec("antilinear_test", {"c": 0.5})
-    assert not anti.dissipative
-    assert anti.test_only
     us = np.linspace(-2.0, 2.0, 9)
     fv = anti.eval(0.0, np.zeros_like(us), us)
     assert np.max((fv[:, None] - fv[None, :]) * (us[:, None] - us[None, :])) > 0
@@ -230,7 +227,6 @@ def test_validate_canonical_spec_passes():
     assert "theta_zero" in names
     assert "theta_envelopes" in names
     assert "source_dissipative" in names
-    assert any("PASS" in line for line in report.summary_lines())
     blob = json.dumps(report.to_dict())
     assert json.loads(blob)["ok"] is True
 
@@ -261,7 +257,7 @@ class _OffsetField:
 
 def test_validate_flags_zero_condition_violation():
     spec = canonical_spec()
-    x = np.linspace(spec.x_lo, spec.x_hi, 65)
+    x = np.linspace(spec.x_lo, spec.x_hi, CHECK_CELLS + 1)
     field = _OffsetField(0.5 * (x[:-1] + x[1:]))
     report = validate_spec(spec, field=field)
     check = {c.name: c for c in report.checks}["theta_zero"]

@@ -131,10 +131,10 @@ def interface_flux(uL, uR, x_iface, spec, grid=None, reg=None):
             grid = Grid1D(spec.x_lo, spec.x_hi, 64)
         reg = regularized(spec, grid)
     k = int(np.argmin(np.abs(reg.grid.interfaces - x_iface)))
-    value, _ = reg.numerical_flux(np.asarray([float(uL)]),
-                                  np.asarray([float(uR)]),
-                                  rows=reg.theta_if.cell_rows[k:k + 1])
-    return float(value[0])
+    n_if = len(reg.grid.interfaces)
+    value, _ = reg.numerical_flux(np.full(n_if, float(uL)),
+                                  np.full(n_if, float(uR)))
+    return float(value[k])
 
 
 def test_interface_flux_consistency():
@@ -315,7 +315,7 @@ def test_solve_conservation_maxprinciple_consistency():
     sup = np.max(np.abs(U), axis=1)
     assert np.all(np.diff(sup) <= 1e-14)
     # companion values stay consistent with the tables
-    assert np.array_equal(res.final_v, reg.v_of_u(res.final_u))
+    assert np.array_equal(res.fields[-1].v, reg.v_of_u(res.final_u))
     # realized CFL numbers stay near the target: rounding-level overshoots
     # of u past 1.0 can pull one extra slope cell into the speed bracket
     assert float(np.max(res.cfl_history)) <= 0.46
@@ -388,7 +388,7 @@ def test_jump_flux_run_smoke():
     assert np.max(np.abs(np.diff(res.mass_history))) < 1e-12
     assert float(res.final_u.min()) >= -1e-12
     assert float(res.final_u.max()) <= 1.0 + 1e-12
-    assert np.array_equal(res.final_v, reg.v_of_u(res.final_u))
+    assert np.array_equal(res.fields[-1].v, reg.v_of_u(res.final_u))
 
 
 def test_run_csv_and_metadata(tmp_path):
