@@ -38,6 +38,7 @@ from .harness import (check_grid_triple, j_schedule_run,
 from .measures import (default_support_radius, estimate_young_measure,
                        mv_residual_table, support_and_trace_check,
                        write_mv_table_csv)
+from .problem import u0_params
 from .solver import Grid1D, SolverError, run_to_csv, solve
 
 EXIT_OK = 0
@@ -87,7 +88,7 @@ def _scaled_u0(u0, scale):
     if uid == "zero":
         return {"id": "zero", "params": {}}
     key = "value" if uid == "constant" else "height"
-    params[key] = float(params[key]) * float(scale)
+    params[key] = float(u0_params(u0)[key]) * float(scale)
     return {"id": uid, "params": params}
 
 
@@ -129,7 +130,7 @@ def cmd_verify(cfg, out_dir, quiet):
     evaluator = ResidualEvaluator(run1, reg)
     _, U, V = run1.snapshot_matrix()
 
-    forms = [f for f in FORMS if f != "N1" or reg.field.smooth_in_x]
+    forms = [f for f in FORMS if f != "N1" or spec.smooth_in_x]
     kp = cfg.k_policy
     ks = {}
     for form in forms:

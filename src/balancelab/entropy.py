@@ -127,14 +127,13 @@ def k_samples(values, reg, n=33, space="v", pad=0.5):
     lo = float(w.min()) - pad
     hi = float(w.max()) + pad
     ks = list(np.linspace(lo, hi, n))
-    graph = reg.field.graph
+    graph = reg.spec.theta_graph
     if space == "v":
         if reg.par is not None:
             for a, b, _ in reg.par.plateaus:
                 ks += [a, b]
         else:
-            _, row_c = reg.field.distinct_rows()
-            for c in row_c:
+            for c in np.unique(reg.cell_c):
                 for j_lo, j_hi in np.atleast_2d(graph.jumps.reshape(-1, 2)):
                     ks += [c * j_lo, c * j_hi]
     else:
@@ -284,7 +283,7 @@ class ResidualEvaluator:
         theta = self.reg.theta
         curve = self.reg.curve
         if form == "N1":
-            if not self.reg.field.smooth_in_x:
+            if not self.reg.spec.smooth_in_x:
                 raise ValueError(
                     "the u-space Kruzkov form needs coefficients smooth in x "
                     "(div of the composed flux is measure-valued otherwise)")

@@ -87,10 +87,6 @@ class YoungMeasureEstimate:
         """Midpoint time of each time block."""
         return 0.5 * (self.t_idx_edges[:-1] + self.t_idx_edges[1:]) * self.slab
 
-    def max_atom_spread(self):
-        """Largest per-block atom spread (max - min), a concentration gauge."""
-        return max(float(v.max() - v.min()) for row in self.atoms for v, _ in row)
-
     def to_dict(self):
         return {
             "dx": self.dx,
@@ -169,23 +165,6 @@ def estimate_young_measure(ensemble, macro=(8, 8), merge_tol=1e-9, min_samples=1
         t_idx_edges=t_edges, x_idx_edges=x_edges, atoms=atoms,
         provenance={"n_runs": len(ensemble), "n_slabs": S, "n_cells": n,
                     "macro": [int(mt), int(mx)], "merge_tol": merge_tol})
-
-
-def dirac_estimate(run):
-    """Degenerate estimate with one fine sample per block: the collapse
-    construction under which every measure bracket reduces to the single
-    run's own residual integrand."""
-    times, _, V = run.snapshot_matrix()
-    Vs = V[:-1]
-    S, n = Vs.shape
-    atoms = [[(np.array([Vs[s, i]]), np.array([1.0])) for i in range(n)]
-             for s in range(S)]
-    slab = float(times[-1]) / S
-    return YoungMeasureEstimate(
-        times=times[:-1], centers=run.grid.centers, dx=run.grid.dx, slab=slab,
-        t_idx_edges=np.arange(S + 1), x_idx_edges=np.arange(n + 1),
-        atoms=atoms, provenance={"n_runs": 1, "n_slabs": S, "n_cells": n,
-                                 "macro": [1, 1]})
 
 
 def default_support_radius(ym):
@@ -320,23 +299,21 @@ class MeasureContext:
                           ym.centers, ym.dx, ym.slab, block=self.block_shape)
 
 
-def mu_is_atom(ym, mu):
-    """Whether mu lies within 1e-9 of an atom anywhere (the exceptional
-    level set: flagged in reports, never excluded)."""
-    for row in ym.atoms:
-        for vals, _ in row:
-            if np.any(np.abs(vals - mu) <= 1e-9):
-                return True
-    return False
+def mu_is_atom(atoms, mu):
+    """Whether mu lies within 1e-9 of one of the atoms, a flat array of
+    every block's atom values (the exceptional level set: flagged in
+    reports, never excluded)."""
+    return bool(np.any(np.abs(atoms - mu) <= 1e-9))
 
 
 def mv_residual_table(ym, reg, mus, psis, gamma=0.0):
     """Rows (sign, mu, psi_id, residual, mu_is_atom) in fixed order."""
     ctx = MeasureContext(ym, reg)
+    atoms = np.concatenate([vals for row in ym.atoms for vals, _ in row])
     rows = []
     for sign in ("PLUS", "MINUS"):
         for mu in np.asarray(mus, dtype=float):
-            flag = mu_is_atom(ym, mu)
+            flag = mu_is_atom(atoms, mu)
             for psi, res in zip(psis, ctx.residual(sign, mu, psis, gamma)):
                 rows.append((sign, float(mu), psi.label, float(res), flag))
     return rows

@@ -15,13 +15,18 @@ The resolvent (id + lam*theta)^(-1) is single-valued, nonexpansive and has a
 closed form on each affine piece; the Yosida transform
 theta_lam = (id - resolvent)/lam is the (1/lam)-Lipschitz single-valued
 approximation used by the regularization pipeline.
+
+The nonlinearity theta(x, u) = c(x) g(u) reaches this module only as
+coefficient samples: ``regularize_theta`` takes one graph g and, per point,
+a row of coefficient values with the weights that average their columns.
+It knows no coefficient layout; ``ProblemSpec`` chooses the samples.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -505,77 +510,6 @@ class Table:
 
 
 # ---------------------------------------------------------------------------
-# ThetaField: x-indexed family of graphs theta(x, .) = c(x) * g(u)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ThetaField:
-    """Per-cell monotone graphs on a 1D grid of cell centers.
-
-    Three coefficient layouts: constant, piecewise constant in x, smooth in x.
-    All share the separable form c(x) * g(u) with c > 0, which keeps
-    0 in theta(x, 0) automatically.
-    """
-
-    x_centers: np.ndarray
-    graph: MonotoneGraph
-    kind: str  # "const" | "pwc" | "smooth" | "rows"
-    cell_c: np.ndarray
-    c_fn: object = None  # smooth coefficient callable
-
-    @staticmethod
-    def homogeneous(x_centers, graph):
-        x = np.asarray(x_centers, dtype=float)
-        return ThetaField(x, graph, "const", np.ones_like(x))
-
-    @staticmethod
-    def separable_pwc(x_centers, graph, x_breaks, region_c):
-        """c(x) piecewise constant: region_c[k] on (x_breaks[k-1], x_breaks[k])."""
-        x = np.asarray(x_centers, dtype=float)
-        xb = np.asarray(x_breaks, dtype=float)
-        rc = np.asarray(region_c, dtype=float)
-        if len(rc) != len(xb) + 1:
-            raise ValueError("need one region value more than break count")
-        if np.any(rc <= 0):
-            raise ValueError("coefficients must be positive")
-        return ThetaField(x, graph, "pwc", rc[np.searchsorted(xb, x, side="right")])
-
-    @staticmethod
-    def separable_smooth(x_centers, graph, c_fn):
-        x = np.asarray(x_centers, dtype=float)
-        cell = np.asarray(c_fn(x), dtype=float)
-        if np.any(cell <= 0):
-            raise ValueError("coefficients must be positive")
-        return ThetaField(x, graph, "smooth", cell, c_fn=c_fn)
-
-    @staticmethod
-    def explicit(x_centers, graph, cell_c):
-        """One coefficient per cell, no x-smoothing (interface tables)."""
-        x = np.asarray(x_centers, dtype=float)
-        cell = np.asarray(cell_c, dtype=float)
-        if np.any(cell <= 0):
-            raise ValueError("coefficients must be positive")
-        return ThetaField(x, graph, "rows", cell)
-
-    @property
-    def smooth_in_x(self):
-        return self.kind in ("const", "smooth")
-
-    def eval(self, i, u):
-        """Value set of theta(x_i, .) at u."""
-        lo, hi = self.graph.eval(np.asarray(u, dtype=float))
-        c = self.cell_c[i]
-        return lo * c, hi * c
-
-    def distinct_rows(self):
-        """(row index per cell, coefficient per row): one row per distinct
-        coefficient, in increasing order."""
-        uniq, inv = np.unique(self.cell_c, return_inverse=True)
-        return inv, uniq
-
-
-# ---------------------------------------------------------------------------
 # Regularization: Yosida (lam = 1/sqrt(j)) + mollification (radius 1/j)
 # + zero-normalization theta_j(x, 0) = 0.
 # ---------------------------------------------------------------------------
@@ -586,14 +520,13 @@ THETA_SAMPLES = 1025
 
 @dataclass
 class ThetaRegularization:
-    """Sampled theta_j(x, .) per cell, shared across cells where possible."""
+    """Sampled theta_j(x, .) per point, one row per distinct coefficient row."""
 
-    field: ThetaField
     j: int
     u_lo: float
     u_hi: float
     table: np.ndarray       # (n_rows, n_samples) strictly increasing rows
-    cell_rows: np.ndarray   # (n_cells,) row index per cell
+    cell_rows: np.ndarray   # (n_points,) row index per point
 
     def __post_init__(self):
         self.sampled = Table(self.u_lo, self.u_hi, self.table)
@@ -619,84 +552,79 @@ class ThetaRegularization:
         return self.sampled.inverse(self.cell_rows, v_value)
 
 
-def regularize_theta(field, j, u_lo, u_hi, outer=None):
-    """Yosida transform with lam = 1/sqrt(j) rescaled by (1 + lam),
-    mollification with radius 1/j in u (and in x for smooth coefficient
-    fields), then zero-normalization so that theta_j(x, 0) = 0 exactly.
+def regularize_theta(graph, coeffs, weights, j, u_lo, u_hi, outer=None):
+    """Sampled theta_j of c*graph at each point: the Yosida transform with
+    lam = 1/sqrt(j) rescaled by (1 + lam), mollification with radius 1/j
+    in u, then zero-normalization so that theta_j(x, 0) = 0 exactly.
+
+    Row p of ``coeffs`` holds the coefficient samples of point p; its table
+    row is the ``weights``-weighted sum of their columns (one sample with
+    weight 1 for a coefficient taken as it is, the x-kernel's samples and
+    weights for one mollified in x).  Points with equal coefficient rows
+    share one table row, in the order of first use.
 
     The Yosida transform shrinks slope-1 affine branches by 1/(1 + lam);
     the (1 + lam) factor undoes that, so the identity graph is reproduced
     exactly for every j while the lam -> 0 limit is unchanged.
 
-    ``outer`` composes an extra monotone graph on top of each cell's scaled
-    graph before regularizing (used to absorb flux jumps: outer = U^{-1}).
+    ``outer`` composes an extra monotone graph on top of each scaled graph
+    before regularizing (used to absorb flux jumps: outer = U^{-1}).
 
-    One column is built per distinct coefficient value and shared: across
-    cells with the same coefficient for constant and piecewise-constant
-    fields, and across the (cell, kernel node) points of a smooth field
-    whose coefficient lands on the same float.  The tables equal those of
-    one column per point bit for bit.
+    A column depends on its coefficient value alone, so one column is built
+    per distinct value and held from the first to the last row that uses
+    it; the tables equal those of one column per sample bit for bit.
     """
     if j < 1:
         raise ValueError("regularization index j must be >= 1")
     lam = 1.0 / math.sqrt(j)
     r = 1.0 / j
-    nodes, weights = mollifier_nodes()
+    nodes, kernel = mollifier_nodes()
     grid = np.linspace(u_lo, u_hi, THETA_SAMPLES)
     # evaluation points for the u-convolution, plus u = 0 for normalization
     pts = np.concatenate([grid, [0.0]])[:, None] - r * nodes[None, :]  # (n+1, 16)
 
-    def u_mollified_yosida(graph, scaled_lam):
+    def u_mollified_yosida(g, scaled_lam):
         # in place on the resolvent's fresh array: one temporary per call, not
         # four, so the allocator does not shrink and regrow the heap each call
-        yos = resolvent(graph, scaled_lam, pts.ravel()).reshape(pts.shape)
+        yos = resolvent(g, scaled_lam, pts.ravel()).reshape(pts.shape)
         np.subtract(pts, yos, out=yos)
         yos /= scaled_lam
-        yos *= weights
+        yos *= kernel
         # row-wise kernel sum: rows with identical content reduce to
         # bit-identical values, so the appended u = 0 row normalizes the
         # 0 node of the table to exactly 0
         return yos.sum(axis=1)
 
-    def cell_column(c):
+    def column(c):
         if outer is None:
             # theta = c*g: resolvent at lam*c, Yosida scaled back by c
-            return (1.0 + lam) * c * u_mollified_yosida(field.graph, lam * c)
+            return (1.0 + lam) * c * u_mollified_yosida(graph, lam * c)
         return (1.0 + lam) * u_mollified_yosida(
-            compose_graphs(outer, field.graph.scaled(c)), lam)
+            compose_graphs(outer, graph.scaled(c)), lam)
 
-    if field.kind != "smooth":
-        cell_rows, row_c = field.distinct_rows()
-        table = np.empty((len(row_c), THETA_SAMPLES))
-        for k, c in enumerate(row_c):
-            col = cell_column(c)
-            table[k] = col[:-1] - col[-1]
-        return ThetaRegularization(field, j, u_lo, u_hi, table, cell_rows)
-
-    # smooth coefficient: additional convolution across x with the same
-    # kernel.  A column depends on its coefficient value alone, and the
-    # kernel points of neighbouring cells often land on the same float, so
-    # each distinct value's column is built once and held from the first
-    # to the last cell that uses it.
-    x = field.x_centers
-    n = len(x)
-    cvals = np.array([field.c_fn(x[i] - r * nodes) for i in range(n)])
-    values, keys = np.unique(cvals, return_inverse=True)
-    keys = keys.reshape(cvals.shape)
-    last_cell = np.zeros(len(values), dtype=int)
-    np.maximum.at(last_cell, keys, np.arange(n)[:, None])
+    # distinct coefficient rows, renumbered in order of first use; then the
+    # distinct values within them, each with the last row that needs it
+    coeffs = np.asarray(coeffs, dtype=float)
+    rows, first, point_row = np.unique(coeffs, axis=0, return_index=True,
+                                       return_inverse=True)
+    order = np.argsort(first)
+    rank = np.argsort(order)
+    values, keys = np.unique(rows[order], return_inverse=True)
+    keys = keys.reshape(rows.shape)
+    last_row = np.zeros(len(values), dtype=int)
+    np.maximum.at(last_row, keys, np.arange(len(keys))[:, None])
     cols = {}
-    table = np.empty((n, THETA_SAMPLES))
-    for i in range(n):
+    table = np.empty((len(keys), THETA_SAMPLES))
+    for i in range(len(keys)):
         acc = np.zeros(THETA_SAMPLES + 1)
         for p, k in enumerate(keys[i].tolist()):
             if k not in cols:
-                cols[k] = cell_column(values[k])
+                cols[k] = column(values[k])
             acc += weights[p] * cols[k]
         table[i] = acc[:-1] - acc[-1]
-        for k in keys[i][last_cell[keys[i]] == i].tolist():
+        for k in keys[i][last_row[keys[i]] == i].tolist():
             cols.pop(k, None)
-    return ThetaRegularization(field, j, u_lo, u_hi, table, np.arange(n))
+    return ThetaRegularization(j, u_lo, u_hi, table, rank[point_row.ravel()])
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flux import FluxCurve, build_parametrization
-from .monotone import (MonotoneGraph, ThetaField, bump_profile, compose_graphs,
+from .monotone import (MonotoneGraph, bump_profile, compose_graphs,
                        mollifier_nodes)
 
 
@@ -201,17 +201,23 @@ class SourceSpec:
 _U0_PARAMS = {"zero": (), "constant": ("value",), "box": ("height", "a", "b"),
               "bump": ("height", "a", "b"),
               "twolobe": ("height", "a", "b", "skew")}
+_U0_DEFAULTS = {"value": 1.0, "skew": 0.8}
+
+
+def u0_params(u0):
+    """Parameters of an initial datum, with the optional ones defaulted."""
+    return {**_U0_DEFAULTS, **u0.get("params", {})}
 
 
 def initial_state(u0, x_centers, dx):
     """Cell values of the initial datum; box data use exact cell averages."""
     uid = u0.get("id", "zero")
-    p = u0.get("params", {})
+    p = u0_params(u0)
     x = np.asarray(x_centers, dtype=float)
     if uid == "zero":
         return np.zeros_like(x)
     if uid == "constant":
-        return np.full_like(x, float(p.get("value", 1.0)))
+        return np.full_like(x, float(p["value"]))
     if uid not in ("box", "bump", "twolobe"):
         raise ValueError(f"unknown initial datum id {uid!r}")
     h, a, b = float(p["height"]), float(p["a"]), float(p["b"])
@@ -224,7 +230,7 @@ def initial_state(u0, x_centers, dx):
     if uid == "bump":
         y = (2.0 * (x - a) / (b - a)) - 1.0
         return h * bump_profile(y)
-    skew = float(p.get("skew", 0.8))
+    skew = float(p["skew"])
     r = 0.25 * (b - a)
     return (h * bump_profile((x - (a + r)) / r)
             - skew * h * bump_profile((x - (b - r)) / r))
@@ -241,11 +247,12 @@ def _index_to_json(v):
 
 _COEFF_KEYS = {"const": ("kind",), "pwc": ("kind", "x_breaks", "region_c"),
                "smooth": ("kind", "a", "b", "k", "phase")}
+_SMOOTH_DEFAULTS = {"a": 1.0, "b": 0.0, "k": 1.0, "phase": 0.0}
 
 
 @dataclass
 class ProblemSpec:
-    """Declarative problem instance; grids materialize the theta field."""
+    """Declarative problem instance; it alone reads the coefficient layout."""
 
     x_lo: float
     x_hi: float
@@ -278,36 +285,59 @@ class ProblemSpec:
             raise ValueError(f"unknown coefficient kind {kind!r}")
         check_keys(self.coeff, _COEFF_KEYS[kind], "problem.theta.coeff")
         if kind == "smooth":
-            a = float(self.coeff.get("a", 1.0))
-            b = float(self.coeff.get("b", 0.0))
-            if a - abs(b) <= 0:
+            p = {**_SMOOTH_DEFAULTS, **self.coeff}
+            if float(p["a"]) - abs(float(p["b"])) <= 0:
                 raise ValueError("smooth coefficient must stay positive: need a > |b|")
+        if kind == "pwc":
+            xb = np.asarray(self.coeff["x_breaks"], dtype=float)
+            rc = np.asarray(self.coeff["region_c"], dtype=float)
+            if xb.ndim != 1 or rc.shape != (len(xb) + 1,):
+                raise ValueError("pwc coefficient needs one region_c value more "
+                                 "than x_breaks values")
+            if np.any(rc <= 0):
+                raise ValueError("pwc coefficient values must be positive")
+            if np.any(np.diff(xb) <= 0):
+                raise ValueError("pwc x_breaks must be strictly increasing")
         uid = check_keys(self.u0, ("id", "params"), "problem.u0").get("id", "zero")
         if uid not in _U0_PARAMS:
             raise ValueError(f"unknown initial datum id {uid!r}")
         check_keys(self.u0.get("params", {}), _U0_PARAMS[uid], "problem.u0.params")
         # one evaluation each rejects a missing or wrong-typed parameter here
         initial_state(self.u0, [0.0], 1.0)
-        self.make_theta_field([0.0])
+        self.coefficient([0.0])
         self.source.eval_mollified(self.j, 0.0, [0.0], [0.0])
 
-    # -- materialization -------------------------------------------------------
+    # -- coefficient layout ----------------------------------------------------
 
-    def make_theta_field(self, x_centers):
+    @property
+    def smooth_in_x(self):
+        """Whether c(x) is smooth (constant or smooth kind), not piecewise."""
+        return self.coeff.get("kind", "const") in ("const", "smooth")
+
+    def coefficient(self, x):
+        """c(x) at the points x (any shape)."""
+        x = np.asarray(x, dtype=float)
         kind = self.coeff.get("kind", "const")
         if kind == "const":
-            return ThetaField.homogeneous(x_centers, self.theta_graph)
+            return np.ones_like(x)
         if kind == "pwc":
-            return ThetaField.separable_pwc(
-                x_centers, self.theta_graph, self.coeff["x_breaks"], self.coeff["region_c"]
-            )
-        a = float(self.coeff.get("a", 1.0))
-        b = float(self.coeff.get("b", 0.0))
-        k = float(self.coeff.get("k", 1.0))
-        phase = float(self.coeff.get("phase", 0.0))
-        return ThetaField.separable_smooth(
-            x_centers, self.theta_graph, lambda s: a + b * np.sin(k * s + phase)
-        )
+            xb = np.asarray(self.coeff["x_breaks"], dtype=float)
+            rc = np.asarray(self.coeff["region_c"], dtype=float)
+            return rc[np.searchsorted(xb, x, side="right")]
+        p = {**_SMOOTH_DEFAULTS, **self.coeff}
+        a, b, k, phase = (float(p[name]) for name in _SMOOTH_DEFAULTS)
+        return a + b * np.sin(k * x + phase)
+
+    def coefficient_samples(self, x):
+        """(samples, weights) per point of x: the coefficient samples whose
+        weighted columns sum to its theta_j row.  A smooth coefficient is
+        mollified in x with the u-kernel (its values at x - nodes/j); any
+        other is taken at x with weight 1."""
+        x = np.asarray(x, dtype=float)
+        if self.coeff.get("kind") != "smooth":
+            return self.coefficient(x)[:, None], [1.0]
+        nodes, weights = mollifier_nodes()
+        return self.coefficient(x[:, None] - (1.0 / self.j) * nodes), weights
 
     def initial_values(self, x_centers, dx):
         return initial_state(self.u0, x_centers, dx)
@@ -407,21 +437,25 @@ class ValidationReport:
 def validate_spec(spec, field=None):
     """Discrete hypothesis checks; returns a structured report, never raises.
 
-    ``field`` overrides the materialized theta field (useful for probing
-    deliberately broken fields that the separable constructors cannot build).
+    ``field(i, u)`` is the value set (lo, hi) of theta(x_i, .) at u in check
+    cell i; it defaults to c(x_i) g(u) and can be replaced to probe
+    deliberately broken fields that a coefficient cannot describe.
     """
     checks = []
     x = np.linspace(spec.x_lo, spec.x_hi, CHECK_CELLS + 1)
     centers = 0.5 * (x[:-1] + x[1:])
     dx = x[1] - x[0]
+    cell_c = spec.coefficient(centers)
     if field is None:
-        field = spec.make_theta_field(centers)
+        def field(i, u):
+            lo, hi = spec.theta_graph.eval(u)
+            return lo * cell_c[i], hi * cell_c[i]
     R = spec.sample_radius
 
     # theta passes through (x, 0, 0) in every cell
     bad = None
     for i in range(CHECK_CELLS):
-        lo, hi = field.eval(i, np.asarray([0.0]))
+        lo, hi = field(i, np.asarray([0.0]))
         if lo[0] > 1e-12 or hi[0] < -1e-12:
             bad = {"cell": i, "value_interval": [float(lo[0]), float(hi[0])]}
             break
@@ -438,7 +472,7 @@ def validate_spec(spec, field=None):
     us = np.linspace(-R, R, CHECK_U)
     sel = np.empty((CHECK_CELLS, CHECK_U))
     for i in range(CHECK_CELLS):
-        lo, hi = field.eval(i, us)
+        lo, hi = field(i, us)
         sel[i] = np.abs(np.where(lo > 0.0, lo, np.where(hi < 0.0, hi, 0.0)))
     h1 = sel.min(axis=0)
     h2 = sel.max(axis=0)
@@ -520,9 +554,8 @@ def validate_spec(spec, field=None):
     if spec.flux.has_jumps:
         par = build_parametrization(spec.flux, spec.gap_slope)
         outer = par.inverse_graph()
-        _, row_c = field.distinct_rows()
         err = None
-        for c in np.unique(np.asarray(row_c, dtype=float)):
+        for c in np.unique(cell_c):
             try:
                 compose_graphs(outer, spec.theta_graph.scaled(float(c)))
             except ValueError as e:

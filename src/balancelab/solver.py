@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as _field
 import numpy as np
 
 from .flux import build_parametrization, mollify_callable
-from .monotone import Table, ThetaField, regularize_theta
+from .monotone import Table, regularize_theta
 from .problem import perturbation, perturbation_lipschitz
 
 DEFAULT_CFL = 0.45
@@ -152,15 +152,16 @@ def run_to_csv(result, path):
 class RegularizedProblem:
     """Sampled tables realizing one (j, l, m) regularization on one grid.
 
-    ``theta`` holds the per-cell tables of theta_j, ``theta_if`` the
-    per-interface tables built from arithmetically averaged coefficients,
-    and ``flux`` the composed interface flux F(u) on the shared u sample
-    grid, one row per interface row of ``theta_if``.
+    ``cell_c`` holds the coefficient c(x_i) of each cell, ``theta`` the
+    per-cell tables of theta_j, ``theta_if`` the per-interface tables built
+    from arithmetically averaged coefficients, and ``flux`` the composed
+    interface flux F(u) on the shared u sample grid, one row per interface
+    row of ``theta_if``.
     """
 
     spec: object
     grid: Grid1D
-    field: ThetaField
+    cell_c: np.ndarray
     theta: object
     theta_if: object
     curve: Table
@@ -221,23 +222,24 @@ def regularized(spec, grid):
     interface flux.
     """
     rad = spec.sample_radius
-    field = spec.make_theta_field(grid.centers)
     par = None
     outer = None
     if spec.flux.has_jumps:
         par = build_parametrization(spec.flux, spec.gap_slope)
         outer = par.inverse_graph()
-    theta = regularize_theta(field, spec.j, -rad, rad, outer=outer)
+    coeffs, weights = spec.coefficient_samples(grid.centers)
+    theta = regularize_theta(spec.theta_graph, coeffs, weights, spec.j, -rad,
+                             rad, outer=outer)
 
     # Interface coefficients: arithmetic mean of the two adjacent cell
     # coefficients, extended constantly into the ghost region.
-    c = field.cell_c
+    c = spec.coefficient(grid.centers)
     c_if = np.empty(grid.n_cells + 1)
     c_if[1:-1] = 0.5 * (c[:-1] + c[1:])
     c_if[0] = c[0]
     c_if[-1] = c[-1]
-    field_if = ThetaField.explicit(grid.interfaces, field.graph, c_if)
-    theta_if = regularize_theta(field_if, spec.j, -rad, rad, outer=outer)
+    theta_if = regularize_theta(spec.theta_graph, c_if[:, None], [1.0], spec.j,
+                                -rad, rad, outer=outer)
 
     v_lo = min(theta.table.min(), theta_if.table.min())
     v_hi = max(theta.table.max(), theta_if.table.max())
@@ -245,8 +247,7 @@ def regularized(spec, grid):
     curve = mollify_callable(spec.flux.eval if par is None else par.calA,
                              spec.j, v_lo - pad, v_hi + pad)
     flux = Table(theta_if.u_lo, theta_if.u_hi, curve(0, theta_if.table))
-    return RegularizedProblem(spec, grid, field, theta, theta_if, curve, par,
-                              flux)
+    return RegularizedProblem(spec, grid, c, theta, theta_if, curve, par, flux)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from balancelab.entropy import (ResidualEvaluator, battery_from_geometry,
 from balancelab.harness import (j_schedule_run, monotone_in_ell_check,
                                 monotone_in_m_check, scheme_tol, solve_points)
 from balancelab.measures import (MeasureContext, averaged_contraction_gap,
-                                 dirac_estimate, estimate_young_measure)
+                                 estimate_young_measure)
 from balancelab.monotone import (MonotoneGraph, Table,
                                  check_inverse_convergence, resolvent, yosida)
 from balancelab.solver import Field, Grid1D, cfl_dt, regularized, solve
@@ -235,7 +235,7 @@ def _battery_min(cfg, n_cells):
     psis = battery_from_geometry(spec)
     forms = ["SEMI_PLUS", "SEMI_MINUS", "SGN", "N2"]
     ks_by_form = {form: ks for form in forms}
-    if reg.field.smooth_in_x:
+    if spec.smooth_in_x:
         forms.append("N1")
         _, U, _ = run.snapshot_matrix()
         ks_by_form["N1"] = k_samples(U, reg, n=cfg.k_policy["n"], space="u",
@@ -314,7 +314,7 @@ def test_criterion_6_measure_valued_consistency():
     grid = Grid1D(spec.x_lo, spec.x_hi, 64)
     reg = regularized(spec, grid)
     run = solve(spec, grid, snapshots=64, reg=reg)
-    ym = dirac_estimate(run)
+    ym = estimate_young_measure([run], macro=(1, 1), min_samples=1)
     ev = ResidualEvaluator(run, reg)
     ctx = MeasureContext(ym, reg)
     psis = battery_from_geometry(spec)[::4]

@@ -184,6 +184,24 @@ def test_empty_datum_interval_exits_2(uid, tmp_path, capsys):
     assert err["error"] == "config" and "a < b" in err["message"]
 
 
+@pytest.mark.parametrize("x_breaks,region_c,words", [
+    ([0.5, -0.5], [1.0, 2.0, 3.0], "strictly increasing"),
+    ([0.0, 0.0], [1.0, 2.0, 3.0], "strictly increasing"),
+    ([0.0], [1.0], "one region_c value more"),
+    ([0.0], [1.0, 0.0], "positive"),
+])
+def test_bad_pwc_coefficient_exits_2(x_breaks, region_c, words, tmp_path,
+                                     capsys):
+    d = _load("pwc_coeff").to_dict()
+    d["problem"]["theta"]["coeff"].update(x_breaks=x_breaks, region_c=region_c)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(d))
+    code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and words in err["message"]
+
+
 def test_non_integral_j_exits_2(tmp_path, capsys):
     d = _load("burgers_riemann").to_dict()
     d["problem"]["indices"]["j"] = 1.5
@@ -316,6 +334,21 @@ def test_verify_constant_config_all_residuals_tiny(tmp_path):
     assert residuals and max(residuals) <= 1e-8
     pair = json.loads((out / "pair_check.json").read_text())
     assert pair["curve_nonincreasing"] and pair["gaps_nonnegative"]
+
+
+def test_verify_constant_datum_defaults_its_value(tmp_path):
+    # the partner of a constant datum without "value" scales the default 1.0
+    outs = []
+    for params in ({}, {"value": 1.0}):
+        d = _load("constant_state").to_dict()
+        d["problem"]["u0"]["params"] = params
+        path = tmp_path / ("cfg%d.json" % len(outs))
+        path.write_text(json.dumps(d))
+        out = tmp_path / ("v%d" % len(outs))
+        assert main(["verify", "--config", str(path), "--out", str(out),
+                     "--quiet"]) == 0
+        outs.append((out / "pair_check.json").read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_verify_antidissipative_source_fails_contraction(tmp_path):

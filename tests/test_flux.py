@@ -19,7 +19,6 @@ from balancelab.flux import (
 )
 from balancelab.monotone import (
     MonotoneGraph,
-    ThetaField,
     ThetaRegularization,
     compose_graphs,
     mollifier_nodes,
@@ -305,13 +304,13 @@ def composed_flux(x_cell, u, theta, curve):
     """Value (or filled interval) of the flux over theta(x_cell, u).
 
     With a regularized theta the composition is single-valued and a float is
-    returned; with a raw ThetaField the result is a float off jumps and a
-    (lo, hi) interval across them.
+    returned; with a raw MonotoneGraph (the same in every cell) the result
+    is a float off jumps and a (lo, hi) interval across them.
     """
     if isinstance(theta, ThetaRegularization):
         v = float(theta.v_of_u(u)[x_cell])
         return _curve_point(curve, v)
-    lo, hi = theta.eval(x_cell, u)
+    lo, hi = theta.eval(u)
     lo, hi = float(lo[0]), float(hi[0])
     if lo == hi:
         vs = curve.value_set(lo) if isinstance(curve, FluxCurve) else None
@@ -331,23 +330,21 @@ def _curve_point(curve, v):
 
 
 def test_composed_flux_values():
-    x = np.linspace(-1.0, 1.0, 8)
     burgers = FluxCurve.from_function(lambda v: 0.5 * v * v, -3.0, 3.0)
-    ident = ThetaField.homogeneous(x, MonotoneGraph.identity())
+    ident = MonotoneGraph.identity()
     assert composed_flux(3, 2.0, ident, burgers) == pytest.approx(2.0, abs=1e-6)
-    sgn = ThetaField.homogeneous(x, MonotoneGraph.sign())
+    sgn = MonotoneGraph.sign()
     iden_curve = FluxCurve.from_function(lambda v: v, -3.0, 3.0)
     lo, hi = composed_flux(0, 0.0, sgn, iden_curve)
     assert (lo, hi) == (-1.0, 1.0)
     # regularized identity theta is the identity, so the composition is A
-    reg = regularize_theta(ident, 100, -4.0, 4.0)
+    reg = regularize_theta(ident, np.ones((8, 1)), [1.0], 100, -4.0, 4.0)
     val = composed_flux(0, 2.0, reg, burgers)
     assert val == pytest.approx(2.0, abs=1e-5)
 
 
 def test_composed_flux_with_sampled_curve():
-    x = np.linspace(-1.0, 1.0, 8)
-    sgn = ThetaField.homogeneous(x, MonotoneGraph.sign())
+    sgn = MonotoneGraph.sign()
     sm = smooth_flux(FluxCurve.from_function(lambda v: v * v, -3.0, 3.0), 50, -2.0, 2.0)
     lo, hi = composed_flux(0, 0.0, sgn, sm)
     assert lo == pytest.approx(0.0, abs=1e-3)

@@ -16,7 +16,7 @@ from balancelab.harness import solve_points
 from balancelab.measures import (MeasureContext, YoungMeasureEstimate,
                                  averaged_contraction_gap, chi_gamma_above,
                                  chi_gamma_below, default_support_radius,
-                                 dirac_estimate, estimate_young_measure,
+                                 estimate_young_measure,
                                  mu_is_atom, mv_residual_table,
                                  support_and_trace_check, write_mv_table_csv)
 from balancelab.monotone import MonotoneGraph
@@ -31,6 +31,18 @@ def mv_entropy_residual(sign, ym, mu, psi, reg, gamma=0.0):
     """One-call, one-psi form of ``MeasureContext.residual`` (build a
     context for batteries; it caches the per-block ingredients)."""
     return MeasureContext(ym, reg).residual(sign, mu, [psi], gamma=gamma)[0]
+
+
+def _dirac(run):
+    """Degenerate estimate with one fine sample per block: the collapse
+    construction under which every measure bracket reduces to the single
+    run's own residual integrand."""
+    return estimate_young_measure([run], macro=(1, 1), min_samples=1)
+
+
+def _atoms(ym):
+    """Every block's atom values, as one flat array."""
+    return np.concatenate([v for row in ym.atoms for v, _ in row])
 
 
 def _zero_flux():
@@ -119,7 +131,8 @@ def test_atom_spread_shrinks_with_regularization_index():
         ensemble = [_run(_constant_spec(
             0.8, j=j, theta_graph=MonotoneGraph.line(2.0)))[0] for j in js]
         ym = estimate_young_measure(ensemble)
-        spreads[label] = ym.max_atom_spread()
+        spreads[label] = max(float(v.max() - v.min())
+                             for row in ym.atoms for v, _ in row)
     assert 0.0 < spreads["late"] < spreads["early"]
 
 
@@ -148,7 +161,7 @@ def _box_source_run(n=64):
 def test_dirac_collapse_matches_single_run_residuals():
     # one-atom brackets must reduce to the single-run residual integrands
     res, reg = _box_source_run()
-    ym = dirac_estimate(res)
+    ym = _dirac(res)
     ev = ResidualEvaluator(res, reg)
     ctx = MeasureContext(ym, reg)
     psis = battery_from_geometry(reg.spec)[::7]
@@ -175,8 +188,8 @@ def test_two_atom_residual_is_average_of_diracs():
     res1, reg = _run(_constant_spec(0.8))
     res2, _ = _run(_constant_spec(0.3))
     ym = estimate_young_measure([res1, res2])
-    d1 = dirac_estimate(res1)
-    d2 = dirac_estimate(res2)
+    d1 = _dirac(res1)
+    d2 = _dirac(res2)
     psi = battery_from_geometry(reg.spec)[3]
     for mu in (0.2, 0.5):
         for sign in ("PLUS", "MINUS"):
@@ -230,8 +243,8 @@ def test_mv_table_flags_atom_levels(tmp_path):
     res, reg = _run(_constant_spec(0.5))
     ym = estimate_young_measure([res])
     atom = float(ym.atoms[0][0][0][0])
-    assert mu_is_atom(ym, atom)
-    assert not mu_is_atom(ym, atom + 0.1)
+    assert mu_is_atom(_atoms(ym), atom)
+    assert not mu_is_atom(_atoms(ym), atom + 0.1)
     psis = battery_from_geometry(reg.spec)[:2]
     rows = mv_residual_table(ym, reg, [atom, atom + 0.1], psis)
     assert len(rows) == 2 * 2 * 2
@@ -253,7 +266,7 @@ def test_mv_table_flags_atom_levels(tmp_path):
 
 def test_averaged_contraction_identical_dirac_is_zero():
     res, reg = _box_source_run()
-    ym = dirac_estimate(res)
+    ym = _dirac(res)
     gaps = averaged_contraction_gap(ym, ym, battery_from_geometry(reg.spec)[::7], reg)
     assert np.all(np.abs(gaps) <= 1e-9)
 
@@ -271,7 +284,7 @@ def test_averaged_contraction_dirac_pair_matches_pair_gap():
     dt = _shared_dt(spec_a, spec_b, grid, reg_a, reg_b)
     res_a = solve(spec_a, grid, snapshots=64, dt_override=dt, reg=reg_a)
     res_b = solve(spec_b, grid, snapshots=64, dt_override=dt, reg=reg_b)
-    ym_a, ym_b = dirac_estimate(res_a), dirac_estimate(res_b)
+    ym_a, ym_b = _dirac(res_a), _dirac(res_b)
     psis = battery_from_geometry(spec_a)[::7]
     gap_mv = averaged_contraction_gap(ym_a, ym_b, psis, reg_a)
     gap_runs = pair_gap_battery("CONTRACTION", res_a, res_b, reg_a, reg_b, psis)
@@ -287,7 +300,7 @@ def test_averaged_contraction_bilinear_in_both_measures():
     reg = _run(specs[0])[1]
     ym1 = estimate_young_measure(runs[:2])
     ym2 = estimate_young_measure(runs[2:])
-    diracs = [dirac_estimate(r) for r in runs]
+    diracs = [_dirac(r) for r in runs]
     psis = battery_from_geometry(specs[0])[4:5]
     pooled = averaged_contraction_gap(ym1, ym2, psis, reg)[0]
     parts = [averaged_contraction_gap(diracs[i], diracs[j], psis, reg)[0]

@@ -21,7 +21,6 @@ from balancelab.monotone import (
     THETA_SAMPLES,
     MonotoneGraph,
     Table,
-    ThetaField,
     check_inverse_convergence,
     compose_graphs,
     invert_graph,
@@ -30,7 +29,7 @@ from balancelab.monotone import (
     resolvent,
     yosida,
 )
-from conftest import random_monotone_graph, resolvent_bisect
+from conftest import canonical_spec, random_monotone_graph, resolvent_bisect
 
 # ---------------------------------------------------------------------------
 # Oracles
@@ -56,45 +55,55 @@ def _oracle_regularized(graph, c, j, u, kernel):
     return (1.0 + lam) * (molly(u) - molly(0.0))
 
 
-def _per_node_smooth_table(field, j, u_lo, u_hi, outer=None):
-    """Oracle for the smooth-coefficient table: one column per (cell,
-    kernel node), built afresh each time, with the row accumulation of the
+def _per_sample_table(graph, coeffs, weights, j, u_lo, u_hi, outer=None):
+    """Oracle for the table rows of every point: one column per coefficient
+    sample, built afresh each time, with the row accumulation of the
     deduplicated build (the same operations in the same order)."""
     lam = 1.0 / math.sqrt(j)
     r = 1.0 / j
-    nodes, weights = mollifier_nodes()
+    nodes, kernel = mollifier_nodes()
     grid = np.linspace(u_lo, u_hi, THETA_SAMPLES)
     pts = np.concatenate([grid, [0.0]])[:, None] - r * nodes[None, :]
 
-    def u_mollified_yosida(graph, scaled_lam):
-        yos = resolvent(graph, scaled_lam, pts.ravel()).reshape(pts.shape)
+    def u_mollified_yosida(g, scaled_lam):
+        yos = resolvent(g, scaled_lam, pts.ravel()).reshape(pts.shape)
         np.subtract(pts, yos, out=yos)
         yos /= scaled_lam
-        yos *= weights
+        yos *= kernel
         return yos.sum(axis=1)
 
-    def cell_column(c):
+    def column(c):
         if outer is None:
-            return (1.0 + lam) * c * u_mollified_yosida(field.graph, lam * c)
+            return (1.0 + lam) * c * u_mollified_yosida(graph, lam * c)
         return (1.0 + lam) * u_mollified_yosida(
-            compose_graphs(outer, field.graph.scaled(c)), lam)
+            compose_graphs(outer, graph.scaled(c)), lam)
 
-    x = field.x_centers
-    table = np.empty((len(x), THETA_SAMPLES))
-    for i in range(len(x)):
-        cvals = field.c_fn(x[i] - r * nodes)
+    table = np.empty((len(coeffs), THETA_SAMPLES))
+    for i, row in enumerate(np.asarray(coeffs, dtype=float)):
         acc = np.zeros(THETA_SAMPLES + 1)
-        for p in range(len(nodes)):
-            acc += weights[p] * cell_column(cvals[p])
+        for p in range(len(row)):
+            acc += weights[p] * column(row[p])
         table[i] = acc[:-1] - acc[-1]
     return table
 
 
-def _kernel_coefficients(field, j):
-    """Coefficient value at every (cell, kernel node) point, per cell."""
-    nodes, _ = mollifier_nodes()
+def _kernel_samples(c_fn, x, j):
+    """(coefficient at every (point, x-kernel node), kernel weights): the
+    samples a smooth coefficient is regularized from."""
+    nodes, weights = mollifier_nodes()
     r = 1.0 / j
-    return np.array([field.c_fn(xi - r * nodes) for xi in field.x_centers])
+    return np.array([c_fn(xi - r * nodes) for xi in x]), weights
+
+
+def _pwc(x, x_breaks, region_c):
+    """c(x) of a piecewise-constant coefficient, as ProblemSpec lays it out."""
+    return canonical_spec(coeff={"kind": "pwc", "x_breaks": x_breaks,
+                                 "region_c": region_c}).coefficient(x)
+
+
+def _taken_as_is(c):
+    """Samples and weight of a coefficient used without x-mollification."""
+    return np.asarray(c, dtype=float)[:, None], [1.0]
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +299,9 @@ def test_regularize_identity_closed_form():
     # Yosida of the identity is w/(1+lam); the (1+lam) rescale undoes the
     # shrinkage and averaging a linear map with the symmetric unit-mass
     # kernel changes nothing, so theta_j is the identity for every j.
-    x = np.linspace(-1.0, 1.0, 8)
-    field = ThetaField.homogeneous(x, MonotoneGraph.identity())
     for j in (1, 4, 100, 4096):
-        reg = regularize_theta(field, j, -12.0, 12.0)
+        reg = regularize_theta(MonotoneGraph.identity(), *_taken_as_is(np.ones(8)),
+                               j, -12.0, 12.0)
         us = np.linspace(-10.0, 10.0, 41)
         got = np.array([reg.v_of_u(u)[0] for u in us])
         assert np.abs(got - us).max() < 1e-6
@@ -303,10 +311,9 @@ def test_regularize_sign_jump_hand_values():
     # theta = u + Sgn(u).  On u > lam + r the Yosida transform is affine,
     # (u+1)/(1+lam), mollification is exact on the branch and the (1+lam)
     # rescale restores it, so theta_j(2) = 3 exactly for every listed j.
-    x = np.linspace(-1.0, 1.0, 4)
-    field = ThetaField.homogeneous(x, MonotoneGraph.sign_plus_identity())
     for j in (4, 16, 64, 256):
-        reg = regularize_theta(field, j, -5.0, 5.0)
+        reg = regularize_theta(MonotoneGraph.sign_plus_identity(),
+                               *_taken_as_is(np.ones(4)), j, -5.0, 5.0)
         assert abs(reg.v_of_u(2.0)[0] - 3.0) < 1e-12
         assert abs(reg.v_of_u(0.0)[0]) < 1e-14
         assert reg.margin > 0
@@ -315,9 +322,7 @@ def test_regularize_sign_jump_hand_values():
 def test_regularize_matches_quadrature_oracle():
     kernel = mollifier_nodes()
     g = MonotoneGraph.sign_plus_identity()
-    x = np.linspace(-1.0, 1.0, 4)
-    field = ThetaField.homogeneous(x, g)
-    reg = regularize_theta(field, 9, -5.0, 5.0)
+    reg = regularize_theta(g, *_taken_as_is(np.ones(4)), 9, -5.0, 5.0)
     # compare at exact table nodes (no interpolation in the module path)
     for idx in (307, 471, 528, 645):
         u = reg.u_lo + reg.sampled.du * idx
@@ -331,9 +336,9 @@ def test_regularize_matches_quadrature_oracle():
 def test_regularize_pwc_field_rows():
     g = MonotoneGraph.sign_plus_identity()
     x = np.linspace(-0.875, 0.875, 8)
-    field = ThetaField.separable_pwc(x, g, [0.0], [1.0, 2.0])
-    assert np.array_equal(field.cell_c, [1, 1, 1, 1, 2, 2, 2, 2])
-    reg = regularize_theta(field, 4, -5.0, 5.0)
+    c = _pwc(x, [0.0], [1.0, 2.0])
+    assert np.array_equal(c, [1, 1, 1, 1, 2, 2, 2, 2])
+    reg = regularize_theta(g, *_taken_as_is(c), 4, -5.0, 5.0)
     assert reg.table.shape[0] == 2
     assert np.array_equal(reg.cell_rows, [0, 0, 0, 0, 1, 1, 1, 1])
     # hand values: Yosida of c*(u + Sgn u) at lam=1/2 is c(u+1)/(1+lam*c)
@@ -354,24 +359,24 @@ def test_regularize_pwc_repeated_coefficient_shares_one_row():
     # one table row per distinct coefficient, wherever its regions lie
     g = MonotoneGraph.sign_plus_identity()
     x = np.linspace(-0.875, 0.875, 8)
-    field = ThetaField.separable_pwc(x, g, [-0.4, 0.4], [1.0, 2.0, 1.0])
-    assert np.array_equal(field.cell_c, [1, 1, 2, 2, 2, 2, 1, 1])
-    reg = regularize_theta(field, 4, -5.0, 5.0)
+    c = _pwc(x, [-0.4, 0.4], [1.0, 2.0, 1.0])
+    assert np.array_equal(c, [1, 1, 2, 2, 2, 2, 1, 1])
+    reg = regularize_theta(g, *_taken_as_is(c), 4, -5.0, 5.0)
     assert reg.table.shape[0] == 2
     assert np.array_equal(reg.cell_rows, [0, 0, 1, 1, 1, 1, 0, 0])
     # the same cells against the rows of a build with distinct coefficients
     distinct = regularize_theta(
-        ThetaField.separable_pwc(x, g, [0.0], [1.0, 2.0]), 4, -5.0, 5.0)
+        g, *_taken_as_is(_pwc(x, [0.0], [1.0, 2.0])), 4, -5.0, 5.0)
     U = np.random.default_rng(5).uniform(-2.0, 2.0, size=(3, 8))
-    want = distinct.sampled(np.where(field.cell_c == 1.0, 0, 1), U)
+    want = distinct.sampled(np.where(c == 1.0, 0, 1), U)
     assert np.array_equal(reg.v_of_u(U), want)
 
 
 def test_regularize_smooth_field():
     g = MonotoneGraph.identity()
     x = np.linspace(-1.0, 1.0, 16)
-    field = ThetaField.separable_smooth(x, g, lambda s: 1.5 + 0.5 * np.sin(s))
-    reg = regularize_theta(field, 16, -4.0, 4.0)
+    reg = regularize_theta(g, *_kernel_samples(lambda s: 1.5 + 0.5 * np.sin(s), x, 16),
+                           16, -4.0, 4.0)
     assert reg.margin > 0
     assert np.abs(reg.v_of_u(0.0)).max() < 1e-14
     # identity base graph: theta_j(x, u) is close to
@@ -415,8 +420,7 @@ def test_regularize_smooth_shares_columns_exactly(grid, j, graph, with_outer,
     dx = (x_hi - x_lo) / n
     x = x_lo + dx * (np.arange(n) + 0.5)
     b = b_frac * a
-    field = ThetaField.separable_smooth(
-        x, _GRAPHS[graph], lambda s: a + b * np.sin(k * s + phase))
+    coeffs, weights = _kernel_samples(lambda s: a + b * np.sin(k * s + phase), x, j)
     outer = _OUTER if with_outer else None
     calls = []
 
@@ -426,19 +430,51 @@ def test_regularize_smooth_shares_columns_exactly(grid, j, graph, with_outer,
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(monotone, "resolvent", counting_resolvent)
-        reg = regularize_theta(field, j, -4.0, 4.0, outer=outer)
-    assert len(calls) == len(np.unique(_kernel_coefficients(field, j)))
-    want = _per_node_smooth_table(field, j, -4.0, 4.0, outer=outer)
+        reg = regularize_theta(_GRAPHS[graph], coeffs, weights, j, -4.0, 4.0,
+                               outer=outer)
+    assert len(calls) == len(np.unique(coeffs))
+    want = _per_sample_table(_GRAPHS[graph], coeffs, weights, j, -4.0, 4.0,
+                             outer=outer)
     assert np.array_equal(reg.table, want)
     assert np.array_equal(reg.cell_rows, np.arange(n))
 
 
-def _excess_peak(field, j):
+@seed(20141014)
+@settings(max_examples=25, deadline=None)
+@given(
+    n_samples=st.sampled_from([1, 16]),
+    values=st.lists(st.floats(0.5, 3.0), min_size=1, max_size=4),
+    data=st.data(),
+    graph=st.sampled_from(sorted(_GRAPHS)),
+    j=st.integers(1, 64),
+)
+def test_regularize_rows_follow_first_use(n_samples, values, data, graph, j):
+    # random coefficient rows with repeats, built from a few values so that
+    # rows and columns are both shared: each point's row is the oracle's,
+    # there is one row per distinct coefficient row, in first-use order
+    n_rows = data.draw(st.integers(1, 4))
+    pool = np.array(data.draw(st.lists(
+        st.lists(st.sampled_from(values), min_size=n_samples, max_size=n_samples),
+        min_size=n_rows, max_size=n_rows)))
+    use = data.draw(st.lists(st.integers(0, n_rows - 1), min_size=1, max_size=12))
+    coeffs = pool[use]
+    weights = [1.0] if n_samples == 1 else mollifier_nodes()[1]
+    reg = regularize_theta(_GRAPHS[graph], coeffs, weights, j, -4.0, 4.0)
+    want = _per_sample_table(_GRAPHS[graph], coeffs, weights, j, -4.0, 4.0)
+    assert np.array_equal(reg.table[reg.cell_rows], want)
+    assert len(reg.table) == len(np.unique(coeffs, axis=0))
+    rows = reg.cell_rows.tolist()
+    firsts = [r for p, r in enumerate(rows) if r not in rows[:p]]
+    assert firsts == list(range(len(reg.table)))
+
+
+def _excess_peak(coeffs, weights, j):
     """Traced peak of one build, beyond the bytes of the table it returns."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        reg = regularize_theta(field, j, -4.0, 4.0)
+        reg = regularize_theta(MonotoneGraph.identity(), coeffs, weights, j,
+                               -4.0, 4.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -454,10 +490,9 @@ def test_regularize_smooth_memory_does_not_scale_with_cells():
     for n in (128, 512):
         dx = 4.3 / n
         x = -2.0 + dx * (np.arange(n) + 0.5)
-        field = ThetaField.separable_smooth(
-            x, MonotoneGraph.identity(), lambda s: 1.5 + 0.4 * np.sin(1.3 * s))
-        assert len(np.unique(_kernel_coefficients(field, j))) == 16 * n
-        peaks[n] = _excess_peak(field, j)
+        coeffs, weights = _kernel_samples(lambda s: 1.5 + 0.4 * np.sin(1.3 * s), x, j)
+        assert len(np.unique(coeffs)) == 16 * n
+        peaks[n] = _excess_peak(coeffs, weights, j)
     # one table row per cell would add 8.2 kB per cell, and holding the
     # columns of all kernel points 131 kB; allow 2 kB for the 16 points
     assert peaks[512] - peaks[128] < 2048 * (512 - 128)
@@ -468,8 +503,7 @@ def test_regularize_smooth_memory_does_not_scale_with_cells():
 def test_state_value_round_trip():
     g = MonotoneGraph.sign_plus_identity()
     x = np.linspace(-0.875, 0.875, 8)
-    field = ThetaField.separable_pwc(x, g, [0.0], [1.0, 2.0])
-    reg = regularize_theta(field, 4, -5.0, 5.0)
+    reg = regularize_theta(g, *_taken_as_is(_pwc(x, [0.0], [1.0, 2.0])), 4, -5.0, 5.0)
     rng = np.random.default_rng(3)
     u = rng.uniform(-2.0, 2.0, size=8)
     v = reg.v_of_u(u)
@@ -479,16 +513,15 @@ def test_state_value_round_trip():
 
 
 def test_field_validation():
-    x = np.linspace(-1.0, 1.0, 8)
-    g = MonotoneGraph.identity()
     with pytest.raises(ValueError):
-        ThetaField.separable_pwc(x, g, [0.0], [1.0])
+        canonical_spec(coeff={"kind": "pwc", "x_breaks": [0.0], "region_c": [1.0]})
     with pytest.raises(ValueError):
-        ThetaField.separable_pwc(x, g, [0.0], [1.0, -2.0])
+        canonical_spec(coeff={"kind": "pwc", "x_breaks": [0.0], "region_c": [1.0, -2.0]})
     with pytest.raises(ValueError):
-        ThetaField.separable_smooth(x, g, lambda s: np.sin(s))
+        canonical_spec(coeff={"kind": "smooth", "a": 0.0, "b": 1.0})
     with pytest.raises(ValueError):
-        regularize_theta(ThetaField.homogeneous(x, g), 0, -1.0, 1.0)
+        regularize_theta(MonotoneGraph.identity(), *_taken_as_is(np.ones(8)), 0,
+                         -1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ import pytest
 from balancelab.flux import FluxCurve
 from balancelab.monotone import MonotoneGraph, mollifier_nodes
 from balancelab.problem import (
-    CHECK_CELLS,
     ProblemSpec,
     SourceSpec,
     initial_state,
@@ -191,8 +190,9 @@ def test_spec_json_round_trip():
     assert back.to_dict() == spec.to_dict()
     assert math.isinf(back.ell)
     assert back.m == 4.0
-    field = back.make_theta_field(np.linspace(-1.9, 1.9, 16))
-    assert field.kind == "pwc"
+    x = np.linspace(-1.9, 1.9, 16)
+    assert not back.smooth_in_x
+    assert np.array_equal(back.coefficient(x), np.where(x < 0.0, 1.0, 2.0))
 
 
 def test_spec_constructor_guards():
@@ -210,9 +210,15 @@ def test_spec_constructor_guards():
 
 def test_smooth_coeff_field():
     spec = canonical_spec(coeff={"kind": "smooth", "a": 1.5, "b": 0.5, "k": 2.0})
-    field = spec.make_theta_field(np.linspace(-1.9, 1.9, 32))
-    assert field.kind == "smooth"
-    assert field.cell_c.min() >= 1.0
+    x = np.linspace(-1.9, 1.9, 32)
+    assert spec.smooth_in_x
+    assert spec.coefficient(x).min() >= 1.0
+    # the samples of each cell's theta_j row: c at its x-kernel nodes, one
+    # cell at a time here, bit for bit
+    nodes, kernel = mollifier_nodes()
+    coeffs, weights = spec.coefficient_samples(x)
+    want = [1.5 + 0.5 * np.sin(2.0 * (xi - (1.0 / 16) * nodes) + 0.0) for xi in x]
+    assert np.array_equal(coeffs, want) and np.array_equal(weights, kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -240,26 +246,16 @@ def test_validate_flags_antidissipative_source():
     assert (u - v) * (u - v) > 0.0 and check.witness["value"] > 0.0
 
 
-class _OffsetField:
+def _offset_field(i, u):
     """Deliberately broken field: theta(x_3, 0) = {1}."""
-
-    def __init__(self, x_centers):
-        self.x_centers = np.asarray(x_centers)
-
-    def eval(self, i, u):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        v = u + (1.0 if i == 3 else 0.0)
-        return v, v.copy()
-
-    def distinct_rows(self):
-        return np.zeros(len(self.x_centers), dtype=int), np.array([1.0])
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    v = u + (1.0 if i == 3 else 0.0)
+    return v, v.copy()
 
 
 def test_validate_flags_zero_condition_violation():
     spec = canonical_spec()
-    x = np.linspace(spec.x_lo, spec.x_hi, CHECK_CELLS + 1)
-    field = _OffsetField(0.5 * (x[:-1] + x[1:]))
-    report = validate_spec(spec, field=field)
+    report = validate_spec(spec, field=_offset_field)
     check = {c.name: c for c in report.checks}["theta_zero"]
     assert not check.passed
     assert check.witness["cell"] == 3
