@@ -244,9 +244,8 @@ def cmd_ym(cfg, out_dir, quiet):
     ym.write_json(os.path.join(out_dir, "young_measure.json"))
 
     reg = regs[-1]
-    atoms = np.concatenate([v for row in ym.atoms for v, _ in row])
     kp = cfg.k_policy
-    mus = k_samples(atoms, reg, n=kp["n"], space="v", pad=kp["pad"])
+    mus = k_samples(ym.values, reg, n=kp["n"], space="v", pad=kp["pad"])
     psis = _battery(cfg)
     rows = mv_residual_table(ym, reg, mus, psis,
                              gamma=float(opts.get("gamma", 0.0)))
@@ -258,10 +257,10 @@ def cmd_ym(cfg, out_dir, quiet):
     check["radius"] = radius
     _write_json(check, os.path.join(out_dir, "support_check.json"))
 
-    tol = scheme_tol(grid.dx, atoms)
+    tol = scheme_tol(grid.dx, ym.values)
     res_min = min(r[3] for r in rows) if rows else 0.0
     ok = res_min >= -tol and check["support_ok"]
-    max_atoms = max(len(v) for row in ym.atoms for v, _ in row)
+    max_atoms = int(np.diff(ym.offsets).max())
     _info(quiet, "ym: %d ensemble members, %d x %d blocks, "
           "max atoms per block %d" % (len(runs), ym.n_t_blocks,
                                       ym.n_x_blocks, max_atoms))

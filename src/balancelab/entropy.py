@@ -350,22 +350,8 @@ class ResidualEvaluator:
 
 
 # ---------------------------------------------------------------------------
-# Initial trace and pair diagnostics
+# Pair diagnostics
 # ---------------------------------------------------------------------------
-
-
-def initial_trace_error(run, u0_values, window=None, n_snapshots=10):
-    """Curve t -> int_K |u(t,.) - u0| dx over the earliest snapshots."""
-    times, U, _ = run.snapshot_matrix()
-    x = run.grid.centers
-    u0 = np.asarray(u0_values, dtype=float)
-    if window is None:
-        mask = np.ones_like(x, dtype=bool)
-    else:
-        mask = (x >= window[0]) & (x <= window[1])
-    head = min(n_snapshots, len(times))
-    vals = run.grid.dx * np.sum(np.abs(U[:head][:, mask] - u0[mask]), axis=1)
-    return times[:head], vals
 
 
 def l1_distance_curve(run1, run2):

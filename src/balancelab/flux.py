@@ -36,7 +36,7 @@ class FluxCurve:
     carries its one-sided limits, which anchor the neighbouring pieces.
     Evaluation interpolates within a piece and extends the outermost pieces
     linearly with their edge slopes; at a jump point it is right-continuous,
-    with the filled interval available through ``value_set``.
+    and ``jump_left``/``jump_right`` hold the ends of the filled interval.
     """
 
     xs: np.ndarray
@@ -144,32 +144,6 @@ class FluxCurve:
                 vals = np.where(above, Y[-1] + s1 * (vv[mask] - X[-1]), vals)
             out[mask] = vals
         return float(out[0]) if scalar else out
-
-    def value_set(self, v):
-        """Scalar value interval: filled [min, max] of the limits at jumps."""
-        v = float(v)
-        k = np.searchsorted(self.jump_z, v)
-        if k < len(self.jump_z) and self.jump_z[k] == v:
-            l, r = self.jump_left[k], self.jump_right[k]
-            return (min(l, r), max(l, r))
-        a = self.eval(v)
-        return (a, a)
-
-    def range_on(self, lo, hi, n=129):
-        """(min, max) of the filled curve over [lo, hi]."""
-        vs = np.linspace(lo, hi, n)
-        vals = self.eval(vs)
-        acc = [float(vals.min()), float(vals.max())]
-        inside = (self.jump_z >= lo) & (self.jump_z <= hi)
-        for l, r in zip(self.jump_left[inside], self.jump_right[inside]):
-            acc[0] = min(acc[0], l, r)
-            acc[1] = max(acc[1], l, r)
-        knots = self.xs[(self.xs >= lo) & (self.xs <= hi)]
-        if len(knots):
-            kv = self.eval(knots)
-            acc[0] = min(acc[0], float(kv.min()))
-            acc[1] = max(acc[1], float(kv.max()))
-        return acc[0], acc[1]
 
     # -- serialization -------------------------------------------------------
 

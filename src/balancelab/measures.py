@@ -45,7 +45,10 @@ class YoungMeasureEstimate:
     """Atomic Young measure on a macro-grid over a run ensemble's fine grid.
 
     ``atoms[bt][bx]`` holds ``(values, weights)`` of the block at time-block
-    bt and space-block bx; index edges refer to fine slabs and cells.
+    bt and space-block bx, values ascending; index edges refer to fine
+    slabs and cells.  The flat ``values`` and ``weights`` hold every
+    block's atoms end to end in (bt, bx) order, block b at
+    ``offsets[b]:offsets[b + 1]``; the pairs of ``atoms`` are views of them.
     """
 
     times: np.ndarray        # fine slab midpoints
@@ -62,18 +65,26 @@ class YoungMeasureEstimate:
         self.centers = np.asarray(self.centers, dtype=float)
         self.t_idx_edges = np.asarray(self.t_idx_edges, dtype=int)
         self.x_idx_edges = np.asarray(self.x_idx_edges, dtype=int)
-        for bt in range(self.n_t_blocks):
-            for bx in range(self.n_x_blocks):
-                vals, wts = self.atoms[bt][bx]
-                vals = np.asarray(vals, dtype=float)
-                wts = np.asarray(wts, dtype=float)
-                if not np.all(np.isfinite(vals)):
-                    raise ValueError("atoms must be finite")
-                if np.any(wts < 0) or abs(float(wts.sum()) - 1.0) > 1e-12:
-                    raise ValueError(
-                        "weights of block (%d, %d) must be nonnegative and "
-                        "sum to 1 within 1e-12" % (bt, bx))
-                self.atoms[bt][bx] = (vals, wts)
+        pairs = []
+        for bt, bx in np.ndindex(self.n_t_blocks, self.n_x_blocks):
+            vals, wts = (np.asarray(a, dtype=float) for a in self.atoms[bt][bx])
+            if not np.all(np.isfinite(vals)):
+                raise ValueError("atoms must be finite")
+            if np.any(wts < 0) or abs(float(wts.sum()) - 1.0) > 1e-12:
+                raise ValueError(
+                    "weights of block (%d, %d) must be nonnegative and "
+                    "sum to 1 within 1e-12" % (bt, bx))
+            if np.any(np.diff(vals) < 0):
+                raise ValueError("values of block (%d, %d) must be ascending"
+                                 % (bt, bx))
+            pairs.append((vals, wts))
+        self.offsets = np.cumsum([0] + [len(v) for v, _ in pairs])
+        self.values = np.concatenate([v for v, _ in pairs])
+        self.weights = np.concatenate([w for _, w in pairs])
+        views = [(self.values[a:b], self.weights[a:b])
+                 for a, b in zip(self.offsets[:-1], self.offsets[1:])]
+        self.atoms = [views[i:i + self.n_x_blocks]
+                      for i in range(0, len(views), self.n_x_blocks)]
 
     @property
     def n_t_blocks(self):
@@ -109,20 +120,30 @@ class YoungMeasureEstimate:
 
 def _merge_sorted(vals, merge_tol):
     """Cluster sorted samples whose gap to the running cluster start stays
-    within merge_tol; atom value is the cluster mean, weight its share."""
+    within merge_tol; atom value is the cluster mean, weight its share.
+
+    A gap above merge_tol to the previous sample always starts a cluster,
+    and a stretch between two such gaps that spans at most merge_tol is one
+    cluster; only wider stretches of small gaps are walked sample by sample.
+    """
     n = len(vals)
-    starts = [0]
-    for i in range(1, n):
-        if vals[i] - vals[starts[-1]] > merge_tol:
-            starts.append(i)
-    starts.append(n)
-    out_v = np.empty(len(starts) - 1)
-    out_w = np.empty(len(starts) - 1)
-    for a in range(len(starts) - 1):
-        chunk = vals[starts[a]:starts[a + 1]]
-        out_v[a] = float(chunk.mean())
-        out_w[a] = len(chunk) / n
-    return out_v, out_w
+    starts = np.flatnonzero(np.concatenate(([True], np.diff(vals) > merge_tol)))
+    ends = np.append(starts[1:], n)
+    wide = vals[ends - 1] - vals[starts] > merge_tol
+    extra = []
+    for s, e in zip(starts[wide], ends[wide]):
+        c = s
+        for i in range(s + 1, e):
+            if vals[i] - vals[c] > merge_tol:
+                c = i
+                extra.append(i)
+    if extra:
+        starts = np.sort(np.concatenate((starts, extra)))
+    counts = np.diff(np.append(starts, n))
+    out_v = vals[starts]
+    for a in np.flatnonzero(counts > 1):
+        out_v[a] = vals[starts[a]:starts[a] + counts[a]].mean()
+    return out_v, counts / n
 
 
 def estimate_young_measure(ensemble, macro=(8, 8), merge_tol=1e-9, min_samples=16):
@@ -169,11 +190,7 @@ def estimate_young_measure(ensemble, macro=(8, 8), merge_tol=1e-9, min_samples=1
 
 def default_support_radius(ym):
     """The support envelope convention: 1.05 times the largest atom size."""
-    top = 0.0
-    for row in ym.atoms:
-        for vals, _ in row:
-            top = max(top, float(np.abs(vals).max()))
-    return 1.05 * top
+    return 1.05 * float(np.abs(ym.values).max())
 
 
 # ---------------------------------------------------------------------------
@@ -207,26 +224,79 @@ def chi_gamma_below(lam, mu, gamma):
 # ---------------------------------------------------------------------------
 
 
-def _padded_atoms(ym):
-    """(values, weights) as (t block, x block, atom) arrays, 0-padded."""
-    vals = [v for row in ym.atoms for v, _ in row]
-    counts = np.array([len(v) for v in vals])
-    index = (np.repeat(np.arange(len(counts)), counts),
-             np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts))
-    out = np.zeros((2, len(counts), counts.max()))
-    out[0][index] = np.concatenate(vals)
-    out[1][index] = np.concatenate([w for row in ym.atoms for _, w in row])
-    return out.reshape(2, ym.n_t_blocks, ym.n_x_blocks, -1)
+def _units(ym, reg):
+    """The units of the brackets: one per block and distinct theta row of its
+    x block (one per block where the coefficient is constant), in (t block,
+    x block, row) order; every cell of a unit shares eta(x, .).
+
+    Returns the (x block, row) pair of every cell, as an index into the
+    pairs of one t block; the row of every unit; and for every unit atom
+    (each unit's atoms are its block's) its unit and its index into the
+    estimate's flat atoms.
+    """
+    n_rows = len(reg.theta.table)
+    x_block = np.repeat(np.arange(ym.n_x_blocks), np.diff(ym.x_idx_edges))
+    pairs, pair_of_cell = np.unique(x_block * n_rows + reg.theta.cell_rows,
+                                    return_inverse=True)
+    pair_block, pair_row = np.divmod(pairs, n_rows)
+    block = (np.arange(ym.n_t_blocks)[:, None] * ym.n_x_blocks
+             + pair_block).ravel()
+    row = np.tile(pair_row, ym.n_t_blocks)
+    counts = np.diff(ym.offsets)[block]
+    unit = np.repeat(np.arange(len(block)), counts)
+    atom = np.arange(len(unit)) + (ym.offsets[block] - np.cumsum(counts)
+                                   + counts)[unit]
+    return pair_of_cell, row, unit, atom
+
+
+def _scans(x, counts):
+    """Sums of each segment of the rows of x below and above every cut.
+
+    x is (q, N), made of segments of the given lengths laid end to end.
+    Cut k of segment s (k = 0 .. counts[s]) sits at slot i + s of the
+    returned (q, N + segments) arrays ``below`` and ``above``, where i is
+    the index in x of the segment's entry k: ``below`` holds the sum of
+    the segment's first k entries, added from the bottom, and ``above``
+    that of the others, added from the top.  Each is accumulated rank by
+    rank, all segments that have the rank at once, in a copy of x laid
+    out rank after rank so that each rank is one contiguous slice.
+    """
+    n_seg, n = len(counts), x.shape[-1]
+    seg = np.repeat(np.arange(n_seg), counts)
+    rank = np.arange(n) - (np.cumsum(counts) - counts)[seg]
+    # rank k holds the segments longer than k, longest first
+    live = n_seg - np.cumsum(np.bincount(counts))[:-1]
+    row = np.concatenate(([0], np.cumsum(live)))
+    place = np.empty(n_seg, dtype=int)
+    place[np.argsort(-counts, kind="stable")] = np.arange(n_seg)
+    out = []
+    for k, shift in ((rank, 1), (counts[seg] - 1 - rank, 0)):
+        y = np.empty_like(x)
+        y[:, row[k] + place[seg]] = x
+        for r in range(1, len(live)):
+            y[:, row[r]:row[r + 1]] += y[:, row[r - 1]:row[r - 1] + live[r]]
+        z = np.zeros(x.shape[:-1] + (n + n_seg,))
+        z[:, np.arange(n) + seg + shift] = y[:, row[k] + place[seg]]
+        out.append(z)
+    return out
 
 
 class MeasureContext:
     """Bracket ingredients of one estimate against one regularized problem.
 
-    Atoms are padded into (time block, x block, atom) arrays of values,
-    weights, flux values and perturbations, and (time block, cell, atom)
-    arrays of inverse states and mollified source factors; the brackets of
-    every block are then one array expression, expanded to fields on the
-    fine (slab, cell) grid for the shared quadrature.
+    Brackets live on units, one per block and distinct theta row of its x
+    block (see ``_units``); each atom is inverted once per unit.  The flat
+    per-unit-atom arrays (``vals``, ``w``, ``A``, ``phi``, ``eta``,
+    ``g_eta``) list each unit's atoms in ascending order.  eta(x, .) is
+    nondecreasing, so (eta(x,lam) - eta(x,mu))^+ is chi_{lam>mu}
+    (eta(x,lam) - eta(x,mu)), and each sharp bracket at a level is a sum
+    over the atoms above (PLUS) or below (MINUS) it.  ``above`` and
+    ``below`` hold the sums of w, w A, w phi, w eta and w g_eta of every
+    unit past each cut (``_scans``), taken from the top and from the
+    bottom; a level finds its cut in each unit by binary search and
+    gathers them there.  A smoothed indicator's ramp atoms are added one
+    by one.  The brackets per unit expand to fields on the fine (slab,
+    cell) grid for the shared quadrature.
     """
 
     def __init__(self, ym, reg):
@@ -241,27 +311,62 @@ class MeasureContext:
         self.blocks = list(np.ndindex(ym.n_t_blocks, ym.n_x_blocks))  # (bt, bx)
         self.block_shape = (int(np.max(np.diff(ym.t_idx_edges))),
                             int(np.max(np.diff(ym.x_idx_edges))))
-        # block index of every fine slab / cell
+        # time block of every fine slab, unit of every (time block, cell)
         self.t_block = np.repeat(np.arange(ym.n_t_blocks), np.diff(ym.t_idx_edges))
-        self.x_block = np.repeat(np.arange(ym.n_x_blocks), np.diff(ym.x_idx_edges))
-        self.vals, self.wts = _padded_atoms(ym)
+        pair_of_cell, self.unit_row, self.unit, atom = _units(ym, reg)
+        self.units = np.arange(len(self.unit_row))
+        n_pairs = len(self.units) // ym.n_t_blocks
+        self.cell_unit = np.arange(ym.n_t_blocks)[:, None] * n_pairs + pair_of_cell
+        self.vals = ym.values[atom]
+        # numpy orders complex numbers lexicographically, so these keys sort
+        # by (unit, value) and one binary search finds a cut in every unit
+        self.keys = self.unit + 1j * self.vals
+        self.w = ym.weights[atom]
         self.A = reg.curve(0, self.vals)
         self.phi = perturbation(self.vals, spec.ell, spec.m)
-        # one atom slot at a time bounds the temporaries of the inverse and
-        # of the source's kernel nodes
-        etas = [reg.theta.sampled.inverse(reg.theta.cell_rows, v)
-                for v in np.moveaxis(self.vals[:, self.x_block], -1, 0)]
-        self.eta = np.stack(etas, axis=-1)
-        self.g_eta = np.stack([spec.source.g_mollified(spec.j, eta)
-                               for eta in etas], axis=-1)
+        self.eta = reg.theta.sampled.inverse(self.unit_row[self.unit], self.vals)
+        # chunks bound the temporaries of the source's kernel nodes
+        self.g_eta = np.concatenate([
+            spec.source.g_mollified(spec.j, self.eta[i:i + 4096])
+            for i in range(0, len(self.eta), 4096)])
+        self.below, self.above = _scans(
+            self.w * np.stack([np.ones_like(self.w), self.A, self.phi,
+                               self.eta, self.g_eta]),
+            np.bincount(self.unit, minlength=len(self.units)))
         self._eta_mu = {}
         self._terms = (None, None)
 
+    def cut(self, lam, side, units=None):
+        """Slot in ``below``/``above`` of the cut of each unit's atoms (or
+        of the given units') at lam: past the atoms < lam (side "left") or
+        <= lam ("right")."""
+        units = self.units if units is None else units
+        return np.searchsorted(self.keys, units + 1j * np.asarray(lam), side) + units
+
     def fields(self, B1, B2, B3g, B3p):
         """Fine-grid fields (G1, G2, G3 = B3g C + B3p) of brackets given per
-        (time block, cell) (B1, B3g) or per (time block, x block) (B2, B3p)."""
-        tb, xb = self.t_block, self.x_block
-        return (B1[tb], B2[:, xb][tb], B3g[tb] * self.C + B3p[:, xb][tb])
+        unit."""
+        def expand(B):
+            return B[self.cell_unit][self.t_block]
+        return expand(B1), expand(B2), expand(B3g) * self.C + expand(B3p)
+
+    def _smoothed(self, plus, mu, gamma):
+        """Per-unit (<chi^gamma w, g_eta>, <chi^gamma w, phi>) of the
+        smoothed indicator above (plus) or below mu: the ramp of chi^gamma
+        lies within gamma of mu, so the atoms within gamma plus a few
+        rounding units of mu are added one by one, and those further out on
+        the indicator's side come from the sums past the cut."""
+        pad = 4.0 * np.spacing(abs(mu) + gamma)
+        lo = self.cut(mu - gamma - pad, "left")
+        hi = self.cut(mu + gamma + pad, "right")
+        sums = self.above[:, hi] if plus else self.below[:, lo]
+        n = hi - lo
+        near = np.repeat(self.units, n)
+        i = np.arange(n.sum()) + np.repeat(lo - self.units - np.cumsum(n) + n, n)
+        chi_w = self.w[i] * (chi_gamma_above if plus else chi_gamma_below)(
+            self.vals[i], mu, gamma)
+        return (sums[4] + np.bincount(near, chi_w * self.g_eta[i], len(n)),
+                sums[2] + np.bincount(near, chi_w * self.phi[i], len(n)))
 
     def terms(self, sign, mu, gamma=0.0):
         """psi-independent fields (G1, G2, G3) of (EQ+) / negated (EQ-) at
@@ -271,23 +376,22 @@ class MeasureContext:
         key = (sign, float(mu), float(gamma))
         if self._terms[0] == key:
             return self._terms[1]
+        mu, gamma = key[1], key[2]
+        if mu not in self._eta_mu:  # one inversion per (level, unit)
+            self._eta_mu[mu] = self.reg.theta.sampled.inverse(self.unit_row, mu)
+        eta_mu = self._eta_mu[mu]
         A_mu = float(self.reg.curve(0, mu))
-        if key[1] not in self._eta_mu:  # one inversion per level
-            self._eta_mu[key[1]] = self.reg.theta.eta_cells(key[1])
-        eta_mu = self._eta_mu[key[1]][:, None]
         plus = sign == "PLUS"
+        if plus:
+            w, wA, wphi, weta, wg = self.above[:, self.cut(mu, "right")]
+            B1, B2 = weta - eta_mu * w, wA - A_mu * w
+        else:
+            w, wA, wphi, weta, wg = self.below[:, self.cut(mu, "left")]
+            B1, B2 = eta_mu * w - weta, A_mu * w - wA
+        if gamma:
+            wg, wphi = self._smoothed(plus, mu, gamma)
         side = 1.0 if plus else -1.0
-        chi_flux = self.wts * ((self.vals > mu) if plus else (self.vals < mu))
-        chi_src = self.wts * (chi_gamma_above if plus else chi_gamma_below)(
-            self.vals, mu, gamma)
-        gap = side * (self.eta - eta_mu)
-        np.maximum(gap, 0.0, out=gap)
-        xb = self.x_block
-        out = self.fields(
-            np.einsum("tca,tca->tc", self.wts[:, xb], gap),
-            np.sum(chi_flux * side * (self.A - A_mu), axis=-1),
-            side * np.einsum("tca,tca->tc", chi_src[:, xb], self.g_eta),
-            side * np.sum(chi_src * self.phi, axis=-1))
+        out = self.fields(B1, B2, side * wg, side * wphi)
         self._terms = (key, out)
         return out
 
@@ -309,11 +413,10 @@ def mu_is_atom(atoms, mu):
 def mv_residual_table(ym, reg, mus, psis, gamma=0.0):
     """Rows (sign, mu, psi_id, residual, mu_is_atom) in fixed order."""
     ctx = MeasureContext(ym, reg)
-    atoms = np.concatenate([vals for row in ym.atoms for vals, _ in row])
     rows = []
     for sign in ("PLUS", "MINUS"):
         for mu in np.asarray(mus, dtype=float):
-            flag = mu_is_atom(atoms, mu)
+            flag = mu_is_atom(ym.values, mu)
             for psi, res in zip(psis, ctx.residual(sign, mu, psis, gamma)):
                 rows.append((sign, float(mu), psi.label, float(res), flag))
     return rows
@@ -349,21 +452,28 @@ def averaged_contraction_gap(ym1, ym2, psis, reg):
     ctx1 = MeasureContext(ym1, reg)
     ctx2 = MeasureContext(ym2, reg)
 
-    # Every product bracket <sgn(lam - mu) (g(lam) - g(mu)), nu x sigma> is
-    # linear in g, so the atoms of nu carry the weights r1 and those of
-    # sigma the weights r2; eta(x, .) is increasing, so the same sign also
-    # gives |eta(x, lam) - eta(x, mu)| = sgn(lam - mu) (eta(x, lam) - eta(x, mu)).
-    WS = ctx1.wts[..., :, None] * ctx2.wts[..., None, :] \
-        * np.sign(ctx1.vals[..., :, None] - ctx2.vals[..., None, :])
-    r1, r2 = WS.sum(axis=-1), WS.sum(axis=-2)
-    xb = ctx1.x_block
+    # Every product bracket <sgn(lam - sig) (g(lam) - g(sig)), nu x sigma>
+    # is linear in g: it is sum r1 g(lam) over the atoms of nu minus sum
+    # r2 g(sig) over those of sigma, where r1 is w(lam) times the sigma-mass
+    # below lam minus that above it, and r2 the mirror image; eta(x, .) is
+    # nondecreasing, so the same sign also gives |eta(x, lam) - eta(x, sig)|
+    # = sgn(lam - sig) (eta(x, lam) - eta(x, sig)).
+    def mass(ctx, other, side):
+        # ctx's weight below (side "left") or above ("right") each atom of
+        # other, in the atom's unit
+        return (ctx.below if side == "left" else ctx.above)[
+            0, ctx.cut(other.vals, side, other.unit)]
 
-    def bracket(name, cells=slice(None)):
-        return (np.sum(r1[:, cells] * getattr(ctx1, name), axis=-1)
-                - np.sum(r2[:, cells] * getattr(ctx2, name), axis=-1))
+    r1 = ctx1.w * (mass(ctx2, ctx1, "left") - mass(ctx2, ctx1, "right"))
+    r2 = ctx2.w * (mass(ctx1, ctx2, "right") - mass(ctx1, ctx2, "left"))
+    n_units = len(ctx1.units)
 
-    fields = ctx1.fields(bracket("eta", xb), bracket("A"),
-                         bracket("g_eta", xb), bracket("phi"))
+    def bracket(name):
+        return (np.bincount(ctx1.unit, r1 * getattr(ctx1, name), n_units)
+                - np.bincount(ctx2.unit, r2 * getattr(ctx2, name), n_units))
+
+    fields = ctx1.fields(bracket("eta"), bracket("A"), bracket("g_eta"),
+                         bracket("phi"))
     return quadrature(fields, psis, ym1.times, ym1.centers, ym1.dx, ym1.slab,
                       block=ctx1.block_shape)
 
@@ -384,17 +494,26 @@ def support_and_trace_check(ym, r_field, u0_values, reg):
     if r_arr.ndim == 0:
         r_arr = np.full((ym.n_t_blocks, ym.n_x_blocks), float(r_arr))
     u0 = np.asarray(u0_values, dtype=float)
-    violations = []
-    trace = np.zeros(ym.n_t_blocks)
-    for bt in range(ym.n_t_blocks):
-        for bx in range(ym.n_x_blocks):
-            vals, wts = ym.atoms[bt][bx]
-            over = np.abs(vals) > r_arr[bt, bx]
-            for v in vals[over]:
-                violations.append({"t_block": bt, "x_block": bx, "atom": float(v)})
-            cells = slice(ym.x_idx_edges[bx], ym.x_idx_edges[bx + 1])
-            eta = reg.theta.sampled.inverse(reg.theta.cell_rows[cells], vals[:, None])
-            trace[bt] += ym.dx * float(wts @ np.sum(np.abs(eta - u0[cells]), axis=1))
+    block = np.repeat(np.arange(len(ym.offsets) - 1), np.diff(ym.offsets))
+    over = np.flatnonzero(np.abs(ym.values) > r_arr.ravel()[block])
+    violations = [{"t_block": int(b // ym.n_x_blocks),
+                   "x_block": int(b % ym.n_x_blocks), "atom": float(v)}
+                  for b, v in zip(block[over], ym.values[over])]
+    # |eta(x, lam) - u0(x)| summed over the cells of each unit atom's unit:
+    # pass j adds the j-th cell of every (x block, row) pair that has one
+    pair_of_cell, row, unit, atom = _units(ym, reg)
+    eta = reg.theta.sampled.inverse(row[unit], ym.values[atom])
+    n_pairs = len(row) // ym.n_t_blocks
+    pair = unit % n_pairs
+    cells = np.argsort(pair_of_cell, kind="stable")
+    n_cells = np.bincount(pair_of_cell, minlength=n_pairs)
+    first = (np.cumsum(n_cells) - n_cells)[pair]
+    dist = np.zeros(len(unit))
+    for j in range(int(n_cells.max())):
+        has = np.flatnonzero(n_cells[pair] > j)
+        dist[has] += np.abs(eta[has] - u0[cells[first[has] + j]])
+    trace = ym.dx * np.bincount(unit // n_pairs, ym.weights[atom] * dist,
+                                ym.n_t_blocks)
     return {
         "support_ok": not violations,
         "violations": violations,

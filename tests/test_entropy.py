@@ -1,4 +1,4 @@
-"""Tests for entropy residuals, trace curves, and pair gaps."""
+"""Tests for entropy residuals, distance curves, and pair gaps."""
 
 import json
 import math
@@ -9,9 +9,8 @@ import pytest
 
 from balancelab.entropy import (EntropyReport, ResidualEvaluator, TestFunction,
                                 _columns, battery_from_geometry, bump_profile,
-                                bump_profile_dy, initial_trace_error,
-                                k_samples, l1_distance_curve,
-                                pair_gap_battery)
+                                bump_profile_dy, k_samples,
+                                l1_distance_curve, pair_gap_battery)
 from balancelab.flux import FluxCurve
 from balancelab.problem import SourceSpec
 from balancelab.solver import Field, Grid1D, cfl_dt, regularized, solve
@@ -210,49 +209,6 @@ def test_unknown_form_rejected():
     ev = ResidualEvaluator(res, reg)
     with pytest.raises(ValueError, match="form"):
         ev.residual("MODULUS", 0.0, battery_from_geometry(reg.spec)[:1])
-
-
-# ---------------------------------------------------------------------------
-# Initial trace
-# ---------------------------------------------------------------------------
-
-
-def test_initial_trace_constant_run_is_zero():
-    res, reg = _constant_run()
-    u0 = reg.spec.initial_values(res.grid.centers, res.grid.dx)
-    times, vals = initial_trace_error(res, u0)
-    assert len(times) == 10
-    assert np.max(np.abs(vals)) == 0.0
-
-
-def test_initial_trace_riemann_first_snapshot_small():
-    spec = canonical_spec(u0={"id": "box", "params": {"height": 1.0, "a": -0.75, "b": 0.0}})
-    res, _ = _run(spec, 256, snapshots=64)
-    u0 = spec.initial_values(res.grid.centers, res.grid.dx)
-    times, vals = initial_trace_error(res, u0)
-    slab = spec.T / 64
-    # moved mass over the first half slab: wave transport plus one-cell
-    # smearing at each of the two data discontinuities
-    assert vals[0] <= 10.0 * (slab + res.grid.dx)
-    assert vals[-1] >= vals[0]
-
-
-def test_initial_trace_smooth_datum_near_linear_growth():
-    res, reg = _run(canonical_spec(), 256, snapshots=64)
-    spec = reg.spec
-    u0 = spec.initial_values(res.grid.centers, res.grid.dx)
-    times, vals = initial_trace_error(res, u0)
-    envelope = 1.5 * (vals[-1] / times[-1])
-    assert np.all(vals <= envelope * times + 1e-12)
-
-
-def test_initial_trace_window_restriction():
-    spec = canonical_spec(u0={"id": "box", "params": {"height": 1.0, "a": -0.75, "b": 0.0}})
-    res, _ = _run(spec, 128, snapshots=64)
-    u0 = spec.initial_values(res.grid.centers, res.grid.dx)
-    _, full = initial_trace_error(res, u0)
-    _, windowed = initial_trace_error(res, u0, window=(-1.9, 1.9))
-    assert np.all(windowed <= full + 1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -47,11 +47,9 @@ def two_jump_flux():
 def test_eval_right_continuous_and_value_set():
     A = heaviside_flux()
     assert A.eval(0.0) == 1.0
-    assert A.value_set(0.0) == (0.0, 1.0)
+    assert (A.jump_left[0], A.jump_right[0]) == (0.0, 1.0)
     assert A.eval(-0.3) == 0.0
     assert A.eval(0.3) == 1.0
-    assert A.value_set(0.5) == (1.0, 1.0)
-    assert A.range_on(-1.0, 1.0) == (0.0, 1.0)
 
 
 def test_continuous_flux_interp_and_extension():
@@ -133,9 +131,12 @@ def test_membership_invariant_on_grid():
     ss = np.linspace(-6.0, 8.0, 10_000)
     ca = par.calA(ss)
     us = par.U(ss)
+    A = par.flux
     for s, c, v in zip(ss, ca, us):
-        lo, hi = par.flux.value_set(v)
-        assert lo - 1e-9 <= c <= hi + 1e-9
+        # the filled value set: the jump's limits at a jump point, else A(v)
+        at = np.flatnonzero(A.jump_z == v)
+        ends = (A.jump_left[at], A.jump_right[at]) if len(at) else A.eval(v)
+        assert np.min(ends) - 1e-9 <= c <= np.max(ends) + 1e-9
 
 
 def test_parametrization_reproduces_flux_at_continuity_points():
@@ -301,32 +302,22 @@ def test_composed_resolvent_matches_bisection():
 
 
 def composed_flux(x_cell, u, theta, curve):
-    """Value (or filled interval) of the flux over theta(x_cell, u).
+    """Value (or value range) of the flux over theta(x_cell, u).
 
     With a regularized theta the composition is single-valued and a float is
     returned; with a raw MonotoneGraph (the same in every cell) the result
-    is a float off jumps and a (lo, hi) interval across them.
+    is a float off jumps and the (min, max) of the flux over the jump's
+    interval across them.
     """
+    flux = curve.eval if isinstance(curve, FluxCurve) else lambda v: curve(0, v)
     if isinstance(theta, ThetaRegularization):
-        v = float(theta.v_of_u(u)[x_cell])
-        return _curve_point(curve, v)
+        return float(flux(float(theta.v_of_u(u)[x_cell])))
     lo, hi = theta.eval(u)
     lo, hi = float(lo[0]), float(hi[0])
     if lo == hi:
-        vs = curve.value_set(lo) if isinstance(curve, FluxCurve) else None
-        if vs is None:
-            return _curve_point(curve, lo)
-        return vs[0] if vs[0] == vs[1] else vs
-    if isinstance(curve, FluxCurve):
-        return curve.range_on(lo, hi)
-    vals = curve(0, np.linspace(lo, hi, 129))
+        return float(flux(lo))
+    vals = flux(np.linspace(lo, hi, 129))
     return (float(vals.min()), float(vals.max()))
-
-
-def _curve_point(curve, v):
-    if isinstance(curve, FluxCurve):
-        return float(curve.eval(v))
-    return float(curve(0, v))
 
 
 def test_composed_flux_values():

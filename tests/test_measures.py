@@ -14,8 +14,9 @@ from balancelab.entropy import (ResidualEvaluator, ResolutionError,
 from balancelab.flux import FluxCurve
 from balancelab.harness import solve_points
 from balancelab.measures import (MeasureContext, YoungMeasureEstimate,
-                                 averaged_contraction_gap, chi_gamma_above,
-                                 chi_gamma_below, default_support_radius,
+                                 _merge_sorted, averaged_contraction_gap,
+                                 chi_gamma_above, chi_gamma_below,
+                                 default_support_radius,
                                  estimate_young_measure,
                                  mu_is_atom, mv_residual_table,
                                  support_and_trace_check, write_mv_table_csv)
@@ -136,6 +137,49 @@ def test_atom_spread_shrinks_with_regularization_index():
     assert 0.0 < spreads["late"] < spreads["early"]
 
 
+def _merge_sequential(vals, merge_tol):
+    """The sample-by-sample clustering that _merge_sorted replaced: a sample
+    more than merge_tol above the running cluster start opens a cluster."""
+    n = len(vals)
+    starts = [0]
+    for i in range(1, n):
+        if vals[i] - vals[starts[-1]] > merge_tol:
+            starts.append(i)
+    starts.append(n)
+    out_v = np.empty(len(starts) - 1)
+    out_w = np.empty(len(starts) - 1)
+    for a in range(len(starts) - 1):
+        chunk = vals[starts[a]:starts[a + 1]]
+        out_v[a] = float(chunk.mean())
+        out_w[a] = len(chunk) / n
+    return out_v, out_w
+
+
+@st.composite
+def sorted_samples(draw):
+    """A merge tolerance and sorted samples built from gaps: exact repeats,
+    chains of gaps just below the tolerance (whose running span crosses it
+    after a few steps) and wide gaps that leave lone samples."""
+    tol = draw(st.sampled_from([1e-9, 1e-3, 0.0]))
+    unit = max(tol, 1e-9)
+    gap = st.one_of(st.just(0.0),
+                    st.floats(0.3, 1.0).map(lambda f: f * tol),
+                    st.floats(1.5, 1e3).map(lambda f: f * unit))
+    gaps = draw(st.lists(gap, max_size=80))
+    base = draw(st.floats(-3.0, 3.0))
+    return np.cumsum([base] + gaps), tol
+
+
+@seed(20140408)
+@settings(max_examples=300, deadline=None)
+@given(sorted_samples())
+def test_merge_matches_sequential_clustering(sample):
+    vals, tol = sample
+    got_v, got_w = _merge_sorted(vals, tol)
+    want_v, want_w = _merge_sequential(vals, tol)
+    assert np.array_equal(got_v, want_v) and np.array_equal(got_w, want_w)
+
+
 def test_estimate_weight_validation():
     res, _ = _run(_constant_spec(0.5))
     ym = estimate_young_measure([res])
@@ -145,6 +189,13 @@ def test_estimate_weight_validation():
                              dx=ym.dx, slab=ym.slab,
                              t_idx_edges=np.array([0, 1]),
                              x_idx_edges=np.array([0, 1]), atoms=bad)
+    # the brackets sum over the atoms past a level, so values must ascend
+    unsorted = [[(np.array([0.2, 0.1]), np.array([0.5, 0.5]))]]
+    with pytest.raises(ValueError, match=r"block \(0, 0\) must be ascending"):
+        YoungMeasureEstimate(times=ym.times[:1], centers=ym.centers[:1],
+                             dx=ym.dx, slab=ym.slab,
+                             t_idx_edges=np.array([0, 1]),
+                             x_idx_edges=np.array([0, 1]), atoms=unsorted)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +397,8 @@ def test_averaged_contraction_layout_mismatch_rejected():
 # The evaluation that MeasureContext and averaged_contraction_gap replaced:
 # one dict of bracket ingredients per macro block and a Python loop that
 # contracts each block's brackets with the block sums of the psi fields.
-# Kept here as an independent oracle for the padded-array path.
+# Kept here as an independent oracle for the sums past each level over the
+# flat sorted atoms.
 
 
 def _reference_blocks(ym, reg):
@@ -431,18 +483,20 @@ def _reference_averaged_gap(ym1, ym2, ref1, ref2, psi):
 
 
 @functools.lru_cache(maxsize=None)
-def _reference_ensembles():
+def _reference_ensembles(graph="identity"):
     """Two 3-member j ensembles (a datum and its 0.6-scaled partner) of a
     problem whose inverse states depend on the cell (two coefficient
     regions) and whose source and perturbation brackets are nonzero, on
-    64 cells x 64 slabs; plus the top-j tables."""
+    64 cells x 64 slabs; plus the top-j tables.  ``graph`` names the
+    MonotoneGraph constructor of the nonlinearity."""
     src = SourceSpec("arctan", {"c": 1.0})
     coeff = {"kind": "pwc", "region_c": [1.0, 1.5], "x_breaks": [0.0]}
     ensembles = []
     for height in (1.0, 0.6):
         base = canonical_spec(
             u0={"id": "box", "params": {"height": height, "a": -0.75, "b": 0.25}},
-            source=src, coeff=coeff, ell=2.0, m=2.0)
+            source=src, coeff=coeff, ell=2.0, m=2.0,
+            theta_graph=getattr(MonotoneGraph, graph)())
         specs = [dataclasses.replace(base, j=j) for j in (4, 8, 16)]
         grid = Grid1D(base.x_lo, base.x_hi, 64)
         runs, _, regs = solve_points(specs, grid, snapshots=64)
@@ -474,11 +528,28 @@ def _assert_close(got, want):
        st.one_of(st.just(0.0), st.floats(1e-3, 0.1)),
        st.floats(-0.3, 1.3), st.integers(0, 10 ** 6))
 def test_mv_residual_matches_per_block_reference(layout, sign, gamma, mu, pick):
+    _check_mv_residual(_reference_ensembles(), layout, sign, gamma, mu, pick)
+
+
+@seed(20140411)
+@MV_SETTINGS
+@given(layouts(), st.sampled_from(["PLUS", "MINUS"]),
+       st.one_of(st.just(0.0), st.floats(1e-3, 0.1)),
+       st.floats(-0.3, 2.8), st.integers(0, 10 ** 6))
+def test_mv_residual_matches_per_block_reference_on_jump_graph(
+        layout, sign, gamma, mu, pick):
+    # theta = u + Sgn(u): eta(x, .) is nearly flat across the jump's values
+    _check_mv_residual(_reference_ensembles("sign_plus_identity"), layout,
+                       sign, gamma, mu, pick)
+
+
+def _check_mv_residual(ensembles, layout, sign, gamma, mu, pick):
     n_runs, mt, mx = layout
-    runs, _, reg = _reference_ensembles()
+    runs, _, reg = ensembles
     ym = estimate_young_measure(runs[:n_runs], macro=(mt, mx), min_samples=1)
-    atoms = np.concatenate([v for row in ym.atoms for v, _ in row])
-    mus = [mu, float(atoms[pick % len(atoms)])]  # a free level and an atom
+    atom = float(ym.values[pick % len(ym.values)])
+    # a free level, one at an atom, and two with that atom at a ramp end
+    mus = [mu, atom, atom - gamma, atom + gamma]
     psis = battery_from_geometry(reg.spec)[::5]
     ctx = MeasureContext(ym, reg)
     ref = _reference_blocks(ym, reg)
@@ -507,6 +578,40 @@ def test_averaged_contraction_matches_per_block_reference(layout, n_partner):
 # ---------------------------------------------------------------------------
 # Support and trace checks
 # ---------------------------------------------------------------------------
+
+
+def _reference_support(ym, r, u0, reg):
+    """The per-block loop that support_and_trace_check replaced: (violations,
+    trace values)."""
+    violations = []
+    trace = np.zeros(ym.n_t_blocks)
+    for bt in range(ym.n_t_blocks):
+        for bx in range(ym.n_x_blocks):
+            vals, wts = ym.atoms[bt][bx]
+            for v in vals[np.abs(vals) > r]:
+                violations.append({"t_block": bt, "x_block": bx, "atom": float(v)})
+            cells = slice(ym.x_idx_edges[bx], ym.x_idx_edges[bx + 1])
+            eta = reg.theta.sampled.inverse(reg.theta.cell_rows[cells], vals[:, None])
+            trace[bt] += ym.dx * float(wts @ np.sum(np.abs(eta - u0[cells]), axis=1))
+    return violations, trace
+
+
+@seed(20140412)
+@MV_SETTINGS
+@given(layouts(), st.sampled_from(["identity", "sign_plus_identity"]),
+       st.floats(0.5, 1.0))
+def test_support_and_trace_match_per_block_reference(layout, graph, frac):
+    # odd macro widths put blocks across the coefficient break, where one
+    # block holds cells of two theta rows
+    n_runs, mt, mx = layout
+    runs, _, reg = _reference_ensembles(graph)
+    ym = estimate_young_measure(runs[:n_runs], macro=(mt, mx), min_samples=1)
+    r = frac * default_support_radius(ym)
+    u0 = reg.spec.initial_values(reg.grid.centers, reg.grid.dx)
+    report = support_and_trace_check(ym, r, u0, reg)
+    violations, trace = _reference_support(ym, r, u0, reg)
+    assert report["violations"] == violations
+    _assert_close(report["trace_values"], trace)
 
 
 def test_support_check_passes_then_flags_injected_atom():
