@@ -128,21 +128,20 @@ def cmd_verify(cfg, out_dir, quiet):
                                                 cfg.snapshots)
 
     evaluator = ResidualEvaluator(run1, reg)
-    _, U, V = run1.snapshot_matrix()
 
     forms = [f for f in FORMS if f != "N1" or spec.smooth_in_x]
     kp = cfg.k_policy
     ks = {}
     for form in forms:
         space = "u" if form == "N1" else "v"
-        values = U if form == "N1" else V
+        values = run1.U if form == "N1" else run1.V
         ks[form] = k_samples(values, reg, n=kp["n"], space=space,
                              pad=kp["pad"])
     report = evaluator.battery_report(forms, ks, psis)
     report.write_json(os.path.join(out_dir, "entropy_report.json"))
     report.write_csv(os.path.join(out_dir, "entropy_report.csv"))
 
-    tol = scheme_tol(grid.dx, V)
+    tol = scheme_tol(grid.dx, run1.V)
     minima = report.minima()
     entropy_ok = all(m >= -tol for m in minima.values())
     for form in forms:
@@ -153,7 +152,8 @@ def cmd_verify(cfg, out_dir, quiet):
     slack = 1e-12 * max(1, run1.n_steps)
     growth = float(np.max(np.diff(dists))) if len(dists) > 1 else 0.0
     curve_ok = growth <= slack
-    gaps = pair_gap_battery("CONTRACTION", run1, run2, reg, reg2, psis)
+    gaps = pair_gap_battery("CONTRACTION", evaluator,
+                            ResidualEvaluator(run2, reg2), psis)
     gap_min = float(np.min(gaps)) if len(gaps) else 0.0
     pair_ok = curve_ok and gap_min >= -tol
     _write_json({

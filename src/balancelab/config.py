@@ -31,6 +31,7 @@ _SCHEDULE_KEYS = {"j", "ell", "m", "ell_fixed", "m_fixed"}
 # options of every subcommand: verify, ym (four), parametrize
 _OPTION_KEYS = {"partner_scale", "macro", "merge_tol", "gamma",
                 "support_radius", "n_samples"}
+_NONNEGATIVE_OPTIONS = {"merge_tol", "gamma", "support_radius"}
 
 DEFAULT_K_POLICY = {"n": 33, "pad": 0.5}
 DEFAULT_BATTERY = {"t_fracs": [0.3, 0.5, 0.7],
@@ -56,11 +57,15 @@ def _check_options(opts):
     check_keys(opts, _OPTION_KEYS, "options")
     for key, v in opts.items():
         if key == "macro":
-            _require(isinstance(v, list) and len(v) == 2 and all(map(_number, v)),
-                     "options.macro must be a list of two numbers")
+            _require(isinstance(v, list) and len(v) == 2
+                     and all(_number(e) and float(e).is_integer() and e >= 1
+                             for e in v),
+                     "options.macro must be a list of two integers >= 1")
         elif key == "n_samples":
             _require(isinstance(v, int) and v >= 2,
                      "options.n_samples must be an integer >= 2")
+        elif key in _NONNEGATIVE_OPTIONS:
+            _require(_number(v) and v >= 0, f"options.{key} must be a number >= 0")
         else:
             _require(_number(v), f"options.{key} must be a number")
 

@@ -41,7 +41,6 @@ import numpy as np
 
 from .config import write_json
 from .monotone import bump_profile
-from .problem import perturbation
 
 FORMS = ("SEMI_PLUS", "SEMI_MINUS", "SGN", "N1", "N2")
 PAIR_KINDS = ("CONTRACTION", "COMPARISON")
@@ -251,24 +250,20 @@ class ResidualEvaluator:
         self.run = run
         self.reg = reg
         self.spec = reg.spec
-        times, U, V = run.snapshot_matrix()
-        self.t_mid = times[:-1]
+        self.t_mid = run.times[:-1]
         self.n_slabs = len(self.t_mid)
         self.slab = self.spec.T / self.n_slabs
         expected = (np.arange(self.n_slabs) + 0.5) * self.slab
         if not np.allclose(self.t_mid, expected, rtol=0, atol=1e-10 * max(self.spec.T, 1.0)):
             raise ValueError("snapshot times are not slab midpoints")
-        self.U = U[:-1]
-        self.V = V[:-1]
+        self.U = run.U[:-1]
+        self.V = run.V[:-1]
         self.x = run.grid.centers
         self.dx = run.grid.dx
         self.u0 = self.spec.initial_values(self.x, self.dx)
-        src = self.spec.source
-        F = np.empty_like(self.U)
+        self.f_cells = np.empty_like(self.U)
         for s, t in enumerate(self.t_mid):
-            F[s] = src.eval_mollified(self.spec.j, t, self.x, self.U[s]) \
-                + perturbation(self.V[s], self.spec.ell, self.spec.m)
-        self.f_cells = F
+            self.f_cells[s] = reg.source_values(t, self.U[s], self.V[s])
         self.AV = reg.curve(0, self.V)
         self._terms = (None, None)
 
@@ -357,11 +352,9 @@ class ResidualEvaluator:
 def l1_distance_curve(run1, run2):
     """Curve t -> ||u1(t) - u2(t)||_L1, trapezoid in x per snapshot."""
     _require_matching(run1, run2)
-    times, U1, _ = run1.snapshot_matrix()
-    _, U2, _ = run2.snapshot_matrix()
-    diff = np.abs(U1 - U2)
+    diff = np.abs(run1.U - run2.U)
     trap = np.sum(diff, axis=1) - 0.5 * (diff[:, 0] + diff[:, -1])
-    return times, run1.grid.dx * trap
+    return run1.times, run1.grid.dx * trap
 
 
 def _require_matching(run1, run2):
@@ -387,9 +380,9 @@ def _pair_fields(kind, ev1, ev2):
             chi * (f1 - f2) + np.where(V1 == V2, np.maximum(f1 - f2, 0.0), 0.0))
 
 
-def pair_gap_battery(kind, run1, run2, reg1, reg2, psis):
+def pair_gap_battery(kind, ev1, ev2, psis):
     """Gaps (left minus right side) of a two-solution inequality, one per
-    test function.
+    test function, from the residual evaluators of the two runs.
 
     Both runs must share the grid, the snapshot times, and the regularized
     operator (same flux curve and theta tables); only the sources and data
@@ -397,11 +390,10 @@ def pair_gap_battery(kind, run1, run2, reg1, reg2, psis):
     """
     if kind not in PAIR_KINDS:
         raise ValueError("unknown pair kind %r" % (kind,))
-    _require_matching(run1, run2)
+    _require_matching(ev1.run, ev2.run)
+    reg1, reg2 = ev1.reg, ev2.reg
     if not (np.array_equal(reg1.curve.values, reg2.curve.values)
             and np.array_equal(reg1.theta.table, reg2.theta.table)):
         raise ValueError("pair gaps need identical flux and theta tables")
-    ev1 = ResidualEvaluator(run1, reg1)
-    ev2 = ResidualEvaluator(run2, reg2)
     return quadrature(_pair_fields(kind, ev1, ev2), psis, ev1.t_mid, ev1.x,
                       ev1.dx, ev1.slab)

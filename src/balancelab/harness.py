@@ -38,7 +38,7 @@ from concurrent import futures
 import numpy as np
 
 from .config import write_json
-from .solver import Field, cfl_dt, regularized, solve
+from .solver import cfl_dt, regularized, solve
 
 SCHEDULE_KINDS = ("m", "ell", "j")
 
@@ -181,8 +181,7 @@ def solve_points(specs, grid, snapshots=8):
             built[key] = regularized(s, grid)
         reg = dataclasses.replace(built[key], spec=s)
         regs.append(reg)
-        u0 = s.initial_values(grid.centers, grid.dx)
-        dts.append(cfl_dt(Field(u0, reg.v_of_u(u0)), reg))
+        dts.append(cfl_dt(s.initial_values(grid.centers, grid.dx), reg))
     dt = float(min(dts))
     workers = max(1, min(len(specs), os.cpu_count() or 1))
     with futures.ThreadPoolExecutor(max_workers=workers) as ex:
@@ -194,13 +193,13 @@ def solve_points(specs, grid, snapshots=8):
 
 
 def _summarize(value, run, grid):
-    _, U, V = run.snapshot_matrix()
+    u = run.final_u
     return {
         "value": float(value),
-        "u_min": float(U[-1].min()),
-        "u_max": float(U[-1].max()),
-        "u_l1": float(np.abs(U[-1]).sum() * grid.dx),
-        "v_abs_max": float(np.abs(V).max()),
+        "u_min": float(u.min()),
+        "u_max": float(u.max()),
+        "u_l1": float(np.abs(u).sum() * grid.dx),
+        "v_abs_max": float(np.abs(run.V).max()),
         "n_steps": run.n_steps,
         "final_t": run.final_t,
     }
@@ -215,18 +214,17 @@ def _orders_from(distances):
 
 def _sweep_report(kind, schedule, specs, grid, snapshots, meta):
     runs, dt, _ = solve_points(specs, grid, snapshots)
-    stacks = [run.snapshot_matrix() for run in runs]
     summaries = [_summarize(v, run, grid) for v, run in zip(schedule, runs)]
-    tol = scheme_tol(grid.dx, np.concatenate([V.ravel() for _, _, V in stacks]))
+    tol = scheme_tol(grid.dx, [s["v_abs_max"] for s in summaries])
 
     distances, counts, maxima = [], [], []
     direction = _DIRECTIONS[kind]
-    for (_, U_lo, V_lo), (_, U_hi, V_hi) in zip(stacks, stacks[1:]):
-        distances.append(float(np.abs(U_lo[-1] - U_hi[-1]).sum() * grid.dx))
+    for lo, hi in zip(runs, runs[1:]):
+        distances.append(float(np.abs(lo.final_u - hi.final_u).sum() * grid.dx))
         if direction == "increasing":
-            excess = V_lo - V_hi
+            excess = lo.V - hi.V
         elif direction == "decreasing":
-            excess = V_hi - V_lo
+            excess = hi.V - lo.V
         else:
             continue
         counts.append(int(np.count_nonzero(excess > tol)))

@@ -159,8 +159,7 @@ def estimate_young_measure(ensemble, macro=(8, 8), merge_tol=1e-9, min_samples=1
     V_stack = []
     for run in ensemble:
         _require_matching(ensemble[0], run)
-        _, _, V = run.snapshot_matrix()
-        V_stack.append(V[:-1])
+        V_stack.append(run.V[:-1])
     S, n = V_stack[0].shape
     mt, mx = macro
     if mt < 1 or mx < 1:

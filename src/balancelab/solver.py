@@ -11,6 +11,11 @@ tables and A_j from the mollified flux curve (in the plateau-filled
 variable when the raw flux has jumps, in which case the jump set has been
 absorbed into theta_j beforehand).
 
+The state is a pair of plain arrays: the cell averages u and their
+transformed values v = theta_j(x_i, u_i).  ``step`` maps one pair to the
+next, and ``solve`` copies each snapshot into one row of the run's ``U``
+and ``V`` arrays, which every downstream check reads directly.
+
 Everything is deterministic: fixed summation order, dt fixed by the
 initial state, no randomness, so identical inputs give bit-identical
 results.
@@ -33,7 +38,7 @@ _SOURCE_CAP = 0.5
 
 
 # ---------------------------------------------------------------------------
-# Grid, state, and run record
+# Grid and run record
 # ---------------------------------------------------------------------------
 
 
@@ -55,22 +60,6 @@ class Grid1D:
         self.interfaces = self.x_lo + self.dx * np.arange(self.n_cells + 1)
 
 
-@dataclass
-class Field:
-    """Cell averages u_i with companion transformed values v_i."""
-
-    u: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        self.u = np.asarray(self.u, dtype=float)
-        self.v = np.asarray(self.v, dtype=float)
-        if self.u.shape != self.v.shape:
-            raise ValueError("u and v must have matching shapes")
-        if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.v))):
-            raise ValueError("field values must be finite")
-
-
 class SolverError(RuntimeError):
     """Raised when the evolution produces a non-finite state."""
 
@@ -80,13 +69,15 @@ class RunResult:
     """Snapshots plus per-step diagnostics of one deterministic run.
 
     ``times`` holds the interior snapshot instants (slab midpoints used by
-    the time quadrature downstream) followed by the exact final time T, and
-    ``fields`` one Field per entry.
+    the time quadrature downstream) followed by the exact final time T.
+    ``U`` and ``V`` are (len(times), n_cells) arrays: row k holds the cell
+    averages u and their transformed values v = theta_j(x, u) at times[k].
     """
 
     grid: Grid1D
     times: np.ndarray
-    fields: list
+    U: np.ndarray
+    V: np.ndarray
     dt_history: np.ndarray
     cfl_history: np.ndarray
     mass_history: np.ndarray
@@ -104,13 +95,7 @@ class RunResult:
 
     @property
     def final_u(self):
-        return self.fields[-1].u
-
-    def snapshot_matrix(self):
-        """(times, U, V) with one snapshot per row."""
-        U = np.stack([f.u for f in self.fields])
-        V = np.stack([f.v for f in self.fields])
-        return self.times, U, V
+        return self.U[-1]
 
     def metadata(self):
         """JSON-ready run record: dt history, CFL numbers, mass ledger."""
@@ -134,11 +119,10 @@ class RunResult:
 
 def run_to_csv(result, path):
     """Write all snapshots as CSV rows with columns t, x, u, v."""
-    times, U, V = result.snapshot_matrix()
     n = result.grid.n_cells
-    t_col = np.repeat(times, n)
-    x_col = np.tile(result.grid.centers, len(times))
-    table = np.column_stack([t_col, x_col, U.ravel(), V.ravel()])
+    t_col = np.repeat(result.times, n)
+    x_col = np.tile(result.grid.centers, len(result.times))
+    table = np.column_stack([t_col, x_col, result.U.ravel(), result.V.ravel()])
     np.savetxt(path, table, delimiter=",", header="t,x,u,v",
                comments="", fmt="%.17g")
 
@@ -255,12 +239,12 @@ def regularized(spec, grid):
 # ---------------------------------------------------------------------------
 
 
-def cfl_dt(field, reg):
-    """Stable time step: DEFAULT_CFL * dx / max wave speed over the field's
-    range, capped so that dt * Lip(source in u) <= 1/2 and dt <= dx (the
-    latter covers the zero-wave-speed pure-source regime)."""
-    lo = min(float(field.u.min()), 0.0)
-    hi = max(float(field.u.max()), 0.0)
+def cfl_dt(u, reg):
+    """Stable time step: DEFAULT_CFL * dx / max wave speed over the range
+    of the state u, capped so that dt * Lip(source in u) <= 1/2 and
+    dt <= dx (the latter covers the zero-wave-speed pure-source regime)."""
+    lo = min(float(u.min()), 0.0)
+    hi = max(float(u.max()), 0.0)
     speed = reg.max_speed(lo, hi)
     dx = reg.grid.dx
     dt = dx
@@ -272,31 +256,27 @@ def cfl_dt(field, reg):
     return dt
 
 
-def step(field, dt, t, reg):
-    """One explicit Euler update; ghost cells hold the far-field constant 0.
+def step(u, v, dt, t, reg):
+    """One explicit Euler update of the cell averages u with transformed
+    values v; ghost cells hold the far-field constant 0.
 
-    Returns (new field, info) where info records the boundary fluxes, the
-    source cell sum, and the largest interface wave speed of the step.
+    Returns (u_new, v_new, flux, src, a): the new state, the interface
+    fluxes, the source per cell and the interface wave speeds of the step,
+    which the mass ledger and the CFL history read.
     """
     grid = reg.grid
     n = grid.n_cells
     with np.errstate(over="ignore", invalid="ignore"):
         u_ext = np.zeros(n + 2)  # one ghost cell per side
-        u_ext[1:-1] = field.u
+        u_ext[1:-1] = u
         flux, a = reg.numerical_flux(u_ext[:-1], u_ext[1:])
-        src = reg.source_values(t, field.u, field.v)
-        u_new = field.u - (dt / grid.dx) * np.diff(flux) + dt * src
+        src = reg.source_values(t, u, v)
+        u_new = u - (dt / grid.dx) * np.diff(flux) + dt * src
         v_new = reg.v_of_u(u_new) if np.all(np.isfinite(u_new)) else None
     if v_new is None or not np.all(np.isfinite(v_new)):
         raise SolverError(
             "non-finite state at t = %.6g (check CFL and source bounds)" % t)
-    info = {
-        "flux_left": float(flux[0]),
-        "flux_right": float(flux[-1]),
-        "source_sum": float(np.sum(src)),
-        "max_speed": float(a.max()),
-    }
-    return Field(u_new, v_new), info
+    return u_new, v_new, flux, src, a
 
 
 def solve(spec, grid, snapshots=8, dt_override=None, reg=None):
@@ -313,45 +293,49 @@ def solve(spec, grid, snapshots=8, dt_override=None, reg=None):
     u = spec.initial_values(grid.centers, grid.dx)
     if np.max(np.abs(u)) > spec.sample_radius:
         raise ValueError("initial data exceeds sample_radius; tables too narrow")
-    field = Field(u, reg.v_of_u(u))
-    dt_base = dt_override if dt_override is not None else cfl_dt(field, reg)
+    v = reg.v_of_u(u)
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+        raise ValueError("field values must be finite")
+    dt_base = dt_override if dt_override is not None else cfl_dt(u, reg)
 
     slab = spec.T / snapshots
     targets = [(k + 0.5) * slab for k in range(snapshots)] + [spec.T]
     eps = 1e-12 * max(spec.T, 1.0)
 
-    times, fields = [], []
+    times = np.array(targets)
+    U = np.empty((len(targets), grid.n_cells))
+    V = np.empty_like(U)
     dt_hist, cfl_hist, mass_hist = [], [], []
-    mass = float(np.sum(field.u)) * grid.dx
+    mass = float(np.sum(u)) * grid.dx
     mass_hist.append(mass)
     max_drift = 0.0
-    boundary_max = float(np.max(np.abs(np.concatenate([field.u[:2], field.u[-2:]]))))
+    boundary_max = float(np.max(np.abs(np.concatenate([u[:2], u[-2:]]))))
 
     t = 0.0
-    for target in targets:
+    for k, target in enumerate(targets):
         while target - t > eps:
             dt = min(dt_base, target - t)
-            field, info = step(field, dt, t, reg)
+            u, v, flux, src, a = step(u, v, dt, t, reg)
             t += dt
-            new_mass = float(np.sum(field.u)) * grid.dx
-            expected = mass - dt * (info["flux_right"] - info["flux_left"]) \
-                + dt * grid.dx * info["source_sum"]
+            new_mass = float(np.sum(u)) * grid.dx
+            expected = mass - dt * (float(flux[-1]) - float(flux[0])) \
+                + dt * grid.dx * float(np.sum(src))
             max_drift = max(max_drift, abs(new_mass - expected))
             mass = new_mass
             dt_hist.append(dt)
-            cfl_hist.append(dt * info["max_speed"] / grid.dx)
+            cfl_hist.append(dt * float(a.max()) / grid.dx)
             mass_hist.append(mass)
             boundary_max = max(boundary_max, float(np.max(np.abs(
-                np.concatenate([field.u[:2], field.u[-2:]])))))
+                np.concatenate([u[:2], u[-2:]])))))
         t = target
-        times.append(t)
-        fields.append(Field(field.u.copy(), field.v.copy()))
+        U[k] = u
+        V[k] = v
 
     warnings = []
     if boundary_max > 1e-12:
         warnings.append(
             "state reached the boundary cells (max %.3e); enlarge the domain"
             % boundary_max)
-    return RunResult(grid, np.asarray(times), fields, np.asarray(dt_hist),
+    return RunResult(grid, times, U, V, np.asarray(dt_hist),
                      np.asarray(cfl_hist), np.asarray(mass_hist),
                      max_drift, boundary_max, warnings)

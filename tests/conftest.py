@@ -4,7 +4,8 @@ pair gap and the elementwise psi matrices of the quadrature oracles."""
 
 import numpy as np
 
-from balancelab.entropy import bump_profile, bump_profile_dy, pair_gap_battery
+from balancelab.entropy import (ResidualEvaluator, bump_profile, bump_profile_dy,
+                               pair_gap_battery)
 from balancelab.flux import FluxCurve
 from balancelab.monotone import MonotoneGraph
 from balancelab.problem import ProblemSpec, SourceSpec
@@ -140,7 +141,8 @@ def _oracle_arctan_inverse_errors(ns, n_grid=1000):
 
 def pair_gap(kind, run1, run2, reg1, reg2, psi):
     """Single test-function variant of ``pair_gap_battery``."""
-    return float(pair_gap_battery(kind, run1, run2, reg1, reg2, [psi])[0])
+    return float(pair_gap_battery(kind, ResidualEvaluator(run1, reg1),
+                                  ResidualEvaluator(run2, reg2), [psi])[0])
 
 
 def psi_matrices(psi, t, x):

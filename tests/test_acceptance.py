@@ -25,7 +25,7 @@ from balancelab.measures import (MeasureContext, averaged_contraction_gap,
                                  estimate_young_measure)
 from balancelab.monotone import (MonotoneGraph, Table,
                                  check_inverse_convergence, resolvent, yosida)
-from balancelab.solver import Field, Grid1D, cfl_dt, regularized, solve
+from balancelab.solver import Grid1D, cfl_dt, regularized, solve
 from conftest import _oracle_arctan_inverse_errors, random_monotone_graph
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -47,8 +47,7 @@ def _report(number, ok, detail):
 def _shared_dt(pairs, grid):
     dts = []
     for spec, reg in pairs:
-        u0 = spec.initial_values(grid.centers, grid.dx)
-        dts.append(cfl_dt(Field(u0, reg.v_of_u(u0)), reg))
+        dts.append(cfl_dt(spec.initial_values(grid.centers, grid.dx), reg))
     return min(dts)
 
 
@@ -229,16 +228,14 @@ def _battery_min(cfg, n_cells):
     reg = regularized(spec, grid)
     run = solve(spec, grid, snapshots=n_cells, reg=reg)
     ev = ResidualEvaluator(run, reg)
-    _, _, V = run.snapshot_matrix()
-    ks = k_samples(V, reg, n=cfg.k_policy["n"], space="v",
+    ks = k_samples(run.V, reg, n=cfg.k_policy["n"], space="v",
                    pad=cfg.k_policy["pad"])
     psis = battery_from_geometry(spec)
     forms = ["SEMI_PLUS", "SEMI_MINUS", "SGN", "N2"]
     ks_by_form = {form: ks for form in forms}
     if spec.smooth_in_x:
         forms.append("N1")
-        _, U, _ = run.snapshot_matrix()
-        ks_by_form["N1"] = k_samples(U, reg, n=cfg.k_policy["n"], space="u",
+        ks_by_form["N1"] = k_samples(run.U, reg, n=cfg.k_policy["n"], space="u",
                                      pad=cfg.k_policy["pad"])
     report = ev.battery_report(forms, ks_by_form, psis)
     # the two one-sided forms must add up to the absolute-value form
@@ -247,7 +244,7 @@ def _battery_min(cfg, n_cells):
         abs(rows[("SEMI_PLUS", k, p)] + rows[("SEMI_MINUS", k, p)]
             - rows[("SGN", k, p)])
         for k in ks for p in (psi.label for psi in psis))
-    return min(report.minima().values()), scheme_tol(grid.dx, V), split_gap
+    return min(report.minima().values()), scheme_tol(grid.dx, run.V), split_gap
 
 
 def test_criterion_4_entropy_battery_all_shipped():
@@ -293,9 +290,7 @@ def test_criterion_5_contraction_and_comparison_pairs():
         worst_growth = max(worst_growth, growth)
         ok &= growth <= 1e-12 * run1.n_steps
         # data ordered at t=0 stay ordered in every cell of every snapshot
-        _, U1, _ = run1.snapshot_matrix()
-        _, U2, _ = run2.snapshot_matrix()
-        order_gap = float(np.max(U2 - U1))
+        order_gap = float(np.max(run2.U - run1.U))
         worst_order = max(worst_order, order_gap)
         ok &= order_gap <= 1e-13
     assert _report(
@@ -335,7 +330,7 @@ def test_criterion_6_measure_valued_consistency():
     ym1 = estimate_young_measure(runs[:len(js)], macro=(4, 4))
     ym2 = estimate_young_measure(runs[len(js):], macro=(4, 4))
     reg_top = regularized(specs[len(js) - 1], grid)
-    vmax = max(float(np.abs(r.snapshot_matrix()[2]).max()) for r in runs)
+    vmax = max(float(np.abs(r.V).max()) for r in runs)
     tol = scheme_tol(grid.dx, [vmax])
     gaps = averaged_contraction_gap(ym1, ym2, battery_from_geometry(base),
                                     reg_top)

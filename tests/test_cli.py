@@ -452,10 +452,10 @@ def test_ym_one_member_ensemble_is_single_atom(tmp_path):
     assert min(float(r[3]) for r in rows[1:]) >= -1e-10
 
 
-def _ym_with_macro(tmp_path, macro):
+def _ym_with_option(tmp_path, key, value):
     d = _load("constant_state").to_dict()
-    d["options"]["macro"] = macro
-    path = tmp_path / "macro.json"
+    d["options"][key] = value
+    path = tmp_path / "option.json"
     path.write_text(json.dumps(d))
     return main(["ym", "--config", str(path), "--out", str(tmp_path / "o"),
                  "--quiet"])
@@ -463,7 +463,7 @@ def _ym_with_macro(tmp_path, macro):
 
 def test_ym_unresolved_macro_exits_3(tmp_path, capsys):
     # 32-slab blocks are wider in time than the 9.6-slab battery radius
-    code = _ym_with_macro(tmp_path, [32, 8])
+    code = _ym_with_option(tmp_path, "macro", [32, 8])
     assert code == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "resolution"
@@ -473,11 +473,27 @@ def test_ym_unresolved_macro_exits_3(tmp_path, capsys):
 
 
 def test_ym_macro_entry_below_one_exits_2(tmp_path, capsys):
-    code = _ym_with_macro(tmp_path, [0, 8])
+    code = _ym_with_option(tmp_path, "macro", [0, 8])
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config"
     assert "macro" in err["message"]
+
+
+@pytest.mark.parametrize("key,value", [
+    ("macro", [2.5, 8]),  # not truncated to [2, 8]
+    ("macro", [0.5, 8]),  # not quoted as [0, 8]
+    ("gamma", -0.1),
+    ("support_radius", -1),
+    ("merge_tol", -1),
+])
+def test_ym_option_out_of_range_exits_2_naming_its_key(key, value, tmp_path,
+                                                       capsys):
+    code = _ym_with_option(tmp_path, key, value)
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert "options.%s" % key in err["message"]
 
 
 # ---------------------------------------------------------------------------

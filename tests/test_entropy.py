@@ -13,7 +13,7 @@ from balancelab.entropy import (EntropyReport, ResidualEvaluator, TestFunction,
                                 l1_distance_curve, pair_gap_battery)
 from balancelab.flux import FluxCurve
 from balancelab.problem import SourceSpec
-from balancelab.solver import Field, Grid1D, cfl_dt, regularized, solve
+from balancelab.solver import Grid1D, cfl_dt, regularized, solve
 from conftest import canonical_spec, pair_gap
 
 INF = float("inf")
@@ -33,15 +33,13 @@ def _run(spec, n, snapshots=64, dt_override=None, reg=None):
 
 def _verification_tol(run):
     # the harness tolerance curve: 10 dx (1 + max |v|)
-    _, _, V = run.snapshot_matrix()
-    return 10.0 * run.grid.dx * (1.0 + float(np.abs(V).max()))
+    return 10.0 * run.grid.dx * (1.0 + float(np.abs(run.V).max()))
 
 
 def _shared_dt(spec_a, spec_b, grid, reg_a, reg_b):
     ua = spec_a.initial_values(grid.centers, grid.dx)
     ub = spec_b.initial_values(grid.centers, grid.dx)
-    return min(cfl_dt(Field(ua, reg_a.v_of_u(ua)), reg_a),
-               cfl_dt(Field(ub, reg_b.v_of_u(ub)), reg_b))
+    return min(cfl_dt(ua, reg_a), cfl_dt(ub, reg_b))
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +90,7 @@ def test_standard_battery_layout():
 def test_k_samples_levels():
     spec = canonical_spec()
     res, reg = _run(spec, 32, snapshots=8)
-    _, _, V = res.snapshot_matrix()
+    V = res.V
     ks = k_samples(V, reg)
     assert len(ks) == 33
     assert ks[0] == pytest.approx(float(V.min()) - 0.5)
@@ -130,7 +128,7 @@ def test_semi_forms_vanish_beyond_state_range():
     spec = canonical_spec(u0={"id": "box", "params": {"height": 1.0, "a": -0.75, "b": 0.0}})
     res, reg = _run(spec, 96, snapshots=64)
     ev = ResidualEvaluator(res, reg)
-    _, _, V = res.snapshot_matrix()
+    V = res.V
     psis = battery_from_geometry(spec)[:1]
     assert abs(ev.residual("SEMI_PLUS", float(V.max()) + 0.4, psis)[0]) <= 1e-8
     assert abs(ev.residual("SEMI_MINUS", float(V.min()) - 0.4, psis)[0]) <= 1e-8
@@ -143,7 +141,7 @@ def test_sgn_is_sum_of_semi_forms():
                           source=SourceSpec("arctan", {"c": 0.8}), ell=2.0, m=2.0)
     res, reg = _run(spec, 96, snapshots=64)
     ev = ResidualEvaluator(res, reg)
-    _, _, V = res.snapshot_matrix()
+    V = res.V
     ks = k_samples(V, reg, n=7)
     psis = battery_from_geometry(spec)[::4]
     for k in ks:
@@ -160,7 +158,7 @@ def test_shock_battery_sgn_above_tolerance_curve():
     for n in (128, 256):
         res, reg = _run(spec, n, snapshots=64)
         ev = ResidualEvaluator(res, reg)
-        _, _, V = res.snapshot_matrix()
+        V = res.V
         ks = k_samples(V, reg)
         report = ev.battery_report(("SGN",), ks, battery_from_geometry(spec))
         assert len(report.rows) == len(ks) * 18
@@ -239,7 +237,8 @@ def test_pair_gap_contraction_nonnegative():
     res_b = solve(spec_b, grid, snapshots=64, dt_override=dt, reg=reg_b)
     tol = max(_verification_tol(res_a), _verification_tol(res_b))
     psis = battery_from_geometry(spec_a)
-    gaps = pair_gap_battery("CONTRACTION", res_a, res_b, reg_a, reg_b, psis)
+    gaps = pair_gap_battery("CONTRACTION", ResidualEvaluator(res_a, reg_a),
+                            ResidualEvaluator(res_b, reg_b), psis)
     assert float(np.min(gaps)) >= -tol
 
 
@@ -257,7 +256,8 @@ def test_pair_gap_comparison_of_ordered_data_vanishes():
     dt = _shared_dt(spec_a, spec_b, grid, reg_a, reg_b)
     res_a = solve(spec_a, grid, snapshots=64, dt_override=dt, reg=reg_a)
     res_b = solve(spec_b, grid, snapshots=64, dt_override=dt, reg=reg_b)
-    gaps = pair_gap_battery("COMPARISON", res_a, res_b, reg_a, reg_b,
+    gaps = pair_gap_battery("COMPARISON", ResidualEvaluator(res_a, reg_a),
+                            ResidualEvaluator(res_b, reg_b),
                             battery_from_geometry(spec_a))
     assert float(np.max(np.abs(gaps))) <= 1e-10
 
@@ -272,7 +272,8 @@ def test_pair_gap_distinct_sources_nonnegative():
     res_a = solve(spec_a, grid, snapshots=64, dt_override=dt, reg=reg_a)
     res_b = solve(spec_b, grid, snapshots=64, dt_override=dt, reg=reg_b)
     tol = max(_verification_tol(res_a), _verification_tol(res_b))
-    gaps = pair_gap_battery("CONTRACTION", res_a, res_b, reg_a, reg_b,
+    gaps = pair_gap_battery("CONTRACTION", ResidualEvaluator(res_a, reg_a),
+                            ResidualEvaluator(res_b, reg_b),
                             battery_from_geometry(spec_a))
     assert float(np.min(gaps)) >= -tol
 
@@ -289,6 +290,9 @@ def test_pair_gap_mismatched_runs_rejected():
         pair_gap("CONTRACTION", res1, res3, reg1, reg3, psi)
     with pytest.raises(ValueError, match="kind"):
         pair_gap("L1", res1, res1, reg1, reg1, psi)
+    res4, reg4 = _run(canonical_spec(j=4), 64, snapshots=16)
+    with pytest.raises(ValueError, match="identical flux and theta tables"):
+        pair_gap("CONTRACTION", res1, res4, reg1, reg4, psi)
 
 
 def test_l1_curve_identical_runs_zero():
@@ -343,7 +347,7 @@ def test_entropy_report_serialization(tmp_path):
     spec = canonical_spec()
     res, reg = _run(spec, 64, snapshots=64)
     ev = ResidualEvaluator(res, reg)
-    _, _, V = res.snapshot_matrix()
+    V = res.V
     ks = k_samples(V, reg, n=5)
     psis = battery_from_geometry(spec)[:4]
     report = ev.battery_report(("SEMI_PLUS", "SGN"), ks, psis)

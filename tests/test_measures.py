@@ -22,7 +22,7 @@ from balancelab.measures import (MeasureContext, YoungMeasureEstimate,
                                  support_and_trace_check, write_mv_table_csv)
 from balancelab.monotone import MonotoneGraph
 from balancelab.problem import SourceSpec, perturbation
-from balancelab.solver import Field, Grid1D, cfl_dt, regularized, solve
+from balancelab.solver import Grid1D, cfl_dt, regularized, solve
 from conftest import canonical_spec, psi_matrices
 
 INF = float("inf")
@@ -67,8 +67,7 @@ def _constant_spec(value, **kw):
 def _shared_dt(spec_a, spec_b, grid, reg_a, reg_b):
     ua = spec_a.initial_values(grid.centers, grid.dx)
     ub = spec_b.initial_values(grid.centers, grid.dx)
-    return min(cfl_dt(Field(ua, reg_a.v_of_u(ua)), reg_a),
-               cfl_dt(Field(ub, reg_b.v_of_u(ub)), reg_b))
+    return min(cfl_dt(ua, reg_a), cfl_dt(ub, reg_b))
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +337,8 @@ def test_averaged_contraction_dirac_pair_matches_pair_gap():
     ym_a, ym_b = _dirac(res_a), _dirac(res_b)
     psis = battery_from_geometry(spec_a)[::7]
     gap_mv = averaged_contraction_gap(ym_a, ym_b, psis, reg_a)
-    gap_runs = pair_gap_battery("CONTRACTION", res_a, res_b, reg_a, reg_b, psis)
+    gap_runs = pair_gap_battery("CONTRACTION", ResidualEvaluator(res_a, reg_a),
+                                ResidualEvaluator(res_b, reg_b), psis)
     assert gap_mv == pytest.approx(gap_runs, abs=1e-9)
     # product bracket symmetry: swapping the measures changes nothing
     assert averaged_contraction_gap(ym_b, ym_a, psis, reg_a) == \
@@ -373,10 +373,8 @@ def test_averaged_contraction_nonnegative_on_nested_pair():
     res_b = solve(spec_b, grid, snapshots=64, dt_override=dt, reg=reg_b)
     ym_a = estimate_young_measure([res_a])
     ym_b = estimate_young_measure([res_b])
-    _, _, V_a = res_a.snapshot_matrix()
-    _, _, V_b = res_b.snapshot_matrix()
-    tol = 10.0 * grid.dx * (1.0 + max(float(np.abs(V_a).max()),
-                                      float(np.abs(V_b).max())))
+    tol = 10.0 * grid.dx * (1.0 + max(float(np.abs(res_a.V).max()),
+                                      float(np.abs(res_b.V).max())))
     gaps = averaged_contraction_gap(ym_a, ym_b, battery_from_geometry(spec_a)[::4],
                                     reg_a)
     assert np.all(gaps >= -tol)

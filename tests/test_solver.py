@@ -14,11 +14,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from balancelab.flux import FluxCurve
+from balancelab.monotone import MonotoneGraph
 from balancelab.problem import SourceSpec
 from balancelab.solver import (
-    Field,
     Grid1D,
     SolverError,
     cfl_dt,
@@ -60,7 +62,7 @@ def _linear_flux():
 
 
 # ---------------------------------------------------------------------------
-# Grid and field plumbing
+# Grid and initial-state plumbing
 # ---------------------------------------------------------------------------
 
 
@@ -75,11 +77,13 @@ def test_grid_geometry():
         Grid1D(-1.0, 1.0, 2)
 
 
-def test_field_guards():
-    with pytest.raises(ValueError):
-        Field(np.zeros(4), np.zeros(5))
-    with pytest.raises(ValueError):
-        Field(np.array([1.0, np.nan]), np.zeros(2))
+def test_solve_nonfinite_initial_state_raises():
+    # the config front end rejects NaN, so only a programmatic spec gets here
+    spec = canonical_spec(u0={"id": "box", "params": {"height": float("nan"),
+                                                      "a": -1.0, "b": 0.0}})
+    grid = Grid1D(spec.x_lo, spec.x_hi, 32)
+    with pytest.raises(ValueError, match="finite"):
+        solve(spec, grid, snapshots=2)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +99,7 @@ def test_cfl_burgers_example():
     assert grid.dx == pytest.approx(0.01, abs=1e-15)
     reg = regularized(spec, grid)
     u = spec.initial_values(grid.centers, grid.dx)
-    dt = cfl_dt(Field(u, reg.v_of_u(u)), reg)
+    dt = cfl_dt(u, reg)
     assert dt == pytest.approx(0.0045, rel=5e-3)
 
 
@@ -104,7 +108,7 @@ def test_cfl_zero_flux_zero_source_caps_at_dx():
     grid = Grid1D(spec.x_lo, spec.x_hi, 40)
     reg = regularized(spec, grid)
     u = spec.initial_values(grid.centers, grid.dx)
-    dt = cfl_dt(Field(u, reg.v_of_u(u)), reg)
+    dt = cfl_dt(u, reg)
     assert dt == grid.dx
 
 
@@ -115,7 +119,7 @@ def test_cfl_stiff_source_cap():
     grid = Grid1D(spec.x_lo, spec.x_hi, 40)
     reg = regularized(spec, grid)
     u = spec.initial_values(grid.centers, grid.dx)
-    dt = cfl_dt(Field(u, reg.v_of_u(u)), reg)
+    dt = cfl_dt(u, reg)
     assert dt == pytest.approx(1.0 / 200.0, rel=1e-12)
 
 
@@ -200,10 +204,9 @@ def test_step_constant_interior_unchanged():
     grid = Grid1D(spec.x_lo, spec.x_hi, 32)
     reg = regularized(spec, grid)
     u = np.full(32, 0.6)
-    f = Field(u, reg.v_of_u(u))
-    out, _ = step(f, 1e-3, 0.0, reg)
-    assert np.array_equal(out.u[1:-1], u[1:-1])
-    assert out.u[0] != 0.6 and out.u[-1] != 0.6
+    out = step(u, reg.v_of_u(u), 1e-3, 0.0, reg)[0]
+    assert np.array_equal(out[1:-1], u[1:-1])
+    assert out[0] != 0.6 and out[-1] != 0.6
 
 
 def test_step_ode_decay_factor():
@@ -213,9 +216,8 @@ def test_step_ode_decay_factor():
     grid = Grid1D(spec.x_lo, spec.x_hi, 32)
     reg = regularized(spec, grid)
     u = spec.initial_values(grid.centers, grid.dx)
-    f = Field(u, reg.v_of_u(u))
-    out, _ = step(f, 0.01, 0.0, reg)
-    assert np.allclose(out.u, u * (1.0 - 0.01), rtol=1e-14, atol=1e-16)
+    out = step(u, reg.v_of_u(u), 0.01, 0.0, reg)[0]
+    assert np.allclose(out, u * (1.0 - 0.01), rtol=1e-14, atol=1e-16)
 
 
 def test_step_single_cell_mass():
@@ -224,9 +226,8 @@ def test_step_single_cell_mass():
     reg = regularized(spec, grid)
     u = np.zeros(32)
     u[16] = 1.0
-    f = Field(u, reg.v_of_u(u))
-    out, _ = step(f, 1e-3, 0.0, reg)
-    assert abs(np.sum(out.u) * grid.dx - np.sum(u) * grid.dx) < 1e-13
+    out = step(u, reg.v_of_u(u), 1e-3, 0.0, reg)[0]
+    assert abs(np.sum(out) * grid.dx - np.sum(u) * grid.dx) < 1e-13
 
 
 def test_step_monotone_ordering():
@@ -236,12 +237,10 @@ def test_step_monotone_ordering():
     x = grid.centers
     ua = 0.8 * np.sin(3.0 * x)
     ub = ua + 0.3 * (1.0 + np.cos(x)) / 2.0
-    fa = Field(ua, reg.v_of_u(ua))
-    fb = Field(ub, reg.v_of_u(ub))
-    dt = min(cfl_dt(fa, reg), cfl_dt(fb, reg))
-    oa, _ = step(fa, dt, 0.1, reg)
-    ob, _ = step(fb, dt, 0.1, reg)
-    assert float(np.min(ob.u - oa.u)) >= -1e-13
+    dt = min(cfl_dt(ua, reg), cfl_dt(ub, reg))
+    oa = step(ua, reg.v_of_u(ua), dt, 0.1, reg)[0]
+    ob = step(ub, reg.v_of_u(ub), dt, 0.1, reg)[0]
+    assert float(np.min(ob - oa)) >= -1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +253,8 @@ def test_solve_zero_fixed_point():
                           source=SourceSpec("arctan", {"c": 1.0}), ell=2.0, m=3.0)
     grid = Grid1D(spec.x_lo, spec.x_hi, 32)
     res = solve(spec, grid, snapshots=4)
-    _, U, V = res.snapshot_matrix()
-    assert np.all(U == 0.0)
-    assert np.all(V == 0.0)
+    assert np.all(res.U == 0.0)
+    assert np.all(res.V == 0.0)
 
 
 def test_solve_ode_decay_run():
@@ -311,11 +309,10 @@ def test_solve_conservation_maxprinciple_consistency():
     assert np.max(np.abs(np.diff(res.mass_history))) < 1e-12
     assert res.max_drift < 1e-12
     # maximum principle snapshot to snapshot
-    _, U, _ = res.snapshot_matrix()
-    sup = np.max(np.abs(U), axis=1)
+    sup = np.max(np.abs(res.U), axis=1)
     assert np.all(np.diff(sup) <= 1e-14)
     # companion values stay consistent with the tables
-    assert np.array_equal(res.fields[-1].v, reg.v_of_u(res.final_u))
+    assert np.array_equal(res.V[-1], reg.v_of_u(res.final_u))
     # realized CFL numbers stay near the target: rounding-level overshoots
     # of u past 1.0 can pull one extra slope cell into the speed bracket
     assert float(np.max(res.cfl_history)) <= 0.46
@@ -332,13 +329,11 @@ def test_solve_l1_contraction_and_comparison():
     reg = regularized(spec_a, grid)
     ua = spec_a.initial_values(grid.centers, grid.dx)
     ub = spec_b.initial_values(grid.centers, grid.dx)
-    dt = min(cfl_dt(Field(ua, reg.v_of_u(ua)), reg),
-             cfl_dt(Field(ub, reg.v_of_u(ub)), reg))
+    dt = min(cfl_dt(ua, reg), cfl_dt(ub, reg))
     res_a = solve(spec_a, grid, snapshots=5, dt_override=dt, reg=reg)
     res_b = solve(spec_b, grid, snapshots=5, dt_override=dt, reg=reg)
     assert np.array_equal(res_a.times, res_b.times)
-    _, Ua, _ = res_a.snapshot_matrix()
-    _, Ub, _ = res_b.snapshot_matrix()
+    Ua, Ub = res_a.U, res_b.U
     slack = res_a.n_steps * 1e-12
     # nested data stay ordered
     assert float(np.min(ub - ua)) >= 0.0
@@ -347,6 +342,38 @@ def test_solve_l1_contraction_and_comparison():
     dists = [grid.dx * float(np.sum(np.abs(ua - ub)))]
     dists += [grid.dx * float(np.sum(np.abs(Ua[s] - Ub[s]))) for s in range(Ua.shape[0])]
     assert np.all(np.diff(dists) <= slack)
+
+
+@seed(20140414)
+@settings(max_examples=25, deadline=None)
+@given(
+    graph=st.sampled_from(["identity", "sign_plus_identity"]),
+    coeff=st.sampled_from([
+        {"kind": "const"},
+        {"kind": "pwc", "x_breaks": [0.1], "region_c": [1.0, 2.0]},
+        {"kind": "smooth", "a": 1.5, "b": 0.5, "k": 1.0, "phase": 0.0},
+    ]),
+    source=st.sampled_from([("zero", {}), ("arctan", {"c": 1.0}),
+                            ("linear", {"c": 1.0})]),
+    height=st.floats(-1.5, 1.5),
+    j=st.sampled_from([2, 16]),
+    n_cells=st.integers(8, 40),
+    snapshots=st.integers(1, 5),
+)
+def test_every_snapshot_row_keeps_v_consistent(graph, coeff, source, height,
+                                               j, n_cells, snapshots):
+    spec = canonical_spec(theta_graph=getattr(MonotoneGraph, graph)(),
+                          coeff=coeff, source=SourceSpec(*source), j=j,
+                          ell=2.0, m=2.0, T=0.2,
+                          u0={"id": "box", "params": {"height": height,
+                                                      "a": -1.0, "b": 0.5}})
+    grid = Grid1D(spec.x_lo, spec.x_hi, n_cells)
+    reg = regularized(spec, grid)
+    res = solve(spec, grid, snapshots=snapshots, reg=reg)
+    assert res.U.shape == res.V.shape == (snapshots + 1, n_cells)
+    assert np.array_equal(res.times[-1], spec.T)
+    for k in range(snapshots + 1):
+        assert np.array_equal(res.V[k], reg.v_of_u(res.U[k]))
 
 
 def test_solve_deterministic_rerun():
@@ -388,7 +415,7 @@ def test_jump_flux_run_smoke():
     assert np.max(np.abs(np.diff(res.mass_history))) < 1e-12
     assert float(res.final_u.min()) >= -1e-12
     assert float(res.final_u.max()) <= 1.0 + 1e-12
-    assert np.array_equal(res.fields[-1].v, reg.v_of_u(res.final_u))
+    assert np.array_equal(res.V[-1], reg.v_of_u(res.final_u))
 
 
 def test_run_csv_and_metadata(tmp_path):
