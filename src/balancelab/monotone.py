@@ -438,6 +438,12 @@ class Table:
     broadcasts against the points, so a one-row table takes ``rows = 0``
     and points of any shape.  Rows that are strictly increasing (margin
     > 0) are surjective and have the exact inverse of their interpolant.
+
+    A point u sits at t = (u - lo)/du in slope cell floor(t), clipped to the
+    grid; the interpolation and the slope range queries share that pass.  A
+    bracket [lo, hi] covers the slope cells between the nodes floor(t_lo) and
+    ceil(t_hi), at least one and clipped to the grid, so its max |slope| is
+    nondecreasing under inclusion.
     """
 
     lo: float
@@ -473,11 +479,21 @@ class Table:
         """One-row table of ``fn`` sampled at n uniform points of [lo, hi]."""
         return Table(lo, hi, fn(np.linspace(lo, hi, n)))
 
-    def __call__(self, rows, u):
+    def _cells(self, u):
+        """t = (u - lo)/du and its slope cell floor(t), clipped to the grid."""
         t = (np.asarray(u, dtype=float) - self.lo) / self.du
-        i = np.clip(np.floor(t).astype(int), 0, self.n_samples - 2)
+        # the method allocates one output, as np.clip does, but skips
+        # np.clip's slower Python dispatch; this runs on every step
+        i = np.floor(t).astype(int).clip(0, self.n_samples - 2)
+        return t, i
+
+    def _interp(self, rows, t, i):
         T = self.values
-        return T[rows, i] + (t - i) * (T[rows, i + 1] - T[rows, i])
+        left = T[rows, i]
+        return left + (t - i) * (T[rows, i + 1] - left)
+
+    def __call__(self, rows, u):
+        return self._interp(rows, *self._cells(u))
 
     def inverse(self, rows, v):
         """u with self(rows, u) = v, for strictly increasing rows.
@@ -498,15 +514,36 @@ class Table:
         lo, hi = T[rows, i], T[rows, i + 1]
         return self.lo + self.du * (i + (v - lo) / (hi - lo))
 
-    def range_max_abs_slope(self, rows, lo, hi):
-        """Exact max of |slope| per row over the slope cells covering
-        [lo, hi]; nondecreasing under bracket inclusion."""
+    def _bracket_max(self, rows, i0, t_hi):
+        # slope cells i0 .. ceil(t_hi) - 1, at least one and within the grid;
+        # t is monotone in u, so from the cell passes of the two ends this is
+        # exactly the cover of [lo, hi]
         n_slope = self.n_samples - 1
-        i0 = np.clip(np.floor((lo - self.lo) / self.du).astype(int), 0, n_slope - 1)
-        i1 = np.clip(np.ceil((hi - self.lo) / self.du).astype(int), i0 + 1, n_slope)
+        i1 = np.minimum(np.maximum(np.ceil(t_hi).astype(int), i0 + 1), n_slope)
         base = np.asarray(rows) * n_slope
-        bounds = np.stack(np.broadcast_arrays(base + i0, base + i1), axis=-1)
+        # flat (start, end) pairs into _abs_slopes, interleaved for reduceat
+        bounds = np.empty(np.broadcast(base, i0, i1).shape + (2,), dtype=int)
+        np.add(base, i0, out=bounds[..., 0])
+        np.add(base, i1, out=bounds[..., 1])
         return np.maximum.reduceat(self._abs_slopes, bounds.ravel())[::2].reshape(bounds.shape[:-1])
+
+    def range_max_abs_slope(self, rows, lo, hi):
+        """Exact max of |slope| per row over the slope cells between the
+        nodes floor(t_lo) and ceil(t_hi) covering [lo, hi], where
+        t = (u - self.lo)/du; nondecreasing under bracket inclusion."""
+        _, i0 = self._cells(lo)
+        t_hi, _ = self._cells(hi)
+        return self._bracket_max(rows, i0, t_hi)
+
+    def llf_terms(self, rows, uL, uR):
+        """(F(uL), F(uR), a) for the local Lax-Friedrichs flux, one slope-cell
+        pass per side: a equals range_max_abs_slope over [min(uL, uR),
+        max(uL, uR)], its nodes floor(t_min) and ceil(t_max) taken from the
+        interpolation's cell passes."""
+        tL, iL = self._cells(uL)
+        tR, iR = self._cells(uR)
+        a = self._bracket_max(rows, np.minimum(iL, iR), np.maximum(tL, tR))
+        return self._interp(rows, tL, iL), self._interp(rows, tR, iR), a
 
 
 # ---------------------------------------------------------------------------

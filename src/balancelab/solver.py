@@ -36,6 +36,9 @@ DEFAULT_CFL = 0.45
 # (1 - cfl - 1/2 > 0), which is what makes the scheme order preserving.
 _SOURCE_CAP = 0.5
 
+# interface-table rows per block when the composed flux table is evaluated
+_FLUX_BLOCK_ROWS = 64
+
 
 # ---------------------------------------------------------------------------
 # Grid and run record
@@ -176,13 +179,14 @@ class RegularizedProblem:
         """Local Lax-Friedrichs flux at every interface: (flux values, max speed).
 
         The viscosity coefficient a is the exact maximum of |dF/du| over the
-        slope cells covering [min(uL,uR), max(uL,uR)], which is nondecreasing
-        under bracket inclusion; together with the CFL and source caps this
-        makes the full cell update order preserving.
+        slope cells between the nodes floor(t_min) and ceil(t_max) covering
+        [min(uL,uR), max(uL,uR)], where t = (u - u_lo)/du; the nodes come
+        from the same cell passes as the interpolation of F(uL) and F(uR).
+        It is nondecreasing under bracket inclusion; together with the CFL
+        and source caps this makes the full cell update order preserving.
         """
-        rows = self.theta_if.cell_rows
-        a = self.flux.range_max_abs_slope(rows, np.minimum(uL, uR), np.maximum(uL, uR))
-        return 0.5 * (self.flux(rows, uL) + self.flux(rows, uR)) - 0.5 * a * (uR - uL), a
+        FL, FR, a = self.flux.llf_terms(self.theta_if.cell_rows, uL, uR)
+        return 0.5 * (FL + FR) - 0.5 * a * (uR - uL), a
 
     # -- state maps ---------------------------------------------------------------
 
@@ -230,7 +234,14 @@ def regularized(spec, grid):
     pad = max(1e-9, 0.05 * (v_hi - v_lo))
     curve = mollify_callable(spec.flux.eval if par is None else par.calA,
                              spec.j, v_lo - pad, v_hi + pad)
-    flux = Table(theta_if.u_lo, theta_if.u_hi, curve(0, theta_if.table))
+    # F = A_j(theta_j) a block of rows at a time: per-cell tables are
+    # (n_cells + 1) x THETA_SAMPLES, and interpolating a whole one at once
+    # made the temporaries that set the peak memory of a run
+    flux_values = np.empty_like(theta_if.table)
+    for start in range(0, len(flux_values), _FLUX_BLOCK_ROWS):
+        block = slice(start, start + _FLUX_BLOCK_ROWS)
+        flux_values[block] = curve(0, theta_if.table[block])
+    flux = Table(theta_if.u_lo, theta_if.u_hi, flux_values)
     return RegularizedProblem(spec, grid, c, theta, theta_if, curve, par, flux)
 
 
@@ -291,10 +302,12 @@ def solve(spec, grid, snapshots=8, dt_override=None, reg=None):
     if reg is None:
         reg = regularized(spec, grid)
     u = spec.initial_values(grid.centers, grid.dx)
+    if not np.all(np.isfinite(u)):
+        raise ValueError("field values must be finite")
     if np.max(np.abs(u)) > spec.sample_radius:
         raise ValueError("initial data exceeds sample_radius; tables too narrow")
     v = reg.v_of_u(u)
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+    if not np.all(np.isfinite(v)):
         raise ValueError("field values must be finite")
     dt_base = dt_override if dt_override is not None else cfl_dt(u, reg)
 

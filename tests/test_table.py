@@ -3,7 +3,9 @@
 The references below are the implementations the Table replaced: the
 comparison-count inverse over all samples of a row, the per-row
 searchsorted inverse, and the n x (widest bracket) gather of slope cells.
-The Table must agree with each of them bit for bit.
+The Table must agree with each of them bit for bit, and its LLF query
+(both interpolants and the bracket max from one cell pass per side) with
+its own interpolation and that gather.
 """
 
 import numpy as np
@@ -88,6 +90,24 @@ def points(table, rng, n=60):
     return rows, v
 
 
+def states(table, rng, shape):
+    """States beyond [lo, hi] and, about a third of them, exactly on sample
+    nodes lo + k*du (inside and outside the grid), most of which have
+    floor(t) == ceil(t)."""
+    u = rng.uniform(table.lo - 1.0, table.hi + 1.0, size=shape)
+    on_node = rng.random(shape) < 0.3
+    k = rng.integers(-3, table.n_samples + 3, size=on_node.sum())
+    u[on_node] = table.lo + k * table.du
+    return u
+
+
+def brackets(table, rng, shape):
+    """End states uL, uR; about a fifth of them are ties uL == uR."""
+    uL = states(table, rng, shape)
+    uR = np.where(rng.random(shape) < 0.2, uL, states(table, rng, shape))
+    return uL, uR
+
+
 # ---------------------------------------------------------------------------
 # Properties
 # ---------------------------------------------------------------------------
@@ -146,12 +166,29 @@ def test_call_matches_row_interpolation(case):
 def test_range_max_matches_gather(case):
     table, rng = case
     rows = rng.integers(0, len(table.values), size=50)
-    uL = rng.uniform(table.lo - 1.0, table.hi + 1.0, size=50)
-    uR = np.where(rng.random(50) < 0.2, uL,
-                  rng.uniform(table.lo - 1.0, table.hi + 1.0, size=50))
+    uL, uR = brackets(table, rng, 50)
     lo, hi = np.minimum(uL, uR), np.maximum(uL, uR)
     got = table.range_max_abs_slope(rows, lo, hi)
     assert np.array_equal(got, gather_range_max(table, rows, lo, hi))
+
+
+@seed(20140413)
+@SETTINGS
+@given(tables(increasing=False), st.sampled_from(["per point", "broadcast", "one row"]))
+def test_llf_terms_match_call_and_gather(case, layout):
+    # one row per point; per-cell rows against (members, cells) states; row 0
+    table, rng = case
+    n = 40
+    rows = 0 if layout == "one row" else rng.integers(0, len(table.values), size=n)
+    uL, uR = brackets(table, rng, (3, n) if layout == "broadcast" else n)
+    FL, FR, a = table.llf_terms(rows, uL, uR)
+    assert np.array_equal(FL, table(rows, uL))
+    assert np.array_equal(FR, table(rows, uR))
+    flat = np.broadcast_to(rows, uL.shape).ravel()
+    want = gather_range_max(table, flat, np.minimum(uL, uR).ravel(),
+                            np.maximum(uL, uR).ravel())
+    assert a.shape == uL.shape
+    assert np.array_equal(a, want.reshape(uL.shape))
 
 
 def test_one_row_table_takes_any_shape():

@@ -1,5 +1,5 @@
 """Smoke tests of tools/artifact_digests.py on one config and one subcommand,
-and on one benchmark workload."""
+and on one benchmark workload, and of tools/kernel_timing.py on small grids."""
 
 import hashlib
 import json
@@ -46,3 +46,16 @@ def test_artifact_digests_runs_a_workload_at_a_seed(tmp_path):
     want = _digests(run_dir)
     assert want
     assert record == {"ym ym-ensemble-3": {"exit": rc, "files": want}}
+
+
+def test_kernel_timing_reports_both_kernels_per_cell_count():
+    tool = os.path.join(ROOT, "tools", "kernel_timing.py")
+    proc = subprocess.run([sys.executable, tool, os.path.join(ROOT, "src"),
+                           "--cells", "16", "32", "--calls", "2",
+                           "--repeats", "1"],
+                          check=True, capture_output=True, text=True)
+    record = json.loads(proc.stdout.splitlines()[-1])
+    assert sorted(record) == ["16", "32"]
+    for times in record.values():
+        assert sorted(times) == ["numerical_flux_us", "step_us"]
+        assert all(us > 0 for us in times.values())
