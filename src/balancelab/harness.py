@@ -22,9 +22,12 @@ table set per distinct (j, gap_slope, sample_radius, theta_graph, coeff,
 flux): ell and m enter only through the source terms, so an m or ell
 sweep builds its tables once and a j sweep once per point.  All points share
 one time step, the smallest stable step over the schedule, so runs stay
-comparable point by point.  Schedule points solve concurrently;
-aggregation is by schedule index, so repeated invocations give
-bit-identical reports.
+comparable point by point.  Schedule points solve one at a time, in
+schedule order: each member's arithmetic is independent of the others,
+and on a 2-vCPU host concurrent members cost more CPU than they save in
+wall time.  They run on one worker thread only so that the benchmark's
+tracer (``perfbench/spans.py``) counts their steps.  Aggregation is by
+schedule index, so repeated invocations give bit-identical reports.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
-import os
 from concurrent import futures
 
 import numpy as np
@@ -170,8 +172,9 @@ def solve_points(specs, grid, snapshots=8):
     ``dataclasses.replace``) share one ``regularized`` build, and each spec
     gets a copy that reads its own ell, m and j in ``source_values`` and
     ``lip_source``.  The step is the smallest stable step over the specs,
-    so the runs share snapshot instants exactly.  Runs go concurrently;
-    returns (runs, dt, regs) in spec order.
+    so the runs share snapshot instants exactly.  The runs go one at a
+    time, in spec order, on one worker thread (see the module docstring
+    for why); returns (runs, dt, regs) in spec order.
     """
     built, regs, dts = {}, [], []
     for s in specs:
@@ -183,8 +186,9 @@ def solve_points(specs, grid, snapshots=8):
         regs.append(reg)
         dts.append(cfl_dt(s.initial_values(grid.centers, grid.dx), reg))
     dt = float(min(dts))
-    workers = max(1, min(len(specs), os.cpu_count() or 1))
-    with futures.ThreadPoolExecutor(max_workers=workers) as ex:
+    # one worker, kept only because perfbench/spans.py counts sweep steps
+    # from solves off the calling thread: a plain loop here would count none
+    with futures.ThreadPoolExecutor(max_workers=1) as ex:
         runs = list(ex.map(
             lambda i: solve(specs[i], grid, snapshots=snapshots,
                             dt_override=dt, reg=regs[i]),

@@ -443,7 +443,10 @@ class Table:
     grid; the interpolation and the slope range queries share that pass.  A
     bracket [lo, hi] covers the slope cells between the nodes floor(t_lo) and
     ceil(t_hi), at least one and clipped to the grid, so its max |slope| is
-    nondecreasing under inclusion.
+    nondecreasing under inclusion.  ``llf_terms`` on a table of more than
+    one row gathers the bracket cells before taking the max; one-row tables
+    and ``range_max_abs_slope`` reduce interleaved bracket bounds over the
+    whole flat slope table.
     """
 
     lo: float
@@ -514,23 +517,39 @@ class Table:
         lo, hi = T[rows, i], T[rows, i + 1]
         return self.lo + self.du * (i + (v - lo) / (hi - lo))
 
-    def _bracket_max(self, rows, i0, t_hi):
+    def _bracket_max(self, rows, i0, t_hi, gather=False):
         # slope cells i0 .. ceil(t_hi) - 1, at least one and within the grid;
         # t is monotone in u, so from the cell passes of the two ends this is
         # exactly the cover of [lo, hi]
         n_slope = self.n_samples - 1
         i1 = np.minimum(np.maximum(np.ceil(t_hi).astype(int), i0 + 1), n_slope)
         base = np.asarray(rows) * n_slope
-        # flat (start, end) pairs into _abs_slopes, interleaved for reduceat
-        bounds = np.empty(np.broadcast(base, i0, i1).shape + (2,), dtype=int)
+        if gather:
+            # the bracket cells alone, back to back, at flat indices
+            # start .. start + width - 1: reduceat reads each cell once
+            start = base + i0
+            width = (base + i1 - start).ravel()
+            offsets = width.cumsum() - width
+            flat = (start.ravel() - offsets).repeat(width)
+            flat += np.arange(len(flat))
+            return np.maximum.reduceat(self._abs_slopes[flat], offsets).reshape(start.shape)
+        # flat (start, end) pairs into _abs_slopes, interleaved for reduceat;
+        # the odd segments, from one bracket's end to the next one's start,
+        # are reduced and dropped
+        shape = np.broadcast(base, i0, i1).shape
+        bounds = np.empty(shape + (2,), dtype=int)
         np.add(base, i0, out=bounds[..., 0])
         np.add(base, i1, out=bounds[..., 1])
-        return np.maximum.reduceat(self._abs_slopes, bounds.ravel())[::2].reshape(bounds.shape[:-1])
+        return np.maximum.reduceat(self._abs_slopes, bounds.ravel())[::2].reshape(shape)
 
     def range_max_abs_slope(self, rows, lo, hi):
         """Exact max of |slope| per row over the slope cells between the
         nodes floor(t_lo) and ceil(t_hi) covering [lo, hi], where
-        t = (u - self.lo)/du; nondecreasing under bracket inclusion."""
+        t = (u - self.lo)/du; nondecreasing under bracket inclusion.
+
+        It always scans interleaved: its caller, ``max_speed`` (for
+        ``cfl_dt``), asks for one wide bracket on every row, whose gathered
+        cells would cost more memory than the gaps between them cost time."""
         _, i0 = self._cells(lo)
         t_hi, _ = self._cells(hi)
         return self._bracket_max(rows, i0, t_hi)
@@ -539,10 +558,16 @@ class Table:
         """(F(uL), F(uR), a) for the local Lax-Friedrichs flux, one slope-cell
         pass per side: a equals range_max_abs_slope over [min(uL, uR),
         max(uL, uR)], its nodes floor(t_min) and ceil(t_max) taken from the
-        interpolation's cell passes."""
+        interpolation's cell passes.
+
+        A table of more than one row (one row per interface) gathers the
+        bracket cells before the max, since the gaps between consecutive
+        brackets span about a whole row; a one-row table scans interleaved,
+        where each gap is a few cells."""
         tL, iL = self._cells(uL)
         tR, iR = self._cells(uR)
-        a = self._bracket_max(rows, np.minimum(iL, iR), np.maximum(tL, tR))
+        a = self._bracket_max(rows, np.minimum(iL, iR), np.maximum(tL, tR),
+                              gather=len(self.values) > 1)
         return self._interp(rows, tL, iL), self._interp(rows, tR, iR), a
 
 

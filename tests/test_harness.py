@@ -4,6 +4,8 @@ import csv
 import dataclasses
 import json
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -104,6 +106,37 @@ def test_solve_points_builds_each_table_set_once(monkeypatch, field, values,
         assert np.array_equal(run.dt_history, alone.dt_history)
         for name in ("times", "U", "V"):
             assert np.array_equal(getattr(run, name), getattr(alone, name))
+
+
+def test_solve_points_solves_one_member_at_a_time_off_the_calling_thread(
+        monkeypatch):
+    # members go in spec order, never two at once, and each on a thread
+    # other than the caller's (the benchmark counts sweep steps there)
+    lock = threading.Lock()
+    active, peak, threads, order = [0], [0], [], []
+    original = harness.solve
+
+    def recording(spec, *args, **kwargs):
+        with lock:
+            active[0] += 1
+            peak[0] = max(peak[0], active[0])
+            threads.append(threading.get_ident())
+            order.append(spec)
+        try:
+            time.sleep(0.02)  # gives a concurrent member time to start
+            return original(spec, *args, **kwargs)
+        finally:
+            with lock:
+                active[0] -= 1
+
+    monkeypatch.setattr(harness, "solve", recording)
+    grid = Grid1D(-2.0, 2.0, 32)
+    base = _mixed_sign_spec(ell=2.0)
+    specs = [dataclasses.replace(base, m=v) for v in (1.0, 2.0, 4.0, 8.0)]
+    solve_points(specs, grid, snapshots=2)
+    assert peak[0] == 1
+    assert order == specs
+    assert threading.get_ident() not in threads
 
 
 # ---------------------------------------------------------------------------

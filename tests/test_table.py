@@ -5,7 +5,9 @@ comparison-count inverse over all samples of a row, the per-row
 searchsorted inverse, and the n x (widest bracket) gather of slope cells.
 The Table must agree with each of them bit for bit, and its LLF query
 (both interpolants and the bracket max from one cell pass per side) with
-its own interpolation and that gather.
+its own interpolation and that gather, both on one-row tables (which scan
+interleaved bracket bounds) and on tables of several rows (which gather
+the bracket cells first).
 """
 
 import numpy as np
@@ -66,8 +68,8 @@ def row_interp(values, lo, du, u):
 
 
 @st.composite
-def tables(draw, increasing=True):
-    n_rows = draw(st.integers(1, 5))
+def tables(draw, increasing=True, n_rows=st.integers(1, 5)):
+    n_rows = draw(n_rows)
     n_samples = draw(st.integers(2, 70))
     lo = draw(st.floats(-3.0, 1.0))
     hi = lo + draw(st.floats(0.25, 6.0))
@@ -174,9 +176,11 @@ def test_range_max_matches_gather(case):
 
 @seed(20140413)
 @SETTINGS
-@given(tables(increasing=False), st.sampled_from(["per point", "broadcast", "one row"]))
+@given(tables(increasing=False, n_rows=st.one_of(st.just(1), st.integers(2, 5))),
+       st.sampled_from(["per point", "broadcast", "one row"]))
 def test_llf_terms_match_call_and_gather(case, layout):
-    # one row per point; per-cell rows against (members, cells) states; row 0
+    # one row per point; per-cell rows against (members, cells) states; row 0;
+    # half the tables have one row, the others several
     table, rng = case
     n = 40
     rows = 0 if layout == "one row" else rng.integers(0, len(table.values), size=n)
@@ -189,6 +193,31 @@ def test_llf_terms_match_call_and_gather(case, layout):
                             np.maximum(uL, uR).ravel())
     assert a.shape == uL.shape
     assert np.array_equal(a, want.reshape(uL.shape))
+
+
+def test_llf_terms_on_wide_brackets_with_a_row_per_interface():
+    # brackets up to about half the grid wide, some running past either
+    # end of it, on (cells,) states and on (members, cells) states that
+    # broadcast against one row per interface
+    rng = np.random.default_rng(20140414)
+    n = 129
+    table = Table(-2.0, 3.0, rng.normal(size=(n, 257)))
+    rows = np.arange(n)
+    span = table.hi - table.lo
+    for shape in [(n,), (3, n)]:
+        mid = rng.uniform(table.lo - 0.1 * span, table.hi + 0.1 * span, size=shape)
+        half = rng.uniform(0.0, 0.25 * span, size=shape)
+        flip = rng.random(shape) < 0.5
+        uL, uR = np.where(flip, mid + half, mid - half), np.where(flip, mid - half, mid + half)
+        lo, hi = np.minimum(uL, uR), np.maximum(uL, uR)
+        assert (lo < table.lo).any() and (hi > table.hi).any()
+        assert (hi - lo).max() > 0.45 * span
+        FL, FR, a = table.llf_terms(rows, uL, uR)
+        assert np.array_equal(FL, table(rows, uL))
+        assert np.array_equal(FR, table(rows, uR))
+        flat = np.broadcast_to(rows, shape).ravel()
+        want = gather_range_max(table, flat, lo.ravel(), hi.ravel())
+        assert np.array_equal(a, want.reshape(shape))
 
 
 def test_one_row_table_takes_any_shape():

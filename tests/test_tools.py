@@ -49,13 +49,16 @@ def test_artifact_digests_runs_a_workload_at_a_seed(tmp_path):
 
 
 def test_kernel_timing_reports_both_kernels_per_cell_count():
+    # the default workload (converge-riemann, one-row flux tables) and
+    # verify-smooth (one flux-table row per interface)
     tool = os.path.join(ROOT, "tools", "kernel_timing.py")
-    proc = subprocess.run([sys.executable, tool, os.path.join(ROOT, "src"),
-                           "--cells", "16", "32", "--calls", "2",
-                           "--repeats", "1"],
-                          check=True, capture_output=True, text=True)
-    record = json.loads(proc.stdout.splitlines()[-1])
-    assert sorted(record) == ["16", "32"]
-    for times in record.values():
-        assert sorted(times) == ["numerical_flux_us", "step_us"]
-        assert all(us > 0 for us in times.values())
+    for extra in ([], ["--workload", "verify-smooth"]):
+        proc = subprocess.run([sys.executable, tool, os.path.join(ROOT, "src"),
+                               "--cells", "16", "32", "--calls", "2",
+                               "--repeats", "1"] + extra,
+                              check=True, capture_output=True, text=True)
+        record = json.loads(proc.stdout.splitlines()[-1])
+        assert sorted(record) == ["16", "32"]
+        for times in record.values():
+            assert sorted(times) == ["numerical_flux_us", "step_us"]
+            assert all(us > 0 for us in times.values())

@@ -4,10 +4,13 @@ Usage, from the root of a checkout:
 
     python3 tools/kernel_timing.py SRC_DIR [--cells 64 512 1024 2048]
         [--calls 200] [--repeats 7]
+        [--workload {converge-riemann,verify-smooth}]
 
-Imports ``balancelab`` from SRC_DIR and builds the problem of the
-converge-riemann benchmark workload at seed 1 (perfbench/workloads.py),
-whose solves are mostly this kernel.  For each cell count it solves to
+Imports ``balancelab`` from SRC_DIR and builds the problem of one
+benchmark workload at seed 1 (perfbench/workloads.py): converge-riemann
+by default, whose solves are mostly this kernel on one-row flux tables, or
+verify-smooth, whose x-dependent coefficient gives one flux-table row per
+interface.  For each cell count it solves to
 T/4 (the first snapshot of a two-slab run), then times ``numerical_flux``
 on that state's interfaces and one whole ``step`` from it: ``--repeats``
 blocks of ``--calls`` calls each.  The last line of standard output is one JSON
@@ -48,13 +51,15 @@ def main(argv=None):
     p.add_argument("--cells", type=int, nargs="+", default=[64, 512, 1024, 2048])
     p.add_argument("--calls", type=int, default=200)
     p.add_argument("--repeats", type=int, default=7)
+    p.add_argument("--workload", choices=["converge-riemann", "verify-smooth"],
+                   default="converge-riemann")
     args = p.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
     from balancelab import load_config
     from balancelab.solver import Grid1D, cfl_dt, regularized, solve, step
 
     with tempfile.TemporaryDirectory() as work:
-        config = workloads.write_config("converge-riemann", 1,
+        config = workloads.write_config(args.workload, 1,
                                         os.path.join(work, "config.json"))
         spec = load_config(config).problem
     out = {}
