@@ -32,9 +32,8 @@ from .entropy import (FORMS, ResidualEvaluator, ResolutionError,
                       battery_from_geometry, k_samples, l1_distance_curve,
                       pair_gap_battery)
 from .flux import build_parametrization
-from .harness import (check_grid_triple, j_schedule_run,
-                      monotone_in_ell_check, monotone_in_m_check, scheme_tol,
-                      self_convergence_order, solve_points)
+from .harness import (check_grid_triple, scheme_tol, self_convergence_order,
+                      solve_points, sweep)
 from .measures import (default_support_radius, estimate_young_measure,
                        mv_residual_table, support_and_trace_check,
                        write_mv_table_csv)
@@ -196,13 +195,12 @@ def cmd_converge(cfg, out_dir, quiet):
     check_grid_triple(grids)
 
     sch = cfg.schedules
-    reports = {
-        "m": monotone_in_m_check(spec, grid, sch["ell_fixed"], sch["m"],
-                                 snapshots=cfg.snapshots),
-        "ell": monotone_in_ell_check(spec, grid, sch["ell"], sch["m_fixed"],
-                                     snapshots=cfg.snapshots),
-        "j": j_schedule_run(spec, grid, sch["j"], snapshots=cfg.snapshots),
-    }
+    held = {"m": dataclasses.replace(spec, ell=sch["ell_fixed"]),
+            "ell": dataclasses.replace(spec, m=sch["m_fixed"]),
+            "j": spec}
+    # all sweeps run before any report is written (no partial artifacts)
+    reports = {kind: sweep(kind, base, grid, sch[kind], snapshots=cfg.snapshots)
+               for kind, base in held.items()}
     ok = True
     for kind, rep in reports.items():
         rep.write_json(os.path.join(out_dir, "schedule_%s.json" % kind))

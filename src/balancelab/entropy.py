@@ -265,16 +265,10 @@ class ResidualEvaluator:
         for s, t in enumerate(self.t_mid):
             self.f_cells[s] = reg.source_values(t, self.U[s], self.V[s])
         self.AV = reg.curve(0, self.V)
-        self._terms = (None, None)
 
     def terms(self, form, k):
         """psi-independent integrand fields (G1, G2, G3, W0) of one form:
-        residual = int (G1 psi_t + G2 psi_x + G3 psi) + int W0 psi(0, .);
-        only the last level's fields are kept."""
-        key = (form, float(k))
-        if self._terms[0] == key:
-            return self._terms[1]
-        self._terms = (None, None)  # release the old level before the next
+        residual = int (G1 psi_t + G2 psi_x + G3 psi) + int W0 psi(0, .)."""
         theta = self.reg.theta
         curve = self.reg.curve
         if form == "N1":
@@ -312,7 +306,6 @@ class ResidualEvaluator:
                        np.abs(self.u0 - eta_k))
             else:
                 raise ValueError("unknown form %r" % (form,))
-        self._terms = (key, out)
         return out
 
     def residual(self, form, k, psis):

@@ -1,23 +1,25 @@
 """Parameter-schedule sweeps that measure the solver's limit structure.
 
-Three families of sweeps, all returning one ScheduleReport type:
+``sweep(kind, spec, grid, values)`` solves one problem along a schedule
+of one regularization index, with the other two held at their values in
+``spec``, and returns a ScheduleReport:
 
-* ``monotone_in_m_check`` / ``monotone_in_ell_check`` solve the same
-  problem along a schedule of perturbation weights and compare consecutive
-  runs cellwise.  The perturbation phi_{l,m}(r) = (1/l) atan(r^-) -
-  (1/m) atan(r^+) is strictly decreasing in r, so weakening the positive
-  side (m up) raises the solution while strengthening the negative side
-  (l up) lowers it; the transformed field v inherits the ordering.  The
-  discrete scheme only keeps this ordering up to its consistency error,
-  so violations are recorded as data next to the tolerance
-  ``scheme_tol(dx) = 10 dx (1 + max|v|)``, never raised as errors.
-* ``j_schedule_run`` sweeps the graph-smoothing index with fixed (l, m)
-  and reports consecutive L1 distances at the final time; callers assert
-  Cauchy behavior.
-* ``self_convergence_order`` estimates the refinement order from a
-  dx-halving grid triple by cell-pair averaging the finer runs.
+* kinds ``"m"`` and ``"ell"`` sweep a perturbation weight and compare
+  consecutive runs cellwise.  The perturbation phi_{l,m}(r) = (1/l)
+  atan(r^-) - (1/m) atan(r^+) is strictly decreasing in r, so weakening
+  the positive side (m up) raises the solution while strengthening the
+  negative side (l up) lowers it; the transformed field v inherits the
+  ordering.  The discrete scheme only keeps this ordering up to its
+  consistency error, so violations are recorded as data next to the
+  tolerance ``scheme_tol(dx) = 10 dx (1 + max|v|)``, never raised as
+  errors.
+* kind ``"j"`` sweeps the graph-smoothing index and reports consecutive
+  L1 distances at the final time; callers assert Cauchy behavior.
 
-Every sweep runs its schedule through ``solve_points``, which builds one
+``self_convergence_order`` estimates the refinement order from a
+dx-halving grid triple by cell-pair averaging the finer runs.
+
+A sweep runs its schedule through ``solve_points``, which builds one
 table set per distinct (j, gap_slope, sample_radius, theta_graph, coeff,
 flux): ell and m enter only through the source terms, so an m or ell
 sweep builds its tables once and a j sweep once per point.  All points share
@@ -42,8 +44,6 @@ import numpy as np
 from .config import write_json
 from .solver import cfl_dt, regularized, solve
 
-SCHEDULE_KINDS = ("m", "ell", "j")
-
 # Ordering directions along the schedule: later m entries raise v, later
 # ell entries lower it, and the j sweep asserts no ordering at all.
 _DIRECTIONS = {"m": "increasing", "ell": "decreasing", "j": "none"}
@@ -60,15 +60,6 @@ def scheme_tol(dx, values):
     values = np.asarray(values, dtype=float)
     vmax = float(np.max(np.abs(values))) if values.size else 0.0
     return 10.0 * float(dx) * (1.0 + vmax)
-
-
-def _validate_schedule(schedule):
-    vals = [float(s) for s in schedule]
-    if not vals:
-        raise ValueError("schedule must be nonempty")
-    if any(a >= b for a, b in zip(vals, vals[1:])):
-        raise ValueError("schedule must be strictly increasing")
-    return vals
 
 
 @dataclasses.dataclass
@@ -94,24 +85,6 @@ class ScheduleReport:
     orders: list
     tolerance: float
     meta: dict = dataclasses.field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in SCHEDULE_KINDS:
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
-        self.schedule = _validate_schedule(self.schedule)
-        n_pairs = self.n_pairs
-        if len(self.summaries) != len(self.schedule):
-            raise ValueError("one summary per schedule point required")
-        if len(self.distances) != n_pairs:
-            raise ValueError("one distance per consecutive pair required")
-        for name in ("violation_counts", "violation_maxima"):
-            if len(getattr(self, name)) not in (0, n_pairs):
-                raise ValueError(f"{name} must be empty or one per pair")
-        if len(self.orders) != max(n_pairs - 1, 0):
-            raise ValueError("one order slot per consecutive distance pair")
-        for o in self.orders:
-            if o is not None and not math.isfinite(o):
-                raise ValueError("estimated orders must be finite")
 
     @property
     def n_pairs(self):
@@ -159,7 +132,7 @@ class ScheduleReport:
 
 
 # ---------------------------------------------------------------------------
-# Shared sweep machinery
+# Sweeps
 # ---------------------------------------------------------------------------
 
 
@@ -216,7 +189,29 @@ def _orders_from(distances):
     return orders
 
 
-def _sweep_report(kind, schedule, specs, grid, snapshots, meta):
+def sweep(kind, spec, grid, values, snapshots=8):
+    """Solve ``spec`` once per schedule value of index ``kind`` ("m",
+    "ell" or "j"), the other two indices held at their values in ``spec``.
+
+    Consecutive runs are compared at the final time (L1 distances) and,
+    for m and ell, cellwise over every snapshot: later m entries must
+    raise v and later ell entries lower it, up to ``scheme_tol``.  A
+    single-entry schedule yields an empty pairwise report.  Violations
+    are measurements, not errors.
+    """
+    if kind not in _DIRECTIONS:
+        raise ValueError(f"unknown schedule kind {kind!r}")
+    schedule = [float(v) for v in values]
+    if not schedule:
+        raise ValueError("schedule must be nonempty")
+    if any(a >= b for a, b in zip(schedule, schedule[1:])):
+        raise ValueError("schedule must be strictly increasing")
+    points = schedule
+    if kind == "j":
+        if any(not v.is_integer() or v < 1 for v in schedule):
+            raise ValueError("j schedule entries must be integers >= 1")
+        points = [int(v) for v in schedule]
+    specs = [dataclasses.replace(spec, **{kind: v}) for v in points]
     runs, dt, _ = solve_points(specs, grid, snapshots)
     summaries = [_summarize(v, run, grid) for v, run in zip(schedule, runs)]
     tol = scheme_tol(grid.dx, [s["v_abs_max"] for s in summaries])
@@ -234,7 +229,8 @@ def _sweep_report(kind, schedule, specs, grid, snapshots, meta):
         counts.append(int(np.count_nonzero(excess > tol)))
         maxima.append(float(max(excess.max(), 0.0)))
 
-    meta = dict(meta)
+    meta = {name: getattr(spec, name) for name in ("ell", "m", "j")
+            if name != kind}
     meta.update({
         "ordering": direction,
         "dt": dt,
@@ -243,60 +239,10 @@ def _sweep_report(kind, schedule, specs, grid, snapshots, meta):
                  "x_hi": grid.x_hi, "dx": grid.dx},
     })
     return ScheduleReport(
-        kind=kind, schedule=list(schedule), summaries=summaries,
+        kind=kind, schedule=schedule, summaries=summaries,
         distances=distances, violation_counts=counts,
         violation_maxima=maxima, orders=_orders_from(distances),
         tolerance=tol, meta=meta)
-
-
-# ---------------------------------------------------------------------------
-# Public sweeps
-# ---------------------------------------------------------------------------
-
-
-def monotone_in_m_check(spec, grid, ell, m_schedule, snapshots=8):
-    """Check cellwise v_{l,m} <= v_{l,m'} + tol for consecutive m < m'.
-
-    Solves once per schedule entry with the given fixed ell, compares
-    every snapshot of consecutive runs, and reports violation counts and
-    the largest excess.  A single-entry schedule yields an empty pairwise
-    report.  Violations are measurements, not errors.
-    """
-    values = _validate_schedule(m_schedule)
-    specs = [dataclasses.replace(spec, ell=float(ell), m=v) for v in values]
-    return _sweep_report("m", values, specs, grid, snapshots,
-                         {"ell": float(ell), "j": spec.j})
-
-
-def monotone_in_ell_check(spec, grid, ell_schedule, m, snapshots=8):
-    """Check cellwise v_{l',m} <= v_{l,m} + tol for consecutive l < l'.
-
-    Mirror of :func:`monotone_in_m_check` with the order reversed: raising
-    ell strengthens the negative-side damping, so later runs must sit
-    below earlier ones.
-    """
-    values = _validate_schedule(ell_schedule)
-    specs = [dataclasses.replace(spec, ell=v, m=float(m)) for v in values]
-    return _sweep_report("ell", values, specs, grid, snapshots,
-                         {"m": float(m), "j": spec.j})
-
-
-def j_schedule_run(spec, grid, j_schedule, snapshots=8):
-    """Sweep the graph-smoothing index with fixed (ell, m).
-
-    Reports consecutive L1 distances of u at the final time; callers
-    assert Cauchy behavior (distances decreasing along the schedule).  No
-    ordering is asserted, so the violation fields stay empty.
-    """
-    values = _validate_schedule(j_schedule)
-    js = []
-    for v in values:
-        if v != int(v) or v < 1:
-            raise ValueError("j schedule entries must be integers >= 1")
-        js.append(int(v))
-    specs = [dataclasses.replace(spec, j=j) for j in js]
-    return _sweep_report("j", js, specs, grid, snapshots,
-                         {"ell": spec.ell, "m": spec.m})
 
 
 def check_grid_triple(grids):

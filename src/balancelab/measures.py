@@ -333,7 +333,6 @@ class MeasureContext:
                                self.eta, self.g_eta]),
             np.bincount(self.unit, minlength=len(self.units)))
         self._eta_mu = {}
-        self._terms = (None, None)
 
     def cut(self, lam, side, units=None):
         """Slot in ``below``/``above`` of the cut of each unit's atoms (or
@@ -369,13 +368,10 @@ class MeasureContext:
 
     def terms(self, sign, mu, gamma=0.0):
         """psi-independent fields (G1, G2, G3) of (EQ+) / negated (EQ-) at
-        level mu; only the last level's fields are kept."""
+        level mu."""
         if sign not in ("PLUS", "MINUS"):
             raise ValueError("sign must be PLUS or MINUS")
-        key = (sign, float(mu), float(gamma))
-        if self._terms[0] == key:
-            return self._terms[1]
-        mu, gamma = key[1], key[2]
+        mu, gamma = float(mu), float(gamma)
         if mu not in self._eta_mu:  # one inversion per (level, unit)
             self._eta_mu[mu] = self.reg.theta.sampled.inverse(self.unit_row, mu)
         eta_mu = self._eta_mu[mu]
@@ -390,9 +386,7 @@ class MeasureContext:
         if gamma:
             wg, wphi = self._smoothed(plus, mu, gamma)
         side = 1.0 if plus else -1.0
-        out = self.fields(B1, B2, side * wg, side * wphi)
-        self._terms = (key, out)
-        return out
+        return self.fields(B1, B2, side * wg, side * wphi)
 
     def residual(self, sign, mu, psis, gamma=0.0):
         """Quadrature values of (EQ+) / negated (EQ-) at level mu, one per

@@ -473,9 +473,16 @@ class Table:
     @functools.cached_property
     def _abs_slopes(self):
         # flat |slopes| plus one sentinel, so that every bracket end is a
-        # valid np.maximum.reduceat index; only range queries read it
-        slopes = np.diff(self.values, axis=1) / self.du
-        return np.append(np.abs(slopes).ravel(), 0.0)
+        # valid np.maximum.reduceat index; only range queries read it.
+        # Built in place in its one array, with no table-sized temporary
+        T = self.values
+        out = np.empty(T.size - len(T) + 1)
+        slopes = out[:-1].reshape(len(T), self.n_samples - 1)
+        np.subtract(T[:, 1:], T[:, :-1], out=slopes)
+        slopes /= self.du
+        np.abs(slopes, out=slopes)
+        out[-1] = 0.0
+        return out
 
     @staticmethod
     def from_function(fn, lo, hi, n=4097):

@@ -434,22 +434,19 @@ class ValidationReport:
         return {"ok": self.ok, "checks": [c.to_dict() for c in self.checks]}
 
 
-def validate_spec(spec, field=None):
-    """Discrete hypothesis checks; returns a structured report, never raises.
-
-    ``field(i, u)`` is the value set (lo, hi) of theta(x_i, .) at u in check
-    cell i; it defaults to c(x_i) g(u) and can be replaced to probe
-    deliberately broken fields that a coefficient cannot describe.
-    """
+def validate_spec(spec):
+    """Discrete hypothesis checks; returns a structured report, never raises."""
     checks = []
     x = np.linspace(spec.x_lo, spec.x_hi, CHECK_CELLS + 1)
     centers = 0.5 * (x[:-1] + x[1:])
     dx = x[1] - x[0]
     cell_c = spec.coefficient(centers)
-    if field is None:
-        def field(i, u):
-            lo, hi = spec.theta_graph.eval(u)
-            return lo * cell_c[i], hi * cell_c[i]
+
+    def field(i, u):
+        """Value set (lo, hi) of theta(x_i, .) = c(x_i) g at u in check cell i."""
+        lo, hi = spec.theta_graph.eval(u)
+        return lo * cell_c[i], hi * cell_c[i]
+
     R = spec.sample_radius
 
     # theta passes through (x, 0, 0) in every cell

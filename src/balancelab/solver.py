@@ -140,17 +140,17 @@ class RegularizedProblem:
     """Sampled tables realizing one (j, l, m) regularization on one grid.
 
     ``cell_c`` holds the coefficient c(x_i) of each cell, ``theta`` the
-    per-cell tables of theta_j, ``theta_if`` the per-interface tables built
-    from arithmetically averaged coefficients, and ``flux`` the composed
-    interface flux F(u) on the shared u sample grid, one row per interface
-    row of ``theta_if``.
+    per-cell tables of theta_j, and ``flux`` the composed interface flux
+    F(u) on the shared u sample grid, one row per distinct interface
+    coefficient (the arithmetic mean of the two adjacent cells');
+    ``if_rows`` maps each interface to its row of ``flux``.
     """
 
     spec: object
     grid: Grid1D
     cell_c: np.ndarray
     theta: object
-    theta_if: object
+    if_rows: np.ndarray
     curve: Table
     par: object
     flux: Table
@@ -185,7 +185,7 @@ class RegularizedProblem:
         It is nondecreasing under bracket inclusion; together with the CFL
         and source caps this makes the full cell update order preserving.
         """
-        FL, FR, a = self.flux.llf_terms(self.theta_if.cell_rows, uL, uR)
+        FL, FR, a = self.flux.llf_terms(self.if_rows, uL, uR)
         return 0.5 * (FL + FR) - 0.5 * a * (uR - uL), a
 
     # -- state maps ---------------------------------------------------------------
@@ -226,23 +226,25 @@ def regularized(spec, grid):
     c_if[1:-1] = 0.5 * (c[:-1] + c[1:])
     c_if[0] = c[0]
     c_if[-1] = c[-1]
-    theta_if = regularize_theta(spec.theta_graph, c_if[:, None], [1.0], spec.j,
-                                -rad, rad, outer=outer)
+    iface = regularize_theta(spec.theta_graph, c_if[:, None], [1.0], spec.j,
+                             -rad, rad, outer=outer)
 
-    v_lo = min(theta.table.min(), theta_if.table.min())
-    v_hi = max(theta.table.max(), theta_if.table.max())
+    v_lo = min(theta.table.min(), iface.table.min())
+    v_hi = max(theta.table.max(), iface.table.max())
     pad = max(1e-9, 0.05 * (v_hi - v_lo))
     curve = mollify_callable(spec.flux.eval if par is None else par.calA,
                              spec.j, v_lo - pad, v_hi + pad)
     # F = A_j(theta_j) a block of rows at a time: per-cell tables are
     # (n_cells + 1) x THETA_SAMPLES, and interpolating a whole one at once
     # made the temporaries that set the peak memory of a run
-    flux_values = np.empty_like(theta_if.table)
+    flux_values = np.empty_like(iface.table)
     for start in range(0, len(flux_values), _FLUX_BLOCK_ROWS):
         block = slice(start, start + _FLUX_BLOCK_ROWS)
-        flux_values[block] = curve(0, theta_if.table[block])
-    flux = Table(theta_if.u_lo, theta_if.u_hi, flux_values)
-    return RegularizedProblem(spec, grid, c, theta, theta_if, curve, par, flux)
+        flux_values[block] = curve(0, iface.table[block])
+    flux = Table(iface.u_lo, iface.u_hi, flux_values)
+    # of the interface tables only the row map outlives the build
+    return RegularizedProblem(spec, grid, c, theta, iface.cell_rows, curve,
+                              par, flux)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,7 @@ from balancelab.cli import main
 from balancelab.config import load_config
 from balancelab.entropy import (ResidualEvaluator, battery_from_geometry,
                                 k_samples, l1_distance_curve)
-from balancelab.harness import (j_schedule_run, monotone_in_ell_check,
-                                monotone_in_m_check, scheme_tol, solve_points)
+from balancelab.harness import scheme_tol, solve_points, sweep
 from balancelab.measures import (MeasureContext, averaged_contraction_gap,
                                  estimate_young_measure)
 from balancelab.monotone import (MonotoneGraph, Table,
@@ -359,9 +358,8 @@ def test_criterion_7_perturbation_index_ordering():
     stats = {}
     for n in (48, 96):
         grid = Grid1D(spec.x_lo, spec.x_hi, n)
-        rep_m = monotone_in_m_check(spec, grid, ell=2.0, m_schedule=schedule)
-        rep_l = monotone_in_ell_check(spec, grid, ell_schedule=schedule,
-                                      m=2.0)
+        rep_m = sweep("m", dataclasses.replace(spec, ell=2.0), grid, schedule)
+        rep_l = sweep("ell", dataclasses.replace(spec, m=2.0), grid, schedule)
         stats[n] = (max(rep_m.max_violation, rep_l.max_violation),
                     min(rep_m.tolerance, rep_l.tolerance))
     ok = all(v <= tol for v, tol in stats.values()) \
@@ -381,8 +379,7 @@ def test_criterion_7_perturbation_index_ordering():
 def test_criterion_8_j_schedule_cauchy_rate():
     spec = _spec("signjump_burgers")
     grid = Grid1D(spec.x_lo, spec.x_hi, 96)
-    report = j_schedule_run(spec, grid, [4, 8, 16, 32, 64, 128, 256],
-                            snapshots=8)
+    report = sweep("j", spec, grid, [4, 8, 16, 32, 64, 128, 256], snapshots=8)
     d = np.asarray(report.distances)
     ratios = d[1:] / d[:-1]
     ok = bool(np.all(ratios <= 0.8))

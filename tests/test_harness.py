@@ -12,10 +12,8 @@ import pytest
 
 from balancelab import harness
 from balancelab.flux import FluxCurve
-from balancelab.harness import (ScheduleReport, j_schedule_run,
-                                monotone_in_ell_check, monotone_in_m_check,
-                                scheme_tol, self_convergence_order,
-                                solve_points)
+from balancelab.harness import (scheme_tol, self_convergence_order,
+                                solve_points, sweep)
 from balancelab.monotone import MonotoneGraph
 from balancelab.problem import SourceSpec
 from balancelab.solver import Grid1D, solve
@@ -51,32 +49,15 @@ def test_schedule_validation_errors():
     grid = Grid1D(-2.0, 2.0, 32)
     spec = canonical_spec()
     with pytest.raises(ValueError, match="nonempty"):
-        monotone_in_m_check(spec, grid, 1.0, [])
+        sweep("m", spec, grid, [])
     with pytest.raises(ValueError, match="strictly increasing"):
-        monotone_in_m_check(spec, grid, 1.0, [2.0, 1.0])
+        sweep("m", spec, grid, [2.0, 1.0])
     with pytest.raises(ValueError, match="integers"):
-        j_schedule_run(spec, grid, [2, 2.5])
-
-
-def test_report_field_validation():
-    base = dict(kind="m", schedule=[1.0, 2.0], summaries=[{}, {}],
-                distances=[0.1], violation_counts=[0],
-                violation_maxima=[0.0], orders=[], tolerance=0.5)
-    ScheduleReport(**base)
+        sweep("j", spec, grid, [2, 2.5])
+    with pytest.raises(ValueError, match="integers"):
+        sweep("j", spec, grid, [2, INF])
     with pytest.raises(ValueError, match="unknown schedule kind"):
-        ScheduleReport(**{**base, "kind": "k"})
-    with pytest.raises(ValueError, match="one summary per"):
-        ScheduleReport(**{**base, "summaries": [{}]})
-    with pytest.raises(ValueError, match="one distance per"):
-        ScheduleReport(**{**base, "distances": []})
-    with pytest.raises(ValueError, match="order slot"):
-        ScheduleReport(**{**base, "orders": [1.0, 2.0]})
-    with pytest.raises(ValueError, match="finite"):
-        ScheduleReport(**{**base, "schedule": [1.0, 2.0, 3.0],
-                          "summaries": [{}, {}, {}], "distances": [0.1, 0.2],
-                          "violation_counts": [0, 0],
-                          "violation_maxima": [0.0, 0.0],
-                          "orders": [math.nan]})
+        sweep("k", spec, grid, [1.0, 2.0])
 
 
 @pytest.mark.parametrize("field, values, n_builds", [
@@ -146,9 +127,11 @@ def test_solve_points_solves_one_member_at_a_time_off_the_calling_thread(
 
 def test_monotone_in_m_ordering_within_tolerance():
     grid = Grid1D(-2.0, 2.0, 64)
-    rep = monotone_in_m_check(_mixed_sign_spec(), grid, 1.0, [1, 2, 4])
+    rep = sweep("m", _mixed_sign_spec(), grid, [1, 2, 4])
     assert rep.kind == "m"
     assert rep.meta["ordering"] == "increasing"
+    # the held indices come from the spec; the swept one is not in meta
+    assert (rep.meta["ell"], rep.meta["j"]) == (1.0, 16) and "m" not in rep.meta
     assert len(rep.schedule) == 3 and rep.n_pairs == 2
     assert all(d > 0 for d in rep.distances)
     assert rep.max_violation <= rep.tolerance
@@ -161,8 +144,9 @@ def test_monotone_in_m_ordering_within_tolerance():
 def test_monotone_in_m_sentinel_single_entry():
     # perturbation fully disabled: one run, empty pairwise report
     grid = Grid1D(-2.0, 2.0, 48)
-    rep = monotone_in_m_check(canonical_spec(u0=TWOLOBE), grid, INF, [INF])
+    rep = sweep("m", canonical_spec(u0=TWOLOBE, ell=INF), grid, [INF])
     assert len(rep.schedule) == 1 and rep.n_pairs == 0
+    assert rep.meta["ell"] == INF
     assert rep.distances == [] and rep.violation_counts == []
     assert rep.orders == [] and rep.max_violation == 0.0
 
@@ -171,8 +155,8 @@ def test_monotone_in_m_zero_datum_runs_identical():
     # the zero state is a fixed point of every schedule member, so the
     # sweep collapses to bit-identical runs
     grid = Grid1D(-2.0, 2.0, 48)
-    rep = monotone_in_m_check(canonical_spec(u0={"id": "zero", "params": {}}),
-                              grid, 1.0, [1, 2, 4])
+    rep = sweep("m", canonical_spec(u0={"id": "zero", "params": {}}), grid,
+                [1, 2, 4])
     assert rep.distances == [0.0, 0.0]
     assert rep.violation_counts == [0, 0]
     assert rep.max_violation == 0.0
@@ -181,9 +165,10 @@ def test_monotone_in_m_zero_datum_runs_identical():
 
 def test_monotone_in_ell_mirror_direction():
     grid = Grid1D(-2.0, 2.0, 64)
-    rep = monotone_in_ell_check(_mixed_sign_spec(), grid, [1, 2, 4], 1.0)
+    rep = sweep("ell", _mixed_sign_spec(), grid, [1, 2, 4])
     assert rep.kind == "ell"
     assert rep.meta["ordering"] == "decreasing"
+    assert (rep.meta["m"], rep.meta["j"]) == (1.0, 16) and "ell" not in rep.meta
     assert all(d > 0 for d in rep.distances)
     assert rep.max_violation <= rep.tolerance
 
@@ -194,15 +179,15 @@ def test_monotone_in_ell_nonnegative_solutions_identical():
     grid = Grid1D(-2.0, 2.0, 64)
     spec = canonical_spec(source=SourceSpec("arctan", {"c": 1.0}),
                           u0={"id": "box", "params": {"height": 0.8, "a": -1.0, "b": 0.5}})
-    rep = monotone_in_ell_check(spec, grid, [1, 2, 4], 1.0)
+    rep = sweep("ell", spec, grid, [1, 2, 4])
     assert rep.distances == [0.0, 0.0]
     assert rep.violation_counts == [0, 0]
     assert rep.max_violation == 0.0
 
 
 def test_monotone_violations_shrink_under_refinement():
-    reps = [monotone_in_m_check(_mixed_sign_spec(), Grid1D(-2.0, 2.0, n),
-                                1.0, [1, 2, 4]) for n in (48, 96)]
+    reps = [sweep("m", _mixed_sign_spec(), Grid1D(-2.0, 2.0, n), [1, 2, 4])
+            for n in (48, 96)]
     assert reps[1].max_violation <= reps[0].max_violation
     assert reps[1].tolerance < reps[0].tolerance
 
@@ -216,8 +201,10 @@ def test_j_schedule_smooth_theta_distances_tiny():
     # identity theta regularizes to the identity for every j, so runs
     # differ only at quadrature/roundoff level
     grid = Grid1D(-2.0, 2.0, 48)
-    rep = j_schedule_run(canonical_spec(), grid, [4, 8, 16])
+    rep = sweep("j", canonical_spec(), grid, [4, 8, 16])
     assert rep.kind == "j"
+    assert (rep.meta["ell"], rep.meta["m"]) == (1.0, 1.0) and "j" not in rep.meta
+    assert rep.schedule == [4.0, 8.0, 16.0]
     assert rep.violation_counts == [] and rep.violation_maxima == []
     assert all(d <= 1e-5 for d in rep.distances)
 
@@ -226,7 +213,7 @@ def test_j_schedule_sign_jump_cauchy_ratios():
     grid = Grid1D(-2.0, 2.0, 64)
     spec = canonical_spec(theta_graph=MonotoneGraph.sign_plus_identity(),
                           u0=BOX)
-    rep = j_schedule_run(spec, grid, [4, 8, 16, 32, 64])
+    rep = sweep("j", spec, grid, [4, 8, 16, 32, 64])
     d = rep.distances
     assert all(b < a for a, b in zip(d, d[1:]))
     assert all(b / a <= 0.8 for a, b in zip(d, d[1:]))
@@ -235,8 +222,8 @@ def test_j_schedule_sign_jump_cauchy_ratios():
 
 def test_j_schedule_zero_datum_distances_zero():
     grid = Grid1D(-2.0, 2.0, 48)
-    rep = j_schedule_run(canonical_spec(u0={"id": "zero", "params": {}}),
-                         grid, [4, 16, 64])
+    rep = sweep("j", canonical_spec(u0={"id": "zero", "params": {}}), grid,
+                [4, 16, 64])
     assert rep.distances == [0.0, 0.0]
     assert rep.orders == [None]
 
@@ -289,15 +276,14 @@ def test_self_convergence_grid_validation():
 
 def test_schedule_rerun_bit_identical():
     grid = Grid1D(-2.0, 2.0, 48)
-    reps = [monotone_in_m_check(_mixed_sign_spec(), grid, 1.0, [1, 2],
-                                snapshots=4) for _ in range(2)]
+    reps = [sweep("m", _mixed_sign_spec(), grid, [1, 2], snapshots=4)
+            for _ in range(2)]
     assert reps[0].to_dict() == reps[1].to_dict()
 
 
 def test_report_json_and_csv_round_trip(tmp_path):
     grid = Grid1D(-2.0, 2.0, 48)
-    rep = monotone_in_m_check(_mixed_sign_spec(), grid, 1.0, [1, 2, 4],
-                              snapshots=4)
+    rep = sweep("m", _mixed_sign_spec(), grid, [1, 2, 4], snapshots=4)
     jpath = tmp_path / "report.json"
     rep.write_json(jpath)
     with open(jpath) as fh:

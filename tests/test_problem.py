@@ -15,6 +15,7 @@ import pytest
 from balancelab.flux import FluxCurve
 from balancelab.monotone import MonotoneGraph, mollifier_nodes
 from balancelab.problem import (
+    CHECK_CELLS,
     ProblemSpec,
     SourceSpec,
     initial_state,
@@ -246,16 +247,15 @@ def test_validate_flags_antidissipative_source():
     assert (u - v) * (u - v) > 0.0 and check.witness["value"] > 0.0
 
 
-def _offset_field(i, u):
-    """Deliberately broken field: theta(x_3, 0) = {1}."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    v = u + (1.0 if i == 3 else 0.0)
-    return v, v.copy()
-
-
 def test_validate_flags_zero_condition_violation():
-    spec = canonical_spec()
-    report = validate_spec(spec, field=_offset_field)
+    # theta(x, 0) = c(x) [5e-10, 1] misses 0 by more than the check's 1e-12
+    # slack where c = 1, not where c = 1e-4; c jumps at the left edge of
+    # check cell 3, so that is the first failing cell
+    edge = -2.0 + 3 * 4.0 / CHECK_CELLS
+    spec = canonical_spec(
+        theta_graph=MonotoneGraph([0.0], [[5e-10, 1.0]], [], (1.0, 1.0)),
+        coeff={"kind": "pwc", "x_breaks": [edge], "region_c": [1e-4, 1.0]})
+    report = validate_spec(spec)
     check = {c.name: c for c in report.checks}["theta_zero"]
     assert not check.passed
     assert check.witness["cell"] == 3

@@ -19,7 +19,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from balancelab.flux import FluxCurve
-from balancelab.monotone import MonotoneGraph
+from balancelab.monotone import MonotoneGraph, regularize_theta
 from balancelab.problem import SourceSpec
 from balancelab.solver import (
     Grid1D,
@@ -170,22 +170,24 @@ def test_interface_mean_coefficient_row():
     # pwc coefficient 1 -> 2 across x = 0: the interface on the break uses
     # the mean 1.5, and theta_hat(1) = 1.25 * 1.5 / (1 + 0.25 * 1.5) = 15/11
     # there (identity graph, affine mollification exact, u = 1 a table node).
-    spec = canonical_spec(coeff={"kind": "pwc", "x_breaks": [0.0], "region_c": [1.0, 2.0]}, j=16)
+    # Under the linear flux A(v) = v the interface's flux row is theta_hat.
+    spec = canonical_spec(coeff={"kind": "pwc", "x_breaks": [0.0], "region_c": [1.0, 2.0]},
+                          flux=_linear_flux(), j=16)
     grid = Grid1D(spec.x_lo, spec.x_hi, 64)
     reg = regularized(spec, grid)
     k = int(np.argmin(np.abs(grid.interfaces - 0.0)))
-    rows = reg.theta_if.cell_rows[k:k + 1]
-    got = reg.theta_if.sampled(rows, np.asarray([1.0]))[0]
+    got = reg.flux(reg.if_rows[k:k + 1], np.asarray([1.0]))[0]
     assert got == pytest.approx(15.0 / 11.0, abs=1e-12)
 
 
 
 def test_regularized_smooth_retains_three_tables():
-    # the theta, interface and flux tables are what a smooth 512-cell
-    # problem keeps before its first step; the flat |slope| array that
-    # only the flux's range queries read is built on the first query.
-    # The flux table is evaluated in row blocks, so the build never holds
-    # interpolation temporaries of a whole table on top of those three.
+    # the theta and flux tables are what a smooth 512-cell problem keeps
+    # before its first step: the interface theta table is dropped once the
+    # flux rows are built from it, and the flat |slope| array that only the
+    # flux's range queries read is built on the first query.  The flux
+    # table is evaluated in row blocks, so the build never holds
+    # interpolation temporaries of a whole table on top of three tables.
     spec = canonical_spec(coeff={"kind": "smooth", "a": 1.0, "b": 0.3, "k": 1.0, "phase": 0.5})
     grid = Grid1D(spec.x_lo, spec.x_hi, 512)
     tracemalloc.start()
@@ -197,9 +199,14 @@ def test_regularized_smooth_retains_three_tables():
     finally:
         tracemalloc.stop()
     one_table = (grid.n_cells + 1) * reg.n_samples * 8
-    assert current - base <= 3.5 * one_table
+    assert current - base <= 2.5 * one_table
     assert peak - base <= 4.5 * one_table
-    assert np.array_equal(reg.flux.values, reg.curve(0, reg.theta_if.table))
+    c = spec.coefficient(grid.centers)
+    c_if = np.concatenate([c[:1], 0.5 * (c[:-1] + c[1:]), c[-1:]])
+    iface = regularize_theta(spec.theta_graph, c_if[:, None], [1.0], spec.j,
+                             -spec.sample_radius, spec.sample_radius)
+    assert np.array_equal(reg.if_rows, iface.cell_rows)
+    assert np.array_equal(reg.flux.values, reg.curve(0, iface.table))
     # a query over the whole sample range reaches every slope cell
     assert reg.max_speed(reg.flux.lo, reg.flux.hi) == reg.flux.lipschitz
 

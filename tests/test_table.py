@@ -10,6 +10,8 @@ interleaved bracket bounds) and on tables of several rows (which gather
 the bracket cells first).
 """
 
+import tracemalloc
+
 import numpy as np
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -218,6 +220,24 @@ def test_llf_terms_on_wide_brackets_with_a_row_per_interface():
         flat = np.broadcast_to(rows, shape).ravel()
         want = gather_range_max(table, flat, lo.ravel(), hi.ravel())
         assert np.array_equal(a, want.reshape(shape))
+
+
+def test_abs_slopes_peak_near_one_slope_array():
+    # the flat |slope| array is built in place: its build allocates about
+    # that one array, not the diff, quotient and abs temporaries next to it
+    rng = np.random.default_rng(20140415)
+    table = Table(-2.0, 2.0, rng.normal(size=(256, 1025)))
+    want = np.append(np.abs(np.diff(table.values, axis=1) / table.du).ravel(), 0.0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        got = table._abs_slopes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 1.1 * got.nbytes
+    assert np.array_equal(got, want)
 
 
 def test_one_row_table_takes_any_shape():
