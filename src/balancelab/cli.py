@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 
@@ -34,10 +33,10 @@ from .entropy import (FORMS, ResidualEvaluator, ResolutionError,
 from .flux import build_parametrization
 from .harness import (check_grid_triple, scheme_tol, self_convergence_order,
                       solve_points, sweep)
-from .measures import (default_support_radius, estimate_young_measure,
-                       mv_residual_table, support_and_trace_check,
-                       write_mv_table_csv)
-from .problem import u0_params
+from .measures import (MeasureContext, default_support_radius,
+                       estimate_young_measure, mv_residual_table,
+                       support_and_trace_check, write_mv_table_csv)
+from .problem import json_number, u0_params
 from .solver import Grid1D, SolverError, run_to_csv, solve
 
 EXIT_OK = 0
@@ -71,13 +70,6 @@ def _grid(cfg):
 
 def _battery(cfg):
     return battery_from_geometry(cfg.problem, **cfg.battery)
-
-
-def _jsonable(x):
-    """Floats that survive strict JSON: infinities become signed strings."""
-    if isinstance(x, float) and math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return x
 
 
 def _scaled_u0(u0, scale):
@@ -211,7 +203,7 @@ def cmd_converge(cfg, out_dir, quiet):
             ok = False
 
     order = self_convergence_order(spec, grids, snapshots=cfg.snapshots)
-    _write_json({"grids": triple, "order": _jsonable(order)},
+    _write_json({"grids": triple, "order": json_number(order)},
                 os.path.join(out_dir, "convergence.json"))
     with open(os.path.join(out_dir, "convergence.csv"), "w") as fh:
         fh.write("n_coarse,n_mid,n_fine,order\n")
@@ -245,13 +237,14 @@ def cmd_ym(cfg, out_dir, quiet):
     kp = cfg.k_policy
     mus = k_samples(ym.values, reg, n=kp["n"], space="v", pad=kp["pad"])
     psis = _battery(cfg)
-    rows = mv_residual_table(ym, reg, mus, psis,
+    ctx = MeasureContext(ym, reg)
+    rows = mv_residual_table(ctx, mus, psis,
                              gamma=float(opts.get("gamma", 0.0)))
     write_mv_table_csv(rows, os.path.join(out_dir, "mv_residuals.csv"))
 
     radius = float(opts.get("support_radius", default_support_radius(ym)))
     u0_values = spec.initial_values(grid.centers, grid.dx)
-    check = support_and_trace_check(ym, radius, u0_values, reg)
+    check = support_and_trace_check(ctx, radius, u0_values)
     check["radius"] = radius
     _write_json(check, os.path.join(out_dir, "support_check.json"))
 

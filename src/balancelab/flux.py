@@ -24,7 +24,7 @@ from .monotone import MonotoneGraph, Table, mollifier_nodes
 
 
 # ---------------------------------------------------------------------------
-# FluxCurve: sampled continuous pieces separated by jump points
+# FluxCurve: one knot list through samples and jump limits
 # ---------------------------------------------------------------------------
 
 
@@ -33,10 +33,12 @@ class FluxCurve:
     """Sampled flux with finitely many jump discontinuities.
 
     ``xs``/``ys`` sample the curve at continuity points; each jump point
-    carries its one-sided limits, which anchor the neighbouring pieces.
-    Evaluation interpolates within a piece and extends the outermost pieces
-    linearly with their edge slopes; at a jump point it is right-continuous,
-    and ``jump_left``/``jump_right`` hold the ends of the filled interval.
+    carries its one-sided limits.  Evaluation reads one knot list: the
+    samples in order, with each jump point z_k entered twice, first as
+    (z_k, left_k) and then as (z_k, right_k).  The curve is linear between
+    knots, takes the later knot, the right limit, at a jump point, and
+    extends linearly beyond the samples with its edge slopes;
+    ``jump_left``/``jump_right`` hold the ends of the filled interval.
     """
 
     xs: np.ndarray
@@ -65,29 +67,13 @@ class FluxCurve:
             raise ValueError("one-sided limits must be finite")
         if len(self.jump_z) and np.any(np.isin(self.xs, self.jump_z)):
             raise ValueError("samples may not sit exactly on a jump point")
-        self._pieces = self._assemble_pieces()
-
-    def _assemble_pieces(self):
-        """Knot arrays per inter-jump piece, with jump limits as anchors."""
         z = self.jump_z
-        J = len(z)
-        pieces = []
-        for p in range(J + 1):
-            lo = -np.inf if p == 0 else z[p - 1]
-            hi = np.inf if p == J else z[p]
-            mask = (self.xs > lo) & (self.xs < hi)
-            X = list(self.xs[mask])
-            Y = list(self.ys[mask])
-            if p > 0:
-                X = [z[p - 1]] + X
-                Y = [self.jump_right[p - 1]] + Y
-            if p < J:
-                X = X + [z[p]]
-                Y = Y + [self.jump_left[p]]
-            if len(X) < 2:
-                raise ValueError("each outer piece needs a sample beyond the jump set")
-            pieces.append((np.asarray(X), np.asarray(Y)))
-        return pieces
+        if len(z) and not (self.xs[0] < z[0] and self.xs[-1] > z[-1]):
+            raise ValueError("each outer piece needs a sample beyond the jump set")
+        # values inserted at one index keep their order: left, then right
+        at = np.repeat(np.searchsorted(self.xs, z), 2)
+        self._X = np.insert(self.xs, at, np.repeat(z, 2))
+        self._Y = np.insert(self.ys, at, np.stack([self.jump_left, self.jump_right], 1).ravel())
 
     # -- constructors --------------------------------------------------------
 
@@ -125,25 +111,13 @@ class FluxCurve:
     def eval(self, v):
         """Right-continuous pointwise values (vectorized)."""
         v = np.asarray(v, dtype=float)
-        scalar = v.ndim == 0
-        vv = np.atleast_1d(v)
-        out = np.empty_like(vv)
-        pidx = np.searchsorted(self.jump_z, vv, side="right")
-        for p, (X, Y) in enumerate(self._pieces):
-            mask = pidx == p
-            if not mask.any():
-                continue
-            vals = np.interp(vv[mask], X, Y)
-            if p == 0:
-                below = vv[mask] < X[0]
-                s0 = (Y[1] - Y[0]) / (X[1] - X[0])
-                vals = np.where(below, Y[0] + s0 * (vv[mask] - X[0]), vals)
-            if p == len(self._pieces) - 1:
-                above = vv[mask] > X[-1]
-                s1 = (Y[-1] - Y[-2]) / (X[-1] - X[-2])
-                vals = np.where(above, Y[-1] + s1 * (vv[mask] - X[-1]), vals)
-            out[mask] = vals
-        return float(out[0]) if scalar else out
+        X, Y = self._X, self._Y
+        out = np.interp(v, X, Y)
+        s0 = (Y[1] - Y[0]) / (X[1] - X[0])
+        out = np.where(v < X[0], Y[0] + s0 * (v - X[0]), out)
+        s1 = (Y[-1] - Y[-2]) / (X[-1] - X[-2])
+        out = np.where(v > X[-1], Y[-1] + s1 * (v - X[-1]), out)
+        return float(out) if v.ndim == 0 else out
 
     # -- serialization -------------------------------------------------------
 

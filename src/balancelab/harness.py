@@ -42,6 +42,7 @@ from concurrent import futures
 import numpy as np
 
 from .config import write_json
+from .problem import json_number
 from .solver import cfl_dt, regularized, solve
 
 # Ordering directions along the schedule: later m entries raise v, later
@@ -110,7 +111,7 @@ class ScheduleReport:
             "tolerance": self.tolerance,
             "max_violation": self.max_violation,
             "total_violations": self.total_violations,
-            "meta": dict(self.meta),
+            "meta": {k: json_number(v) for k, v in self.meta.items()},
         }
 
     def write_json(self, path):

@@ -223,31 +223,6 @@ def chi_gamma_below(lam, mu, gamma):
 # ---------------------------------------------------------------------------
 
 
-def _units(ym, reg):
-    """The units of the brackets: one per block and distinct theta row of its
-    x block (one per block where the coefficient is constant), in (t block,
-    x block, row) order; every cell of a unit shares eta(x, .).
-
-    Returns the (x block, row) pair of every cell, as an index into the
-    pairs of one t block; the row of every unit; and for every unit atom
-    (each unit's atoms are its block's) its unit and its index into the
-    estimate's flat atoms.
-    """
-    n_rows = len(reg.theta.table)
-    x_block = np.repeat(np.arange(ym.n_x_blocks), np.diff(ym.x_idx_edges))
-    pairs, pair_of_cell = np.unique(x_block * n_rows + reg.theta.cell_rows,
-                                    return_inverse=True)
-    pair_block, pair_row = np.divmod(pairs, n_rows)
-    block = (np.arange(ym.n_t_blocks)[:, None] * ym.n_x_blocks
-             + pair_block).ravel()
-    row = np.tile(pair_row, ym.n_t_blocks)
-    counts = np.diff(ym.offsets)[block]
-    unit = np.repeat(np.arange(len(block)), counts)
-    atom = np.arange(len(unit)) + (ym.offsets[block] - np.cumsum(counts)
-                                   + counts)[unit]
-    return pair_of_cell, row, unit, atom
-
-
 def _scans(x, counts):
     """Sums of each segment of the rows of x below and above every cut.
 
@@ -284,18 +259,21 @@ class MeasureContext:
     """Bracket ingredients of one estimate against one regularized problem.
 
     Brackets live on units, one per block and distinct theta row of its x
-    block (see ``_units``); each atom is inverted once per unit.  The flat
-    per-unit-atom arrays (``vals``, ``w``, ``A``, ``phi``, ``eta``,
-    ``g_eta``) list each unit's atoms in ascending order.  eta(x, .) is
-    nondecreasing, so (eta(x,lam) - eta(x,mu))^+ is chi_{lam>mu}
-    (eta(x,lam) - eta(x,mu)), and each sharp bracket at a level is a sum
-    over the atoms above (PLUS) or below (MINUS) it.  ``above`` and
-    ``below`` hold the sums of w, w A, w phi, w eta and w g_eta of every
-    unit past each cut (``_scans``), taken from the top and from the
-    bottom; a level finds its cut in each unit by binary search and
-    gathers them there.  A smoothed indicator's ramp atoms are added one
-    by one.  The brackets per unit expand to fields on the fine (slab,
-    cell) grid for the shared quadrature.
+    block (one per block where the coefficient is constant), in (t block,
+    x block, row) order; every cell of a unit shares eta(x, .), and each
+    atom is inverted once per unit.  ``unit_row`` is the row of every unit
+    and ``cell_unit`` the unit of every (t block, cell).  The flat
+    per-unit-atom arrays (``unit``, ``vals``, ``w``, ``A``, ``phi``,
+    ``eta``, ``g_eta``) list each unit's atoms, its block's, in ascending
+    order.  eta(x, .) is nondecreasing, so (eta(x,lam) - eta(x,mu))^+ is
+    chi_{lam>mu} (eta(x,lam) - eta(x,mu)), and each sharp bracket at a
+    level is a sum over the atoms above (PLUS) or below (MINUS) it.
+    ``above`` and ``below`` hold the sums of w, w A, w phi, w eta and
+    w g_eta of every unit past each cut (``_scans``), taken from the top
+    and from the bottom; a level finds its cut in each unit by binary
+    search and gathers them there.  A smoothed indicator's ramp atoms are
+    added one by one.  The brackets per unit expand to fields on the fine
+    (slab, cell) grid for the shared quadrature.
     """
 
     def __init__(self, ym, reg):
@@ -310,12 +288,24 @@ class MeasureContext:
         self.blocks = list(np.ndindex(ym.n_t_blocks, ym.n_x_blocks))  # (bt, bx)
         self.block_shape = (int(np.max(np.diff(ym.t_idx_edges))),
                             int(np.max(np.diff(ym.x_idx_edges))))
-        # time block of every fine slab, unit of every (time block, cell)
+        # time block of every fine slab; a unit is a t block's (x block, row)
+        # pair, the pairs of one t block found from the row of every cell
         self.t_block = np.repeat(np.arange(ym.n_t_blocks), np.diff(ym.t_idx_edges))
-        pair_of_cell, self.unit_row, self.unit, atom = _units(ym, reg)
-        self.units = np.arange(len(self.unit_row))
-        n_pairs = len(self.units) // ym.n_t_blocks
-        self.cell_unit = np.arange(ym.n_t_blocks)[:, None] * n_pairs + pair_of_cell
+        n_rows = len(reg.theta.table)
+        x_block = np.repeat(np.arange(ym.n_x_blocks), np.diff(ym.x_idx_edges))
+        pairs, pair_of_cell = np.unique(x_block * n_rows + reg.theta.cell_rows,
+                                        return_inverse=True)
+        pair_block, pair_row = np.divmod(pairs, n_rows)
+        block = (np.arange(ym.n_t_blocks)[:, None] * ym.n_x_blocks
+                 + pair_block).ravel()
+        self.unit_row = np.tile(pair_row, ym.n_t_blocks)
+        self.units = np.arange(len(block))
+        self.cell_unit = np.arange(ym.n_t_blocks)[:, None] * len(pairs) + pair_of_cell
+        counts = np.diff(ym.offsets)[block]
+        self.unit = np.repeat(self.units, counts)
+        # each unit atom's index into the estimate's flat atoms
+        atom = np.arange(len(self.unit)) + (ym.offsets[block] - np.cumsum(counts)
+                                            + counts)[self.unit]
         self.vals = ym.values[atom]
         # numpy orders complex numbers lexicographically, so these keys sort
         # by (unit, value) and one binary search finds a cut in every unit
@@ -403,13 +393,12 @@ def mu_is_atom(atoms, mu):
     return bool(np.any(np.abs(atoms - mu) <= 1e-9))
 
 
-def mv_residual_table(ym, reg, mus, psis, gamma=0.0):
+def mv_residual_table(ctx, mus, psis, gamma=0.0):
     """Rows (sign, mu, psi_id, residual, mu_is_atom) in fixed order."""
-    ctx = MeasureContext(ym, reg)
     rows = []
     for sign in ("PLUS", "MINUS"):
         for mu in np.asarray(mus, dtype=float):
-            flag = mu_is_atom(ym.values, mu)
+            flag = mu_is_atom(ctx.ym.values, mu)
             for psi, res in zip(psis, ctx.residual(sign, mu, psis, gamma)):
                 rows.append((sign, float(mu), psi.label, float(res), flag))
     return rows
@@ -476,13 +465,15 @@ def averaged_contraction_gap(ym1, ym2, psis, reg):
 # ---------------------------------------------------------------------------
 
 
-def support_and_trace_check(ym, r_field, u0_values, reg):
-    """Support envelope and initial-trace report of one estimate.
+def support_and_trace_check(ctx, r_field, u0_values):
+    """Support envelope and initial-trace report of the estimate of a
+    ``MeasureContext``.
 
     ``r_field`` is a scalar or (t blocks, x blocks) array bound; every atom
     must satisfy |atom| <= R of its block.  The trace curve evaluates
     int_K <|eta(x, lam) - u0(x)|, nu> dx per time block.
     """
+    ym = ctx.ym
     r_arr = np.asarray(r_field, dtype=float)
     if r_arr.ndim == 0:
         r_arr = np.full((ym.n_t_blocks, ym.n_x_blocks), float(r_arr))
@@ -494,18 +485,17 @@ def support_and_trace_check(ym, r_field, u0_values, reg):
                   for b, v in zip(block[over], ym.values[over])]
     # |eta(x, lam) - u0(x)| summed over the cells of each unit atom's unit:
     # pass j adds the j-th cell of every (x block, row) pair that has one
-    pair_of_cell, row, unit, atom = _units(ym, reg)
-    eta = reg.theta.sampled.inverse(row[unit], ym.values[atom])
-    n_pairs = len(row) // ym.n_t_blocks
-    pair = unit % n_pairs
+    pair_of_cell = ctx.cell_unit[0]  # the units of t block 0 are the pairs
+    n_pairs = len(ctx.units) // ym.n_t_blocks
+    pair = ctx.unit % n_pairs
     cells = np.argsort(pair_of_cell, kind="stable")
     n_cells = np.bincount(pair_of_cell, minlength=n_pairs)
     first = (np.cumsum(n_cells) - n_cells)[pair]
-    dist = np.zeros(len(unit))
+    dist = np.zeros(len(pair))
     for j in range(int(n_cells.max())):
         has = np.flatnonzero(n_cells[pair] > j)
-        dist[has] += np.abs(eta[has] - u0[cells[first[has] + j]])
-    trace = ym.dx * np.bincount(unit // n_pairs, ym.weights[atom] * dist,
+        dist[has] += np.abs(ctx.eta[has] - u0[cells[first[has] + j]])
+    trace = ym.dx * np.bincount(ctx.unit // n_pairs, ctx.w * dist,
                                 ym.n_t_blocks)
     return {
         "support_ok": not violations,

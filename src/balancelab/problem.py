@@ -35,6 +35,13 @@ def check_keys(obj, allowed, where):
     return obj
 
 
+def json_number(x):
+    """``x`` as strict JSON allows: an infinite float becomes "inf" or "-inf"."""
+    if isinstance(x, float) and math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return x
+
+
 # ---------------------------------------------------------------------------
 # Strictly dissipative perturbation
 # ---------------------------------------------------------------------------
@@ -241,10 +248,6 @@ def initial_state(u0, x_centers, dx):
 # ---------------------------------------------------------------------------
 
 
-def _index_to_json(v):
-    return "inf" if math.isinf(v) else v
-
-
 _COEFF_KEYS = {"const": ("kind",), "pwc": ("kind", "x_breaks", "region_c"),
                "smooth": ("kind", "a", "b", "k", "phase")}
 _SMOOTH_DEFAULTS = {"a": 1.0, "b": 0.0, "k": 1.0, "phase": 0.0}
@@ -353,8 +356,8 @@ class ProblemSpec:
             "u0": {"id": self.u0.get("id", "zero"), "params": dict(self.u0.get("params", {}))},
             "indices": {
                 "j": self.j,
-                "ell": _index_to_json(self.ell),
-                "m": _index_to_json(self.m),
+                "ell": json_number(self.ell),
+                "m": json_number(self.m),
             },
             "sample_radius": self.sample_radius,
         }
@@ -442,35 +445,28 @@ def validate_spec(spec):
     dx = x[1] - x[0]
     cell_c = spec.coefficient(centers)
 
-    def field(i, u):
-        """Value set (lo, hi) of theta(x_i, .) = c(x_i) g at u in check cell i."""
-        lo, hi = spec.theta_graph.eval(u)
-        return lo * cell_c[i], hi * cell_c[i]
-
+    # ProblemSpec rejects c <= 0, so theta(x_i, .) = c(x_i) g scales the
+    # value sets of g, its minimal selection included, cell by cell
     R = spec.sample_radius
 
     # theta passes through (x, 0, 0) in every cell
-    bad = None
-    for i in range(CHECK_CELLS):
-        lo, hi = field(i, np.asarray([0.0]))
-        if lo[0] > 1e-12 or hi[0] < -1e-12:
-            bad = {"cell": i, "value_interval": [float(lo[0]), float(hi[0])]}
-            break
+    lo, hi = spec.theta_graph.value_interval(0.0)
+    lo, hi = lo * cell_c, hi * cell_c
+    bad = {}
+    for i in np.flatnonzero((lo > 1e-12) | (hi < -1e-12))[:1]:
+        bad = {"cell": int(i), "value_interval": [float(lo[i]), float(hi[i])]}
     checks.append(
         CheckResult(
             "theta_zero",
-            bad is None,
-            bad or {},
+            not bad,
+            bad,
             "0 in theta(x, 0) cell by cell",
         )
     )
 
     # coercivity envelopes h1 <= |minimal selection| <= h2 on [-R, R]
     us = np.linspace(-R, R, CHECK_U)
-    sel = np.empty((CHECK_CELLS, CHECK_U))
-    for i in range(CHECK_CELLS):
-        lo, hi = field(i, us)
-        sel[i] = np.abs(np.where(lo > 0.0, lo, np.where(hi < 0.0, hi, 0.0)))
+    sel = np.abs(spec.theta_graph.minimal_selection(us)) * cell_c[:, None]
     h1 = sel.min(axis=0)
     h2 = sel.max(axis=0)
     mid = CHECK_U // 2

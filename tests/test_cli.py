@@ -33,6 +33,21 @@ def _read_csv(path):
         return list(csv.reader(fh))
 
 
+def _reject_constant(token):
+    raise ValueError("non-standard JSON token %s" % token)
+
+
+def _assert_strict_json(out_dir):
+    """Every JSON artifact under out_dir parses without the NaN/Infinity
+    extensions of Python's json module."""
+    paths = [os.path.join(base, n) for base, _, names in os.walk(out_dir)
+             for n in names if n.endswith(".json")]
+    assert paths
+    for path in paths:
+        with open(path) as fh:
+            json.load(fh, parse_constant=_reject_constant)
+
+
 # ---------------------------------------------------------------------------
 # Config layer
 # ---------------------------------------------------------------------------
@@ -279,6 +294,7 @@ def test_solve_shipped_riemann_smoke(tmp_path):
     assert meta["metadata"]["n_cells"] == 1024
     assert meta["config"]["grid_sizes"] == [1024]
     assert len(rows) == 1 + len(meta["metadata"]["snapshot_times"]) * 1024
+    _assert_strict_json(out)
 
 
 def test_solve_rejects_m_zero(tmp_path, capsys):
@@ -381,6 +397,7 @@ def test_verify_shock_at_fine_grid_passes(tmp_path):
     report = json.loads((out / "entropy_report.json").read_text())
     assert set(report["minima"]) == {"SEMI_PLUS", "SEMI_MINUS", "SGN", "N1",
                                      "N2"}
+    _assert_strict_json(out)
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +445,7 @@ def test_converge_constant_config_hits_sentinel(tmp_path):
     assert code == 0
     conv = json.loads((out / "convergence.json").read_text())
     assert conv["order"] == "inf"
+    _assert_strict_json(out)
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +468,7 @@ def test_ym_one_member_ensemble_is_single_atom(tmp_path):
     rows = _read_csv(out / "mv_residuals.csv")
     assert rows[0] == ["sign", "mu", "psi_id", "residual", "mu_is_atom"]
     assert min(float(r[3]) for r in rows[1:]) >= -1e-10
+    _assert_strict_json(out)
 
 
 def _ym_with_option(tmp_path, key, value):
@@ -520,6 +539,7 @@ def test_parametrize_jump_flux_fills_one_plateau(tmp_path):
     assert code == 0
     meta = json.loads((out / "parametrization.json").read_text())
     assert len(meta["plateaus"]) == 1
+    _assert_strict_json(out)
     data = np.loadtxt(out / "parametrization.csv", delimiter=",", skiprows=1)
     s, U = data[:, 0], data[:, 1]
     assert np.all(np.diff(U) >= 0)  # U nondecreasing

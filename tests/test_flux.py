@@ -62,13 +62,84 @@ def test_continuous_flux_interp_and_extension():
     assert A.eval(3.0) == pytest.approx(edge + slope * 1.0, rel=1e-10)
 
 
+# one case per rejection message; an outer piece with no sample is
+# rejected below the first jump point and above the last one, with or
+# without a sample between the jumps
+FLUX_REJECTIONS = [
+    (([0.0], [0.0], [], [], []), "need at least two samples"),
+    (([1.0, 0.0], [0.0, 0.0], [], [], []), "strictly increasing"),
+    (([0.0, 1.0], [0.0, np.nan], [], [], []), "samples must be finite"),
+    (([-1.0, 1.0], [0.0, 0.0], [0.0], [0.0, 1.0], [1.0]), "equal length"),
+    (([-1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0]), "overlapping"),
+    (([-1.0, 1.0], [0.0, 0.0], [0.5, 0.0], [0.0, 0.0], [1.0, 1.0]), "unsorted"),
+    (([-1.0, 1.0], [0.0, 0.0], [0.0], [np.inf], [1.0]), "limits must be finite"),
+    (([-1.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0], [0.0], [1.0]), "exactly on a jump"),
+    (([1.0, 2.0], [1.0, 1.0], [0.0], [0.0], [1.0]), "outer piece"),
+    (([1.5, 2.0], [1.0, 1.0], [0.0, 1.0], [0.0, 1.0], [1.0, 2.0]), "outer piece"),
+    (([-2.0, -1.0], [1.0, 1.0], [0.0, 1.0], [0.0, 1.0], [1.0, 2.0]), "outer piece"),
+    (([-1.0, 0.5], [1.0, 1.0], [0.0, 1.0], [0.0, 1.0], [1.0, 2.0]), "outer piece"),
+]
+
+
 def test_flux_validation():
-    with pytest.raises(ValueError):  # overlapping jumps
-        FluxCurve([-1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0])
-    with pytest.raises(ValueError):  # sample on a jump point
-        FluxCurve([-1.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0], [0.0], [1.0])
-    with pytest.raises(ValueError):  # no sample below the jump set
-        FluxCurve([1.0, 2.0], [1.0, 1.0], [0.0], [0.0], [1.0])
+    for args, message in FLUX_REJECTIONS:
+        with pytest.raises(ValueError, match=message):
+            FluxCurve(*args)
+
+
+def _per_piece_eval(A, v):
+    """Oracle: np.interp on each inter-jump piece, anchored by the jump
+    limits, with the outermost pieces extended by their edge slopes."""
+    z = A.jump_z
+    bounds = np.concatenate(([-np.inf], z, [np.inf]))
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    out = np.empty_like(v)
+    piece = np.searchsorted(z, v, side="right")
+    for p in range(len(z) + 1):
+        inside = (A.xs > bounds[p]) & (A.xs < bounds[p + 1])
+        X, Y = list(A.xs[inside]), list(A.ys[inside])
+        if p > 0:
+            X, Y = [z[p - 1]] + X, [A.jump_right[p - 1]] + Y
+        if p < len(z):
+            X, Y = X + [z[p]], Y + [A.jump_left[p]]
+        vp = v[piece == p]
+        vals = np.interp(vp, X, Y)
+        if p == 0:
+            s0 = (Y[1] - Y[0]) / (X[1] - X[0])
+            vals = np.where(vp < X[0], Y[0] + s0 * (vp - X[0]), vals)
+        if p == len(z):
+            s1 = (Y[-1] - Y[-2]) / (X[-1] - X[-2])
+            vals = np.where(vp > X[-1], Y[-1] + s1 * (vp - X[-1]), vals)
+        out[piece == p] = vals
+    return out
+
+
+@pytest.mark.filterwarnings("error")
+def test_knot_list_eval_matches_per_piece_oracle():
+    # a jump point enters the knot list twice, and np.interp must neither
+    # warn on the zero-width interval nor read the left limit at z
+    rng = np.random.default_rng(20140408)
+    for _ in range(400):
+        n_x, n_z = int(rng.integers(2, 7)), int(rng.integers(0, 5))
+        pts = np.sort(rng.choice(np.arange(-12, 13), n_x + n_z, replace=False)
+                      + rng.uniform(-0.4, 0.4))
+        # outer knots are samples; inner ones are shuffled, so some jump
+        # pairs have no sample between them
+        is_z = np.zeros(len(pts), dtype=bool)
+        is_z[1 + rng.permutation(len(pts) - 2)[:n_z]] = True
+        z = pts[is_z]
+        left, right = rng.normal(size=(2, len(z)))
+        if len(z) and rng.random() < 0.2:
+            right[0] = left[0]  # a removable jump
+        A = FluxCurve(pts[~is_z], rng.normal(size=(~is_z).sum()), z, left, right)
+        v = np.concatenate([pts, np.nextafter(pts, -np.inf), np.nextafter(pts, np.inf),
+                            rng.uniform(pts[0] - 5.0, pts[-1] + 5.0, 64),
+                            [pts[0] - 1e3, pts[-1] + 1e3]])
+        assert np.array_equal(A.eval(v), _per_piece_eval(A, v))
+        assert np.array_equal(A.eval(v.reshape(3, -1)), _per_piece_eval(A, v).reshape(3, -1))
+        for s in v[:: 7]:
+            got = A.eval(s)
+            assert type(got) is float and got == _per_piece_eval(A, s)[0]
 
 
 def test_flux_json_round_trip():

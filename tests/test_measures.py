@@ -296,7 +296,7 @@ def test_mv_table_flags_atom_levels(tmp_path):
     assert mu_is_atom(_atoms(ym), atom)
     assert not mu_is_atom(_atoms(ym), atom + 0.1)
     psis = battery_from_geometry(reg.spec)[:2]
-    rows = mv_residual_table(ym, reg, [atom, atom + 0.1], psis)
+    rows = mv_residual_table(MeasureContext(ym, reg), [atom, atom + 0.1], psis)
     assert len(rows) == 2 * 2 * 2
     flags = {(r[0], r[1]): r[4] for r in rows}
     assert flags[("PLUS", atom)] is True
@@ -606,7 +606,7 @@ def test_support_and_trace_match_per_block_reference(layout, graph, frac):
     ym = estimate_young_measure(runs[:n_runs], macro=(mt, mx), min_samples=1)
     r = frac * default_support_radius(ym)
     u0 = reg.spec.initial_values(reg.grid.centers, reg.grid.dx)
-    report = support_and_trace_check(ym, r, u0, reg)
+    report = support_and_trace_check(MeasureContext(ym, reg), r, u0)
     violations, trace = _reference_support(ym, r, u0, reg)
     assert report["violations"] == violations
     _assert_close(report["trace_values"], trace)
@@ -617,7 +617,7 @@ def test_support_check_passes_then_flags_injected_atom():
     ym = estimate_young_measure([res])
     r = default_support_radius(ym)
     u0 = reg.spec.initial_values(res.grid.centers, res.grid.dx)
-    report = support_and_trace_check(ym, r, u0, reg)
+    report = support_and_trace_check(MeasureContext(ym, reg), r, u0)
     assert report["support_ok"] and report["violations"] == []
 
     atoms = [[(v.copy(), w.copy()) for (v, w) in row] for row in ym.atoms]
@@ -627,7 +627,7 @@ def test_support_check_passes_then_flags_injected_atom():
                                   dx=ym.dx, slab=ym.slab,
                                   t_idx_edges=ym.t_idx_edges,
                                   x_idx_edges=ym.x_idx_edges, atoms=atoms)
-    report = support_and_trace_check(spiked, r, u0, reg)
+    report = support_and_trace_check(MeasureContext(spiked, reg), r, u0)
     assert not report["support_ok"]
     assert report["violations"] == [
         {"t_block": 0, "x_block": 0, "atom": pytest.approx(2.0 * r)}]
@@ -637,11 +637,12 @@ def test_trace_curve_constant_ensemble():
     res, reg = _run(_constant_spec(0.5))
     ym = estimate_young_measure([res])
     u0 = np.full(len(res.grid.centers), 0.5)
-    report = support_and_trace_check(ym, default_support_radius(ym), u0, reg)
+    ctx = MeasureContext(ym, reg)
+    report = support_and_trace_check(ctx, default_support_radius(ym), u0)
     assert np.max(np.abs(report["trace_values"])) <= 1e-9
     # oracle: shifting the datum by 0.25 adds |eta - u0| = 0.25 over the
     # 4-wide domain, so every trace value is 1.0
-    report = support_and_trace_check(ym, default_support_radius(ym), u0 + 0.25, reg)
+    report = support_and_trace_check(ctx, default_support_radius(ym), u0 + 0.25)
     assert report["trace_values"] == pytest.approx([1.0] * 8, rel=1e-6)
 
 
@@ -652,7 +653,8 @@ def test_trace_curve_first_value_shrinks_with_slab():
     first = {}
     for mt in (16, 4):
         ym = estimate_young_measure([res], macro=(mt, 8))
-        report = support_and_trace_check(ym, default_support_radius(ym), u0, reg)
+        report = support_and_trace_check(MeasureContext(ym, reg),
+                                         default_support_radius(ym), u0)
         first[mt] = report["trace_values"][0]
     assert first[4] < first[16]
 
