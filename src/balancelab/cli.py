@@ -269,8 +269,8 @@ def cmd_parametrize(cfg, out_dir, quiet):
     spec = cfg.problem
     par = build_parametrization(spec.flux, spec.gap_slope)
     plateaus = par.plateaus
-    s_lo = float(par.s_of_v(spec.flux.xs[0]))
-    s_hi = float(par.s_sup_of_v(spec.flux.xs[-1]))
+    s_lo, _ = par.inverse.value_interval(spec.flux.xs[0])
+    _, s_hi = par.inverse.value_interval(spec.flux.xs[-1])
     n = int(cfg.options.get("n_samples", 257))
     csv_path = os.path.join(out_dir, "parametrization.csv")
     par.export_csv(csv_path, s_lo, s_hi, n=n)

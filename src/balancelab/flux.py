@@ -7,7 +7,9 @@ continuous nondecreasing surjective map U with a unit-length plateau
 calA(s) in A(U(s)) that interpolates the jump affinely across the plateau.
 Composing the inverse graph of U with the problem's monotone nonlinearity
 turns a jump-continuous flux into a continuous one, at the price of extra
-jumps in the graph; that inverse is exactly a MonotoneGraph.
+jumps in the graph; that inverse is exactly a MonotoneGraph, and it is the
+one thing a Parametrization stores.  U is read from the graph's inverse,
+calA from the flux's own knot list mapped into s.
 
 The parametrization is anchored so that U^{-1} passes through (0, 0): the
 gap containing v = 0 keeps s = v / gap_slope, plateaus of nonnegative jump
@@ -20,12 +22,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .monotone import MonotoneGraph, Table, mollifier_nodes
+from .monotone import MonotoneGraph, Table, invert_graph, mollifier_nodes
 
 
 # ---------------------------------------------------------------------------
 # FluxCurve: one knot list through samples and jump limits
 # ---------------------------------------------------------------------------
+
+
+def _read_knots(x, X, Y, edge_slopes):
+    """Linear between the knots (X, Y), X nondecreasing, taking the later
+    knot at a repeated abscissa; beyond X[0] and X[-1] linear with the
+    edge slopes.  A scalar x returns a float."""
+    x = np.asarray(x, dtype=float)
+    xs = np.atleast_1d(x)
+    out = np.interp(xs, X, Y)
+    lo, hi = xs < X[0], xs > X[-1]
+    out[lo] = Y[0] + edge_slopes[0] * (xs[lo] - X[0])
+    out[hi] = Y[-1] + edge_slopes[1] * (xs[hi] - X[-1])
+    return float(out[0]) if x.ndim == 0 else out
 
 
 @dataclass
@@ -74,6 +89,9 @@ class FluxCurve:
         at = np.repeat(np.searchsorted(self.xs, z), 2)
         self._X = np.insert(self.xs, at, np.repeat(z, 2))
         self._Y = np.insert(self.ys, at, np.stack([self.jump_left, self.jump_right], 1).ravel())
+        X, Y = self._X, self._Y
+        self._edge_slopes = ((Y[1] - Y[0]) / (X[1] - X[0]),
+                             (Y[-1] - Y[-2]) / (X[-1] - X[-2]))
 
     # -- constructors --------------------------------------------------------
 
@@ -110,14 +128,7 @@ class FluxCurve:
 
     def eval(self, v):
         """Right-continuous pointwise values (vectorized)."""
-        v = np.asarray(v, dtype=float)
-        X, Y = self._X, self._Y
-        out = np.interp(v, X, Y)
-        s0 = (Y[1] - Y[0]) / (X[1] - X[0])
-        out = np.where(v < X[0], Y[0] + s0 * (v - X[0]), out)
-        s1 = (Y[-1] - Y[-2]) / (X[-1] - X[-2])
-        out = np.where(v > X[-1], Y[-1] + s1 * (v - X[-1]), out)
-        return float(out) if v.ndim == 0 else out
+        return _read_knots(v, self._X, self._Y, self._edge_slopes)
 
     # -- serialization -------------------------------------------------------
 
@@ -135,6 +146,8 @@ class FluxCurve:
     @staticmethod
     def from_dict(d):
         samples = np.asarray(d["samples"], dtype=float)
+        if samples.ndim != 2 or samples.shape[1] != 2:
+            raise ValueError("flux samples must be [v, A(v)] pairs")
         jumps = d.get("jumps", [])
         return FluxCurve(
             samples[:, 0],
@@ -154,97 +167,42 @@ class FluxCurve:
 class Parametrization:
     """Plateau-filling reparametrization of a jump-continuous flux.
 
-    U is continuous, nondecreasing, surjective, affine with slope
-    ``gap_slope`` between unit plateaus; calA is continuous, follows the flux
-    through U off plateaus and interpolates each jump affinely across its
-    plateau.
+    ``inverse`` is U^{-1}, a maximal monotone graph with a unit jump
+    [alpha_k, alpha_k + 1] at each jump point z_k and slope 1/``gap_slope``
+    elsewhere; its value set at v is the s-interval of v.  U is the lower
+    branch of the inverse of that graph: continuous, nondecreasing,
+    surjective, constant on each plateau.  calA reads the flux's own knot
+    list in s: each knot abscissa goes to the lower end of its s-interval
+    and the second copy of a jump point to its plateau end, so calA follows
+    the flux off plateaus and interpolates each jump affinely across its
+    plateau.  Knots that round to one s merge, and the later one wins.
     """
 
     flux: FluxCurve
     gap_slope: float
-    alpha: np.ndarray
-    beta: np.ndarray
+    inverse: MonotoneGraph
 
     @property
     def plateaus(self):
         return [
             (float(a), float(b), float(z))
-            for a, b, z in zip(self.alpha, self.beta, self.flux.jump_z)
+            for (a, b), z in zip(self.inverse.jumps, self.inverse.breakpoints)
         ]
 
     def U(self, s):
-        s = np.asarray(s, dtype=float)
-        scalar = s.ndim == 0
-        ss = np.atleast_1d(s)
-        if len(self.alpha) == 0:
-            out = ss.copy()
-            return float(out[0]) if scalar else out
-        z = self.flux.jump_z
-        m = self.gap_slope
-        i = np.searchsorted(self.alpha, ss, side="right") - 1
-        below = i < 0
-        ic = np.maximum(i, 0)
-        on_plateau = (~below) & (ss <= self.beta[ic])
-        out = np.where(
-            below,
-            z[0] + m * (ss - self.alpha[0]),
-            np.where(on_plateau, z[ic], z[ic] + m * (ss - self.beta[ic])),
-        )
-        return float(out[0]) if scalar else out
+        lo, _ = invert_graph(self.inverse).eval(s)
+        return float(lo[0]) if np.ndim(s) == 0 else lo
 
     def calA(self, s):
-        s = np.asarray(s, dtype=float)
-        scalar = s.ndim == 0
-        ss = np.atleast_1d(s)
-        if len(self.alpha) == 0:
-            out = self.flux.eval(ss)
-            return float(out[0]) if scalar else out
-        z = self.flux.jump_z
-        i = np.searchsorted(self.alpha, ss, side="right") - 1
-        ic = np.maximum(i, 0)
-        on_plateau = (i >= 0) & (ss <= self.beta[ic])
-        left = self.flux.jump_left[ic]
-        right = self.flux.jump_right[ic]
-        plateau_vals = left + (ss - self.alpha[ic]) * (right - left)
-        v = self.U(ss)
-        # keep gap values strictly inside their continuity interval so the
-        # right-continuous flux evaluation never reads the wrong limit
-        gap_lo = np.where(i >= 0, np.nextafter(z[ic], np.inf), -np.inf)
-        nxt = np.minimum(i + 1, len(z) - 1)
-        gap_hi = np.where(i + 1 < len(z), np.nextafter(z[nxt], -np.inf), np.inf)
-        off_vals = self.flux.eval(np.clip(v, gap_lo, gap_hi))
-        out = np.where(on_plateau, plateau_vals, off_vals)
-        return float(out[0]) if scalar else out
-
-    def s_of_v(self, v):
-        """Inf of the U-preimage: gap coordinate, or alpha_k at a jump point."""
-        v = np.asarray(v, dtype=float)
-        scalar = v.ndim == 0
-        vv = np.atleast_1d(v)
-        z = self.flux.jump_z
-        zn = np.searchsorted(z, 0.0, side="left") if len(z) else 0
-        shift = np.searchsorted(z, vv, side="left") - zn
-        out = vv / self.gap_slope + shift
-        return float(out[0]) if scalar else out
-
-    def s_sup_of_v(self, v):
-        """Sup of the U-preimage (beta_k at a jump point)."""
-        v = float(v)
-        base = self.s_of_v(v)
-        k = np.searchsorted(self.flux.jump_z, v)
-        if k < len(self.flux.jump_z) and self.flux.jump_z[k] == v:
-            return base + 1.0
-        return base
-
-    def inverse_graph(self):
-        """U^{-1} as a maximal monotone graph (contains (0, 0) by anchoring)."""
-        z = self.flux.jump_z
-        if len(z) == 0:
-            return MonotoneGraph.line(1.0)
-        m = self.gap_slope
-        jumps = np.stack([self.alpha, self.beta], axis=1)
-        slopes = np.full(len(z) - 1, 1.0 / m)
-        return MonotoneGraph(z, jumps, slopes, (1.0 / m, 1.0 / m))
+        X = self.flux._X
+        lo, hi = self.inverse.eval(X)
+        second = np.concatenate([[False], X[1:] == X[:-1]])
+        # a knot that rounds past the next plateau start is pulled back to it
+        S = np.minimum.accumulate(np.where(second, hi, lo)[::-1])[::-1]
+        # beyond the knots U has slope gap_slope, so the edge slopes in s are
+        # the flux's times gap_slope: no division by a difference of s-knots
+        slopes = [self.gap_slope * e for e in self.flux._edge_slopes]
+        return _read_knots(s, S, self.flux._Y, slopes)
 
     def export_csv(self, path, s_lo, s_hi, n):
         """Write n sampled rows s, U(s), calA(s)."""
@@ -261,11 +219,12 @@ def build_parametrization(flux, gap_slope=1.0):
         raise ValueError("gap slope must be positive")
     z = flux.jump_z
     if len(z) == 0:
-        return Parametrization(flux, 1.0, np.empty(0), np.empty(0))
-    zn = np.searchsorted(z, 0.0, side="left")
-    shift = np.arange(len(z)) - zn
-    alpha = z / gap_slope + shift
-    return Parametrization(flux, gap_slope, alpha, alpha + 1.0)
+        return Parametrization(flux, 1.0, MonotoneGraph.line(1.0))
+    alpha = z / gap_slope + (np.arange(len(z)) - np.searchsorted(z, 0.0))
+    slopes = np.full(len(z) - 1, 1.0 / gap_slope)
+    inverse = MonotoneGraph(z, np.stack([alpha, alpha + 1.0], axis=1), slopes,
+                            (1.0 / gap_slope, 1.0 / gap_slope))
+    return Parametrization(flux, gap_slope, inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +260,6 @@ def smooth_flux(flux, j, lo, hi):
     if not flux.has_jumps:
         return mollify_callable(flux.eval, j, lo, hi)
     par = build_parametrization(flux)
-    s_lo = float(par.s_of_v(lo))
-    s_hi = float(par.s_sup_of_v(hi))
+    s_lo, _ = par.inverse.value_interval(lo)
+    _, s_hi = par.inverse.value_interval(hi)
     return mollify_callable(par.calA, j, s_lo, s_hi)

@@ -281,6 +281,8 @@ class ProblemSpec:
             raise ValueError("indices j, ell, m must be >= 1")
         if self.sample_radius <= 0:
             raise ValueError("sample radius must be positive")
+        if not self.gap_slope > 0:
+            raise ValueError("gap slope must be positive")
         if not isinstance(self.coeff, dict):
             raise ValueError("problem.theta.coeff must be an object")
         kind = self.coeff.get("kind", "const")
@@ -546,11 +548,10 @@ def validate_spec(spec):
     # flux jumps must compose with every cell graph
     if spec.flux.has_jumps:
         par = build_parametrization(spec.flux, spec.gap_slope)
-        outer = par.inverse_graph()
         err = None
         for c in np.unique(cell_c):
             try:
-                compose_graphs(outer, spec.theta_graph.scaled(float(c)))
+                compose_graphs(par.inverse, spec.theta_graph.scaled(float(c)))
             except ValueError as e:
                 err = {"coefficient": float(c), "reason": str(e)}
                 break

@@ -214,7 +214,7 @@ def regularized(spec, grid):
     outer = None
     if spec.flux.has_jumps:
         par = build_parametrization(spec.flux, spec.gap_slope)
-        outer = par.inverse_graph()
+        outer = par.inverse
     coeffs, weights = spec.coefficient_samples(grid.centers)
     theta = regularize_theta(spec.theta_graph, coeffs, weights, spec.j, -rad,
                              rad, outer=outer)

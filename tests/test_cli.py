@@ -149,10 +149,10 @@ NESTED_OBJECTS = [
 ]
 
 
-def _parametrize_exit(d, tmp_path, capsys):
+def _exit_of(d, tmp_path, capsys, command="parametrize"):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(d))
-    code = main(["parametrize", "--config", str(path), "--out",
+    code = main([command, "--config", str(path), "--out",
                  str(tmp_path / "o"), "--quiet"])
     return code, capsys.readouterr().err
 
@@ -168,7 +168,7 @@ def test_unknown_key_in_nested_object_exits_2(name, where, tmp_path, capsys):
         if bogus not in obj:
             break
     obj[bogus] = 1.0
-    code, err = _parametrize_exit(d, tmp_path, capsys)
+    code, err = _exit_of(d, tmp_path, capsys)
     assert code == 2
     err = json.loads(err)
     assert err["error"] == "config"
@@ -220,10 +220,32 @@ def test_bad_pwc_coefficient_exits_2(x_breaks, region_c, words, tmp_path,
 def test_non_integral_j_exits_2(tmp_path, capsys):
     d = _load("burgers_riemann").to_dict()
     d["problem"]["indices"]["j"] = 1.5
-    code, err = _parametrize_exit(d, tmp_path, capsys)
+    code, err = _exit_of(d, tmp_path, capsys)
     assert code == 2
     err = json.loads(err)
     assert err["error"] == "config" and "indices.j" in err["message"]
+
+
+@pytest.mark.parametrize("command", ["solve", "parametrize"])
+def test_flux_sample_rows_that_are_not_pairs_exit_2(command, tmp_path, capsys):
+    # a third column used to be dropped without a word
+    d = _load("burgers_riemann").to_dict()
+    d["problem"]["flux"]["curve"]["samples"] = [[-4.0, 8.0, 99.0], [4.0, 8.0, 99.0]]
+    code, err = _exit_of(d, tmp_path, capsys, command)
+    assert code == 2
+    err = json.loads(err)
+    assert err["error"] == "config" and "pairs" in err["message"]
+
+
+@pytest.mark.parametrize("gap_slope", [-1.0, 0.0])
+@pytest.mark.parametrize("command", ["solve", "verify", "converge", "ym", "parametrize"])
+def test_non_positive_gap_slope_exits_2(command, gap_slope, tmp_path, capsys):
+    d = _load("burgers_riemann").to_dict()
+    d["problem"]["flux"]["gap_slope"] = gap_slope
+    code, err = _exit_of(d, tmp_path, capsys, command)
+    assert code == 2
+    err = json.loads(err)
+    assert err["error"] == "config" and "gap slope must be positive" in err["message"]
 
 
 # values of every JSON type; a mutation draws one whose type differs from

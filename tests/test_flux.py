@@ -6,11 +6,14 @@ from kernel-moment formulas; resolvent cross-checks run against the
 bisection oracle.
 """
 
+import glob
 import json
+import os
 
 import numpy as np
 import pytest
 
+from balancelab.config import load_config
 from balancelab.flux import (
     FluxCurve,
     Parametrization,
@@ -26,6 +29,8 @@ from balancelab.monotone import (
     resolvent,
 )
 from conftest import resolvent_bisect
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 def heaviside_flux():
@@ -167,8 +172,9 @@ def test_single_jump_plateau_hand_values():
     assert par.calA(0.5) == pytest.approx(0.5, abs=1e-14)
     assert par.calA(-0.5) == 0.0
     assert par.calA(1.5) == 1.0
-    assert par.s_of_v(0.0) == 0.0
-    assert par.s_sup_of_v(0.0) == 1.0
+    lo, hi = par.inverse.value_interval(0.0)
+    assert lo == 0.0
+    assert hi == 1.0
 
 
 def test_two_jump_plateau_bookkeeping():
@@ -193,7 +199,7 @@ def test_gap_slope_knob():
     assert par.plateaus == [(-2.0, -1.0, -2.0), (1.5, 2.5, 3.0)]
     assert par.U(0.0) == 0.0
     assert par.U(0.5) == 1.0
-    assert par.s_of_v(1.0) == 0.5
+    assert par.inverse.value_interval(1.0)[0] == 0.5
 
 
 def test_membership_invariant_on_grid():
@@ -216,7 +222,7 @@ def test_parametrization_reproduces_flux_at_continuity_points():
     vs = np.linspace(-4.9, 5.9, 997)
     vs = vs[np.abs(vs - (-2.0)) > 1e-6]
     vs = vs[np.abs(vs - 3.0) > 1e-6]
-    got = par.calA(par.s_of_v(vs))
+    got = par.calA(par.inverse.eval(vs)[0])
     assert np.abs(got - A.eval(vs)).max() < 1e-10
 
 
@@ -227,13 +233,13 @@ def test_continuous_flux_trivial_parametrization():
     ss = np.linspace(-1.5, 1.5, 11)
     assert np.array_equal(par.U(ss), ss)
     assert np.array_equal(par.calA(ss), A.eval(ss))
-    assert isinstance(par.inverse_graph(), MonotoneGraph)
-    assert par.inverse_graph().tail_slopes == (1.0, 1.0)
+    assert isinstance(par.inverse, MonotoneGraph)
+    assert par.inverse.tail_slopes == (1.0, 1.0)
 
 
 def test_inverse_graph_contains_origin_and_inverts_U():
     par = build_parametrization(two_jump_flux())
-    g = par.inverse_graph()
+    g = par.inverse
     assert np.allclose(g.breakpoints, [-2.0, 3.0])
     assert np.allclose(g.jumps, [[-3.0, -2.0], [3.0, 4.0]])
     assert g.value_interval(0.0) == (0.0, 0.0)
@@ -242,6 +248,151 @@ def test_inverse_graph_contains_origin_and_inverts_U():
         lo, hi = g.value_interval(float(v))
         assert par.U(lo) == pytest.approx(v, abs=1e-12)
         assert par.U(hi) == pytest.approx(v, abs=1e-12)
+
+
+def _closed_forms(flux, gap_slope):
+    """Oracle: U, calA and the two ends of the s-interval of v in the
+    closed forms the plateau map had before it read U^{-1} as a
+    MonotoneGraph: searchsorted over the plateau starts, and a flux read
+    clipped strictly inside each continuity gap."""
+    z = flux.jump_z
+    m = gap_slope if len(z) else 1.0
+    alpha = z / m + (np.arange(len(z)) - np.searchsorted(z, 0.0))
+    beta = alpha + 1.0
+
+    def U(s):
+        if len(z) == 0:
+            return s.copy()
+        i = np.searchsorted(alpha, s, side="right") - 1
+        ic = np.maximum(i, 0)
+        on_plateau = (i >= 0) & (s <= beta[ic])
+        return np.where(i < 0, z[0] + m * (s - alpha[0]),
+                        np.where(on_plateau, z[ic], z[ic] + m * (s - beta[ic])))
+
+    def calA(s):
+        if len(z) == 0:
+            return flux.eval(s)
+        i = np.searchsorted(alpha, s, side="right") - 1
+        ic = np.maximum(i, 0)
+        on_plateau = (i >= 0) & (s <= beta[ic])
+        left, right = flux.jump_left[ic], flux.jump_right[ic]
+        gap_lo = np.where(i >= 0, np.nextafter(z[ic], np.inf), -np.inf)
+        nxt = np.minimum(i + 1, len(z) - 1)
+        gap_hi = np.where(i + 1 < len(z), np.nextafter(z[nxt], -np.inf), np.inf)
+        return np.where(on_plateau, left + (s - alpha[ic]) * (right - left),
+                        flux.eval(np.clip(U(s), gap_lo, gap_hi)))
+
+    def s_lo(v):
+        return v / m + (np.searchsorted(z, v) - np.searchsorted(z, 0.0))
+
+    def s_hi(v):
+        return s_lo(v) + np.isin(v, z)
+
+    return U, calA, s_lo, s_hi
+
+
+def _oracle_points(rng, flux, s_lo, s_hi):
+    """v: every sample and jump point, their neighbours, random points and
+    points beyond both ends; s: the same for the s-images of the knots."""
+    def spread(knots):
+        lo, hi = knots.min(), knots.max()
+        return np.concatenate([knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+                               rng.uniform(lo, hi, 64), lo - rng.uniform(0.0, 50.0, 8),
+                               hi + rng.uniform(0.0, 50.0, 8), [lo - 1e3, hi + 1e3]])
+    knots = np.concatenate([flux.xs, flux.jump_z])
+    return spread(knots), spread(np.concatenate([s_lo(knots), s_hi(knots)]))
+
+
+def _compare_with_closed_forms(par, rng, exact):
+    U, calA, s_lo, s_hi = _closed_forms(par.flux, par.gap_slope)
+    vs, ss = _oracle_points(rng, par.flux, s_lo, s_hi)
+    got = {"U": par.U(ss), "calA": par.calA(ss)}
+    got["s_lo"], got["s_hi"] = par.inverse.eval(vs)
+    want = {"U": U(ss), "calA": calA(ss), "s_lo": s_lo(vs), "s_hi": s_hi(vs)}
+    if exact:
+        for key in want:
+            assert np.array_equal(got[key], want[key]), key
+        return
+    # each closed form rounds at the magnitude of the terms it adds: the
+    # plateau anchors for s, the jump points and gap_slope times s for U
+    knots = np.concatenate([par.flux.xs, par.flux.jump_z])
+    r_s = max(1.0, np.abs(np.concatenate([s_lo(knots), s_hi(knots)])).max())
+    r_v = max(1.0, np.abs(par.flux.jump_z).max(initial=0.0), par.gap_slope * r_s)
+    r_a = max(1.0, np.abs(par.flux._Y).max())
+    for key, tol, scale in (("s_lo", 1e-15, r_s), ("s_hi", 1e-15, r_s),
+                            ("U", 1e-15, r_v), ("calA", 1e-12, r_a)):
+        bound = tol * np.maximum(np.abs(want[key]), scale)
+        assert np.all(np.abs(got[key] - want[key]) <= bound), key
+
+
+def test_plateau_map_matches_closed_form_oracle():
+    rng = np.random.default_rng(1404)
+    for _ in range(400):
+        n_x, n_z = int(rng.integers(2, 7)), int(rng.integers(0, 4))
+        pts = np.sort(rng.choice(np.arange(-12, 13), n_x + n_z, replace=False)
+                      + rng.uniform(-0.4, 0.4))
+        is_z = np.zeros(len(pts), dtype=bool)
+        is_z[1 + rng.permutation(len(pts) - 2)[:n_z]] = True
+        left, right = rng.normal(size=(2, n_z))
+        A = FluxCurve(pts[~is_z], rng.normal(size=n_x), pts[is_z], left, right)
+        par = build_parametrization(A, float(np.exp(rng.uniform(np.log(0.25), np.log(1e3)))))
+        # without jumps U(s) = s and calA = A exactly
+        _compare_with_closed_forms(par, rng, exact=not A.has_jumps)
+        if not A.has_jumps:
+            ss = rng.uniform(-20.0, 20.0, 16)
+            assert np.array_equal(par.U(ss), ss)
+            assert np.array_equal(par.calA(ss), A.eval(ss))
+
+
+def test_plateau_map_exact_on_shipped_configs():
+    rng = np.random.default_rng(17)
+    for path in sorted(glob.glob(os.path.join(CONFIG_DIR, "*.json"))):
+        spec = load_config(path).problem
+        _compare_with_closed_forms(build_parametrization(spec.flux, spec.gap_slope),
+                                   rng, exact=True)
+
+
+@pytest.mark.filterwarnings("error")
+def test_plateau_map_with_knots_ulps_from_a_jump_and_steep_gaps():
+    # a sample a few ulps from a jump point maps to the same s as the jump's
+    # plateau end when the gap slope is large; those knots merge and the
+    # later one wins, as at a doubled abscissa of FluxCurve.eval
+    A = FluxCurve([-1.0, 1e-17, 1.0], [0.0, 7.0, 1.0], [0.0], [0.0], [0.5])
+    par = build_parametrization(A)
+    assert par.inverse.value_interval(1e-17) == (1.0, 1.0)
+    assert par.calA(0.0) == 0.0
+    assert par.calA(1.0) == 7.0
+    assert par.calA(0.5) == pytest.approx(0.25, abs=1e-15)
+    rng = np.random.default_rng(6)
+    merged = 0
+    for trial in range(200):
+        z = np.sort(rng.choice(np.arange(-6, 7), int(rng.integers(1, 4)), replace=False)
+                    + rng.uniform(-0.25, 0.25))
+        ulps = rng.integers(1, 5, size=(2, len(z)))
+        below, above = z, z
+        for i in range(4):
+            below = np.where(i < ulps[0], np.nextafter(below, -np.inf), below)
+            above = np.where(i < ulps[1], np.nextafter(above, np.inf), above)
+        xs = np.sort(np.concatenate([[z[0] - 1.0, z[-1] + 1.0], below, above]))
+        left, right = rng.normal(size=(2, len(z)))
+        A = FluxCurve(xs, rng.normal(size=len(xs)), z, left, right)
+        gap_slope = 1e6 if trial % 2 else float(np.exp(rng.uniform(0.0, np.log(1e6))))
+        par = build_parametrization(A, gap_slope)
+        U, calA, s_lo, s_hi = _closed_forms(A, gap_slope)
+        vs, ss = _oracle_points(rng, A, s_lo, s_hi)
+        lo, hi = par.inverse.eval(vs)
+        for got, want in ((par.U(ss), U(ss)), (par.calA(ss), calA(ss)),
+                          (lo, s_lo(vs)), (hi, s_hi(vs))):
+            assert not np.any(np.isnan(got) & np.isfinite(want))
+        for (a, b, _), left_k, right_k, x_next in zip(par.plateaus, left, right, above):
+            assert par.calA(a) == left_k
+            s_next, _ = par.inverse.value_interval(x_next)
+            if s_next == b:
+                merged += 1
+                assert par.calA(b) == A.ys[np.searchsorted(A.xs, x_next)]
+            else:
+                assert par.calA(b) == right_k
+    assert merged > 100
 
 
 def test_export_csv(tmp_path):
@@ -315,7 +466,7 @@ def jump_inverse(z, left=None, right=None):
     """U^{-1} graph for a flux with a single jump at z."""
     fn = lambda v: np.where(v >= z, v + 1.0, v)
     curve = FluxCurve.from_pieces(fn, [(z, z, z + 1.0)], z - 5.0, z + 5.0, n=65)
-    return build_parametrization(curve).inverse_graph()
+    return build_parametrization(curve).inverse
 
 
 def test_compose_jump_meets_graph_jump():
