@@ -263,7 +263,7 @@ class ResidualEvaluator:
         self.u0 = self.spec.initial_values(self.x, self.dx)
         self.f_cells = np.empty_like(self.U)
         for s, t in enumerate(self.t_mid):
-            self.f_cells[s] = reg.source_values(t, self.U[s], self.V[s])
+            self.f_cells[s] = reg.source_values(t, self.U[s])
         self.AV = reg.curve(0, self.V)
 
     def terms(self, form, k):

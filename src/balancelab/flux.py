@@ -220,10 +220,17 @@ def build_parametrization(flux, gap_slope=1.0):
     z = flux.jump_z
     if len(z) == 0:
         return Parametrization(flux, 1.0, MonotoneGraph.line(1.0))
-    alpha = z / gap_slope + (np.arange(len(z)) - np.searchsorted(z, 0.0))
-    slopes = np.full(len(z) - 1, 1.0 / gap_slope)
-    inverse = MonotoneGraph(z, np.stack([alpha, alpha + 1.0], axis=1), slopes,
-                            (1.0 / gap_slope, 1.0 / gap_slope))
+    slope = 1.0 / gap_slope
+    # each plateau's end facing 0 is z * slope plus a whole number, 0 next
+    # to the origin, so the segment through 0 adds slope * (-z) to z * slope
+    # and lands on 0 exactly, whatever the size of z * slope
+    k = np.arange(len(z)) - np.searchsorted(z, 0.0)
+    neg = z < 0
+    end = z * slope + np.where(neg, k + 1, k)
+    jumps = np.stack([np.where(neg, end - 1.0, end),
+                      np.where(neg, end, end + 1.0)], axis=1)
+    inverse = MonotoneGraph(z, jumps, np.full(len(z) - 1, slope),
+                            (slope, slope))
     return Parametrization(flux, gap_slope, inverse)
 
 

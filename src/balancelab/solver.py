@@ -11,16 +11,18 @@ tables and A_j from the mollified flux curve (in the plateau-filled
 variable when the raw flux has jumps, in which case the jump set has been
 absorbed into theta_j beforehand).
 
-The state is a pair of plain arrays: the cell averages u and their
-transformed values v = theta_j(x_i, u_i).  ``step`` maps one pair to the
-next, and ``solve`` copies each snapshot into one row of the run's ``U``
-and ``V`` arrays, which every downstream check reads directly.
+The state is one plain array, the cell averages u, which ``step`` maps to
+the next.  The transformed values v = theta_j(x_i, u_i) are formed where
+they are read: per step by phi_{l,m} when l or m is finite, and at each
+snapshot, where ``solve`` fills one row of the run's ``U`` and ``V``
+arrays, which every downstream check reads directly.
 
 Everything is deterministic: fixed summation order, dt fixed by the
 initial state, no randomness, so identical inputs give bit-identical
 results.
 """
 
+import math
 from dataclasses import dataclass, field as _field
 
 import numpy as np
@@ -65,6 +67,9 @@ class Grid1D:
 
 class SolverError(RuntimeError):
     """Raised when the evolution produces a non-finite state."""
+
+
+_NON_FINITE = "non-finite state at t = %.6g (check CFL and source bounds)"
 
 
 @dataclass
@@ -188,16 +193,18 @@ class RegularizedProblem:
         FL, FR, a = self.flux.llf_terms(self.if_rows, uL, uR)
         return 0.5 * (FL + FR) - 0.5 * a * (uR - uL), a
 
-    # -- state maps ---------------------------------------------------------------
+    # -- source -------------------------------------------------------------------
 
-    def v_of_u(self, u):
-        return self.theta.v_of_u(u)
-
-    def source_values(self, t, u, v):
-        """Perturbed source f_j(t, x_i, u_i) + phi_{l,m}(v_i) per cell."""
+    def source_values(self, t, u):
+        """Perturbed source f_j(t, x_i, u_i) + phi_{l,m}(theta_j(x_i, u_i))
+        per cell.  With l = m = inf, phi_{l,m} vanishes and theta_j is not
+        formed."""
         spec = self.spec
         f = spec.source.eval_mollified(spec.j, t, self.grid.centers, u)
-        return f + perturbation(v, spec.ell, spec.m)
+        phi = 0.0
+        if math.isfinite(spec.ell) or math.isfinite(spec.m):
+            phi = perturbation(self.theta.v_of_u(u), spec.ell, spec.m)
+        return f + phi
 
 
 def regularized(spec, grid):
@@ -269,13 +276,14 @@ def cfl_dt(u, reg):
     return dt
 
 
-def step(u, v, dt, t, reg):
-    """One explicit Euler update of the cell averages u with transformed
-    values v; ghost cells hold the far-field constant 0.
+def step(u, dt, t, reg):
+    """One explicit Euler update of the cell averages u; ghost cells hold
+    the far-field constant 0.
 
-    Returns (u_new, v_new, flux, src, a): the new state, the interface
-    fluxes, the source per cell and the interface wave speeds of the step,
-    which the mass ledger and the CFL history read.
+    Returns (u_new, flux, src, a): the new state, the interface fluxes, the
+    source per cell and the interface wave speeds of the step, which the
+    mass ledger and the CFL history read.  Raises SolverError when u_new is
+    not finite.
     """
     grid = reg.grid
     n = grid.n_cells
@@ -283,13 +291,11 @@ def step(u, v, dt, t, reg):
         u_ext = np.zeros(n + 2)  # one ghost cell per side
         u_ext[1:-1] = u
         flux, a = reg.numerical_flux(u_ext[:-1], u_ext[1:])
-        src = reg.source_values(t, u, v)
+        src = reg.source_values(t, u)
         u_new = u - (dt / grid.dx) * np.diff(flux) + dt * src
-        v_new = reg.v_of_u(u_new) if np.all(np.isfinite(u_new)) else None
-    if v_new is None or not np.all(np.isfinite(v_new)):
-        raise SolverError(
-            "non-finite state at t = %.6g (check CFL and source bounds)" % t)
-    return u_new, v_new, flux, src, a
+    if not np.all(np.isfinite(u_new)):
+        raise SolverError(_NON_FINITE % t)
+    return u_new, flux, src, a
 
 
 def solve(spec, grid, snapshots=8, dt_override=None, reg=None):
@@ -308,9 +314,6 @@ def solve(spec, grid, snapshots=8, dt_override=None, reg=None):
         raise ValueError("field values must be finite")
     if np.max(np.abs(u)) > spec.sample_radius:
         raise ValueError("initial data exceeds sample_radius; tables too narrow")
-    v = reg.v_of_u(u)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("field values must be finite")
     dt_base = dt_override if dt_override is not None else cfl_dt(u, reg)
 
     slab = spec.T / snapshots
@@ -327,24 +330,29 @@ def solve(spec, grid, snapshots=8, dt_override=None, reg=None):
     boundary_max = float(np.max(np.abs(np.concatenate([u[:2], u[-2:]]))))
 
     t = 0.0
-    for k, target in enumerate(targets):
-        while target - t > eps:
-            dt = min(dt_base, target - t)
-            u, v, flux, src, a = step(u, v, dt, t, reg)
-            t += dt
-            new_mass = float(np.sum(u)) * grid.dx
-            expected = mass - dt * (float(flux[-1]) - float(flux[0])) \
-                + dt * grid.dx * float(np.sum(src))
-            max_drift = max(max_drift, abs(new_mass - expected))
-            mass = new_mass
-            dt_hist.append(dt)
-            cfl_hist.append(dt * float(a.max()) / grid.dx)
-            mass_hist.append(mass)
-            boundary_max = max(boundary_max, float(np.max(np.abs(
-                np.concatenate([u[:2], u[-2:]])))))
-        t = target
-        U[k] = u
-        V[k] = v
+    # near a blow-up the ledger sums and v overflow while u is still
+    # finite; the check on u or on v then raises, with no warning printed
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, target in enumerate(targets):
+            while target - t > eps:
+                dt = min(dt_base, target - t)
+                u, flux, src, a = step(u, dt, t, reg)
+                t += dt
+                new_mass = float(np.sum(u)) * grid.dx
+                expected = mass - dt * (float(flux[-1]) - float(flux[0])) \
+                    + dt * grid.dx * float(np.sum(src))
+                max_drift = max(max_drift, abs(new_mass - expected))
+                mass = new_mass
+                dt_hist.append(dt)
+                cfl_hist.append(dt * float(a.max()) / grid.dx)
+                mass_hist.append(mass)
+                boundary_max = max(boundary_max, float(np.max(np.abs(
+                    np.concatenate([u[:2], u[-2:]])))))
+            t = target
+            U[k] = u
+            V[k] = reg.theta.v_of_u(u)
+            if not np.all(np.isfinite(V[k])):
+                raise SolverError(_NON_FINITE % t)
 
     warnings = []
     if boundary_max > 1e-12:

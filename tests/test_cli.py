@@ -340,8 +340,10 @@ def test_solve_unknown_source_names_the_id(tmp_path, capsys):
     assert "frobnicate" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_solve_non_finite_state_exits_4(tmp_path, capsys):
-    # an anti-dissipative source far past the source cap blows up near t = 4.4
+    # an anti-dissipative source far past the source cap blows up near t = 4.4;
+    # the overflows on the way there print no RuntimeWarning
     d = _load("antidissipative_demo").to_dict()
     d["grid_sizes"] = [32]
     d["problem"]["source"] = {"id": "antilinear_test", "params": {"c": 200}}
@@ -354,6 +356,8 @@ def test_solve_non_finite_state_exits_4(tmp_path, capsys):
     assert "Traceback" not in err
     err = json.loads(err)
     assert err["error"] == "numerical" and "non-finite" in err["message"]
+    assert not (tmp_path / "o" / "snapshots.csv").exists()
+    assert not (tmp_path / "o" / "run.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +576,27 @@ def test_parametrize_jump_flux_fills_one_plateau(tmp_path):
     for row in _read_csv(out / "parametrization.csv")[1:]:
         for cell in row:
             assert cell == "%.17g" % float(cell)
+
+
+def test_jump_away_from_zero_with_a_tiny_gap_slope_runs(tmp_path):
+    # U^-1 passes through (0, 0) exactly: its plateau ends are of size
+    # |z| / gap_slope = 3e8 here, whose rounding is far above the graph's
+    # 1e-9 tolerance for containing (0, 0)
+    d = _load("jumpflux_parametrize").to_dict()
+    curve = d["problem"]["flux"]["curve"]
+    curve["jumps"][0]["z"] = -0.3
+    curve["samples"] = [row for row in curve["samples"] if row[0] != -0.3]
+    d["problem"]["flux"]["gap_slope"] = 1e-9
+    path = tmp_path / "moved.json"
+    path.write_text(json.dumps(d))
+    for command in ("parametrize", "solve", "verify"):
+        code = main([command, "--config", str(path), "--out",
+                     str(tmp_path / command), "--quiet"])
+        assert code == 0, command
+    meta = json.loads(
+        (tmp_path / "parametrize" / "parametrization.json").read_text())
+    [(a, b, z)] = meta["plateaus"]
+    assert z == -0.3 and b - a == 1.0 and b < 0.0
 
 
 # ---------------------------------------------------------------------------

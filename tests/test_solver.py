@@ -19,7 +19,8 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from balancelab.flux import FluxCurve
-from balancelab.monotone import MonotoneGraph, regularize_theta
+from balancelab.monotone import (MonotoneGraph, ThetaRegularization,
+                                 regularize_theta)
 from balancelab.problem import SourceSpec
 from balancelab.solver import (
     Grid1D,
@@ -220,7 +221,7 @@ def test_step_constant_interior_unchanged():
     grid = Grid1D(spec.x_lo, spec.x_hi, 32)
     reg = regularized(spec, grid)
     u = np.full(32, 0.6)
-    out = step(u, reg.v_of_u(u), 1e-3, 0.0, reg)[0]
+    out = step(u, 1e-3, 0.0, reg)[0]
     assert np.array_equal(out[1:-1], u[1:-1])
     assert out[0] != 0.6 and out[-1] != 0.6
 
@@ -232,7 +233,7 @@ def test_step_ode_decay_factor():
     grid = Grid1D(spec.x_lo, spec.x_hi, 32)
     reg = regularized(spec, grid)
     u = spec.initial_values(grid.centers, grid.dx)
-    out = step(u, reg.v_of_u(u), 0.01, 0.0, reg)[0]
+    out = step(u, 0.01, 0.0, reg)[0]
     assert np.allclose(out, u * (1.0 - 0.01), rtol=1e-14, atol=1e-16)
 
 
@@ -242,7 +243,7 @@ def test_step_single_cell_mass():
     reg = regularized(spec, grid)
     u = np.zeros(32)
     u[16] = 1.0
-    out = step(u, reg.v_of_u(u), 1e-3, 0.0, reg)[0]
+    out = step(u, 1e-3, 0.0, reg)[0]
     assert abs(np.sum(out) * grid.dx - np.sum(u) * grid.dx) < 1e-13
 
 
@@ -254,8 +255,8 @@ def test_step_monotone_ordering():
     ua = 0.8 * np.sin(3.0 * x)
     ub = ua + 0.3 * (1.0 + np.cos(x)) / 2.0
     dt = min(cfl_dt(ua, reg), cfl_dt(ub, reg))
-    oa = step(ua, reg.v_of_u(ua), dt, 0.1, reg)[0]
-    ob = step(ub, reg.v_of_u(ub), dt, 0.1, reg)[0]
+    oa = step(ua, dt, 0.1, reg)[0]
+    ob = step(ub, dt, 0.1, reg)[0]
     assert float(np.min(ob - oa)) >= -1e-13
 
 
@@ -328,7 +329,7 @@ def test_solve_conservation_maxprinciple_consistency():
     sup = np.max(np.abs(res.U), axis=1)
     assert np.all(np.diff(sup) <= 1e-14)
     # companion values stay consistent with the tables
-    assert np.array_equal(res.V[-1], reg.v_of_u(res.final_u))
+    assert np.array_equal(res.V[-1], reg.theta.v_of_u(res.final_u))
     # realized CFL numbers stay near the target: rounding-level overshoots
     # of u past 1.0 can pull one extra slope cell into the speed bracket
     assert float(np.max(res.cfl_history)) <= 0.46
@@ -389,7 +390,29 @@ def test_every_snapshot_row_keeps_v_consistent(graph, coeff, source, height,
     assert res.U.shape == res.V.shape == (snapshots + 1, n_cells)
     assert np.array_equal(res.times[-1], spec.T)
     for k in range(snapshots + 1):
-        assert np.array_equal(res.V[k], reg.v_of_u(res.U[k]))
+        assert np.array_equal(res.V[k], reg.theta.v_of_u(res.U[k]))
+
+
+@pytest.mark.parametrize("ell, m", [(INF, INF), (2.0, INF), (INF, 2.0)])
+def test_v_formed_per_step_only_with_the_perturbation_on(monkeypatch, ell, m):
+    # v = theta_j(u) is read per step only by phi_{l,m}; with l = m = inf it
+    # is formed once per snapshot row and nowhere else
+    spec = canonical_spec(source=SourceSpec("arctan", {"c": 1.0}), ell=ell, m=m)
+    grid = Grid1D(spec.x_lo, spec.x_hi, 32)
+    reg = regularized(spec, grid)
+    calls = []
+    v_of_u = ThetaRegularization.v_of_u
+
+    def counted(self, u):
+        calls.append(np.shape(u))
+        return v_of_u(self, u)
+
+    monkeypatch.setattr(ThetaRegularization, "v_of_u", counted)
+    res = solve(spec, grid, snapshots=3, reg=reg)
+    per_step = 0 if ell == m == INF else res.n_steps
+    assert res.n_steps > 3
+    assert len(calls) == len(res.times) + per_step
+    assert set(calls) == {(grid.n_cells,)}
 
 
 def test_solve_deterministic_rerun():
@@ -431,7 +454,7 @@ def test_jump_flux_run_smoke():
     assert np.max(np.abs(np.diff(res.mass_history))) < 1e-12
     assert float(res.final_u.min()) >= -1e-12
     assert float(res.final_u.max()) <= 1.0 + 1e-12
-    assert np.array_equal(res.V[-1], reg.v_of_u(res.final_u))
+    assert np.array_equal(res.V[-1], reg.theta.v_of_u(res.final_u))
 
 
 def test_run_csv_and_metadata(tmp_path):

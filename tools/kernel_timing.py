@@ -67,14 +67,14 @@ def main(argv=None):
         grid = Grid1D(spec.x_lo, spec.x_hi, n)
         reg = regularized(spec, grid)
         run = solve(spec, grid, snapshots=2, reg=reg)
-        u, v = run.U[0], run.V[0]
+        u = run.U[0]
         u_ext = np.pad(u, 1)
         dt = cfl_dt(u, reg)
         out[str(n)] = {
             "numerical_flux_us": per_call_us(
                 lambda: reg.numerical_flux(u_ext[:-1], u_ext[1:]),
                 args.calls, args.repeats),
-            "step_us": per_call_us(lambda: step(u, v, dt, 0.0, reg),
+            "step_us": per_call_us(lambda: step(u, dt, 0.0, reg),
                                    args.calls, args.repeats),
         }
     print(json.dumps(out, sort_keys=True))
