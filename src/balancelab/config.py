@@ -15,6 +15,8 @@ import copy
 import dataclasses
 import json
 import math
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 
 from .problem import ProblemSpec, check_keys
 
@@ -210,9 +212,89 @@ def load_config(path):
     return RunConfig.from_dict(data)
 
 
+# A container none of whose items is a container is formatted in one join;
+# any other container is written one item at a time
+_CONTAINERS = (dict, list, tuple)
+
+
+def _scalar(v):
+    """JSON text of a scalar: ``float.__repr__`` for a finite float (what
+    the stdlib encoder writes), the stdlib encoder's text for the rest."""
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if isinstance(v, float):
+        text = float.__repr__(v)
+        if "n" not in text:  # of all float reprs only nan, inf, -inf hold an n
+            return text
+    return json.dumps(v)
+
+
+def _leaf_text(node, pad):
+    """JSON text of a scalar, or of a container none of whose items is a
+    container, opened at indent ``pad``; None for any other container."""
+    if not isinstance(node, _CONTAINERS):
+        return _scalar(node)
+    if not node:
+        return "{}" if isinstance(node, dict) else "[]"
+    sep = ",\n" + pad + "  "
+    if isinstance(node, dict):
+        if (any(map(isinstance, node.values(), repeat(_CONTAINERS)))
+                or not all(map(isinstance, node, repeat(str)))):
+            return None
+        body = sep.join([encode_basestring_ascii(k) + ": " + _scalar(v)
+                         for k, v in sorted(node.items())])
+        return "{" + sep[1:] + body + "\n" + pad + "}"
+    # a list of finite floats in one C-speed pass: float.__repr__ raises on
+    # any other type, and a non-finite float shows as an n
+    try:
+        body = sep.join(map(float.__repr__, node))
+    except TypeError:
+        body = "n"
+    if "n" in body:
+        if any(map(isinstance, node, repeat(_CONTAINERS))):
+            return None
+        body = sep.join(map(_scalar, node))
+    return "[" + sep[1:] + body + "\n" + pad + "]"
+
+
+def _write_container(fh, node, pad):
+    """Write a container that holds a container, opened at indent ``pad``."""
+    inner = pad + "  "
+    if isinstance(node, dict):
+        if not all(map(isinstance, node, repeat(str))):
+            # int, float, bool or None keys: the stdlib's own key rules
+            text = json.dumps(node, indent=2, sort_keys=True)
+            fh.write(text.replace("\n", "\n" + pad))
+            return
+        items = [(encode_basestring_ascii(k) + ": ", v) for k, v in sorted(node.items())]
+        lead, close = "{\n" + inner, "}"
+    else:
+        items = zip(repeat(""), node)
+        lead, close = "[\n" + inner, "]"
+    for head, v in items:
+        text = _leaf_text(v, inner)
+        if text is None:
+            fh.write(lead + head)
+            _write_container(fh, v, inner)
+        else:
+            fh.write(lead + head + text)
+        lead = ",\n" + inner
+    fh.write("\n" + pad + close)
+
+
 def write_json(payload, path):
     """The one JSON artifact format: sorted keys, two-space indent and a
-    trailing newline."""
+    trailing newline.
+
+    The file holds exactly the bytes of ``json.dump(payload, fh, indent=2,
+    sort_keys=True)`` followed by ``"\\n"``, for every payload that call
+    accepts, but is written one container at a time with one join per
+    container of scalars, where the stdlib encoder makes one Python call
+    per number once it indents."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        text = _leaf_text(payload, "")
+        if text is None:
+            _write_container(fh, payload, "")
+        else:
+            fh.write(text)
         fh.write("\n")

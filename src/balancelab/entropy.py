@@ -132,7 +132,8 @@ def k_samples(values, reg, n=33, space="v", pad=0.5):
             for a, b, _ in reg.par.plateaus:
                 ks += [a, b]
         else:
-            for c in np.unique(reg.cell_c):
+            # a set, not np.unique, which imports numpy.ma; ks are sorted below
+            for c in set(reg.cell_c.tolist()):
                 for j_lo, j_hi in np.atleast_2d(graph.jumps.reshape(-1, 2)):
                     ks += [c * j_lo, c * j_hi]
     else:

@@ -549,7 +549,8 @@ def validate_spec(spec):
     if spec.flux.has_jumps:
         par = build_parametrization(spec.flux, spec.gap_slope)
         err = None
-        for c in np.unique(cell_c):
+        # sorted(set()), not np.unique, which imports numpy.ma
+        for c in sorted(set(cell_c.tolist())):
             try:
                 compose_graphs(par.inverse, spec.theta_graph.scaled(float(c)))
             except ValueError as e:

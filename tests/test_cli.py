@@ -7,6 +7,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -18,6 +20,7 @@ from balancelab.cli import main
 from balancelab.config import ConfigError, RunConfig, load_config, write_json
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 def _config_path(name):
@@ -76,6 +79,54 @@ def test_config_round_trip_identity(name, tmp_path):
     path = tmp_path / "copy.json"
     write_json(cfg.to_dict(), path)
     assert load_config(path).to_dict() == d1
+
+
+# keys with quotes, backslashes, control and non-ASCII characters, which the
+# stdlib escapes
+_KEYS = st.text(alphabet=st.sampled_from('az"\\/\n\t\x00\x7f\u00e9\u2028\u2603\U0001f600'),
+                max_size=6)
+_FLOATS = st.floats() | st.sampled_from(
+    [-0.0, 5e-324, 1e16, 1e-7, float("nan"), float("inf"), float("-inf")])
+_SCALARS = (st.none() | st.booleans() | st.integers() | _FLOATS
+            | _FLOATS.map(np.float64) | st.text(max_size=8))
+_PAYLOADS = st.recursive(
+    _SCALARS,
+    lambda kids: (st.lists(kids, max_size=5) | st.lists(kids, max_size=5).map(tuple)
+                  | st.dictionaries(_KEYS, kids, max_size=5)
+                  | st.lists(_FLOATS, max_size=8)
+                  | st.dictionaries(_KEYS, _SCALARS, max_size=5)
+                  | st.dictionaries(st.integers(), kids, max_size=3)),
+    max_leaves=40)
+
+
+@seed(20140419)
+@settings(max_examples=400, deadline=None)
+@given(_PAYLOADS)
+def test_write_json_writes_the_bytes_of_the_stdlib_encoder(payload):
+    # nested dicts, lists and tuples, empty containers, lists of floats
+    # (finite or not), flat dicts of scalars and dicts with int keys
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.json")
+        write_json(payload, path)
+        with open(path, "rb") as fh:
+            got = fh.read()
+    want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert got == want.encode("ascii")
+
+
+@pytest.mark.parametrize("command", ["ym", "verify"])
+def test_ym_and_verify_do_not_import_numpy_ma(command, tmp_path):
+    # np.unique without index outputs imports numpy.ma (about 13 ms), which
+    # no balancelab path needs; a fresh interpreter shows the imports alone
+    child = ("import sys, balancelab.cli; rc = balancelab.cli.main(sys.argv[1:]); "
+             "print('numpy.ma' in sys.modules); sys.exit(rc)")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC_DIR))
+    proc = subprocess.run(
+        [sys.executable, "-c", child, command, "--config",
+         _config_path("constant_state"), "--out", str(tmp_path / "out"), "--quiet"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_config_rejects_unknown_keys(tmp_path):

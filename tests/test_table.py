@@ -197,6 +197,36 @@ def test_llf_terms_match_call_and_gather(case, layout):
     assert np.array_equal(a, want.reshape(uL.shape))
 
 
+@seed(20140416)
+@SETTINGS
+@given(tables(increasing=False, n_rows=st.just(1)),
+       st.sampled_from(["scalar u, row vector", "2-D u, scalar row",
+                        "matching 1-D", "2-D u, row vector"]))
+def test_one_row_table_matches_its_row_stacked_twice(case, layout):
+    # a one-row table gathers from its row unless rows widens the result;
+    # the same row stacked twice gathers (rows, i) pairs, and gathers the
+    # bracket cells in llf_terms
+    table, rng = case
+    twice = Table(table.lo, table.hi, np.vstack([table.values, table.values]))
+    n = 40
+    rows, shape = {"scalar u, row vector": (np.zeros(n, dtype=int), ()),
+                   "2-D u, scalar row": (0, (3, n)),
+                   "matching 1-D": (np.zeros(n, dtype=int), (n,)),
+                   "2-D u, row vector": (np.zeros(n, dtype=int), (3, n))}[layout]
+    uL, uR = brackets(table, rng, shape)
+    if shape == ():
+        uL, uR = float(uL), float(uR)
+    _, i = table._cells(uL)
+    assert (table._one_row(rows, i) is None) == (layout == "scalar u, row vector")
+    lo, hi = np.minimum(uL, uR), np.maximum(uL, uR)
+    pairs = [(table(rows, uL), twice(rows, uL)),
+             (table.range_max_abs_slope(rows, lo, hi), twice.range_max_abs_slope(rows, lo, hi))]
+    pairs += zip(table.llf_terms(rows, uL, uR), twice.llf_terms(rows, uL, uR))
+    for got, want in pairs:
+        assert np.shape(got) == np.shape(want) == np.broadcast(rows, uL).shape
+        assert np.array_equal(got, want)
+
+
 def test_llf_terms_on_wide_brackets_with_a_row_per_interface():
     # brackets up to about half the grid wide, some running past either
     # end of it, on (cells,) states and on (members, cells) states that
