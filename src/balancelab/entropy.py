@@ -263,8 +263,9 @@ class ResidualEvaluator:
         self.dx = run.grid.dx
         self.u0 = self.spec.initial_values(self.x, self.dx)
         self.f_cells = np.empty_like(self.U)
+        # V[s] already holds theta_j(x, U[s]), which phi_{l,m} reads
         for s, t in enumerate(self.t_mid):
-            self.f_cells[s] = reg.source_values(t, self.U[s])
+            self.f_cells[s] = reg.source_values(t, self.U[s], self.V[s])
         self.AV = reg.curve(0, self.V)
 
     def terms(self, form, k):

@@ -492,9 +492,10 @@ class Table:
     def _cells(self, u):
         """t = (u - lo)/du and its slope cell floor(t), clipped to the grid."""
         t = (np.asarray(u, dtype=float) - self.lo) / self.du
-        # the method allocates one output, as np.clip does, but skips
-        # np.clip's slower Python dispatch; this runs on every step
-        i = np.floor(t).astype(int).clip(0, self.n_samples - 2)
+        # clipped by two ufuncs: np.clip and ndarray.clip go through a
+        # Python wrapper that builds np.iinfo twice per call, and this runs
+        # on every step
+        i = np.minimum(np.maximum(np.floor(t).astype(int), 0), self.n_samples - 2)
         return t, i
 
     def _one_row(self, rows, i):
@@ -577,20 +578,25 @@ class Table:
         return self._bracket_max(rows, i0, t_hi)
 
     def llf_terms(self, rows, uL, uR):
-        """(F(uL), F(uR), a) for the local Lax-Friedrichs flux, one slope-cell
-        pass per side: a equals range_max_abs_slope over [min(uL, uR),
-        max(uL, uR)], its nodes floor(t_min) and ceil(t_max) taken from the
-        interpolation's cell passes.
+        """(F(uL), F(uR), a) for the local Lax-Friedrichs flux: a equals
+        range_max_abs_slope over [min(uL, uR), max(uL, uR)], its nodes
+        floor(t_min) and ceil(t_max) taken from the interpolation's cells.
 
+        The two sides, broadcast against ``rows``, are stacked into one
+        array, so that one cell pass and one interpolation serve both.
         A table of more than one row (one row per interface) gathers the
         bracket cells before the max, since the gaps between consecutive
         brackets span about a whole row; a one-row table scans interleaved,
         where each gap is a few cells."""
-        tL, iL = self._cells(uL)
-        tR, iR = self._cells(uR)
-        a = self._bracket_max(rows, np.minimum(iL, iR), np.maximum(tL, tR),
+        pair = np.empty((2,) + np.broadcast(rows, uL, uR).shape)
+        pair[0] = uL
+        pair[1] = uR
+        t, i = self._cells(pair)
+        F = self._interp(rows, t, i)
+        a = self._bracket_max(rows, np.minimum(i[0], i[1]),
+                              np.maximum(t[0], t[1]),
                               gather=len(self.values) > 1)
-        return self._interp(rows, tL, iL), self._interp(rows, tR, iR), a
+        return F[0], F[1], a
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,12 @@ from .problem import perturbation, perturbation_lipschitz
 
 DEFAULT_CFL = 0.45
 
-# The CFL number and the source cap dt * Lip(source) <= 1/2 together keep
-# every cell-update coefficient of the explicit scheme nonnegative
-# (1 - cfl - 1/2 > 0), which is what makes the scheme order preserving.
+# dt * Lip(source in u) <= 1/2 caps the source's share of one Euler step.
+# What holds is that the two-point flux is monotone in each argument.  The
+# full cell update is not order preserving: that would need the flux to be
+# Lipschitz in the states as well, and the LLF viscosity jumps where a state
+# crosses a table node, so no CFL number makes every cell-update
+# coefficient nonnegative (ROADMAP item 6).
 _SOURCE_CAP = 0.5
 
 # interface-table rows per block when the composed flux table is evaluated
@@ -186,25 +189,33 @@ class RegularizedProblem:
         The viscosity coefficient a is the exact maximum of |dF/du| over the
         slope cells between the nodes floor(t_min) and ceil(t_max) covering
         [min(uL,uR), max(uL,uR)], where t = (u - u_lo)/du; the nodes come
-        from the same cell passes as the interpolation of F(uL) and F(uR).
-        It is nondecreasing under bracket inclusion; together with the CFL
-        and source caps this makes the full cell update order preserving.
+        from the same cell pass as the interpolation of F(uL) and F(uR).
+        It is nondecreasing under bracket inclusion, which makes this
+        two-point flux monotone in each argument (nondecreasing in uL,
+        nonincreasing in uR).  The full cell update is not order
+        preserving: a is piecewise constant in the states and jumps where
+        one crosses a table node (ROADMAP item 6).
         """
         FL, FR, a = self.flux.llf_terms(self.if_rows, uL, uR)
         return 0.5 * (FL + FR) - 0.5 * a * (uR - uL), a
 
     # -- source -------------------------------------------------------------------
 
-    def source_values(self, t, u):
+    def source_values(self, t, u, v=None):
         """Perturbed source f_j(t, x_i, u_i) + phi_{l,m}(theta_j(x_i, u_i))
-        per cell.  With l = m = inf, phi_{l,m} vanishes and theta_j is not
-        formed."""
+        per cell, or the scalar 0.0 when neither term is present (the zero
+        source with l = m = inf).  ``v``, when given, is theta_j(x_i, u_i)
+        already formed; otherwise theta_j is formed only when phi_{l,m} is
+        on (l or m finite)."""
         spec = self.spec
-        f = spec.source.eval_mollified(spec.j, t, self.grid.centers, u)
-        phi = 0.0
+        f = 0.0
+        if spec.source.id != "zero":
+            f = spec.source.eval_mollified(spec.j, t, self.grid.centers, u)
         if math.isfinite(spec.ell) or math.isfinite(spec.m):
-            phi = perturbation(self.theta.v_of_u(u), spec.ell, spec.m)
-        return f + phi
+            if v is None:
+                v = self.theta.v_of_u(u)
+            return f + perturbation(v, spec.ell, spec.m)
+        return f
 
 
 def regularized(spec, grid):
@@ -281,7 +292,8 @@ def step(u, dt, t, reg):
     the far-field constant 0.
 
     Returns (u_new, flux, src, a): the new state, the interface fluxes, the
-    source per cell and the interface wave speeds of the step, which the
+    source per cell (the scalar 0.0 when there is none, see
+    ``source_values``) and the interface wave speeds of the step, which the
     mass ledger and the CFL history read.  Raises SolverError when u_new is
     not finite.
     """
@@ -292,10 +304,15 @@ def step(u, dt, t, reg):
         u_ext[1:-1] = u
         flux, a = reg.numerical_flux(u_ext[:-1], u_ext[1:])
         src = reg.source_values(t, u)
-        u_new = u - (dt / grid.dx) * np.diff(flux) + dt * src
-    if not np.all(np.isfinite(u_new)):
+        u_new = u - (dt / grid.dx) * (flux[1:] - flux[:-1]) + dt * src
+    if not np.isfinite(u_new).all():
         raise SolverError(_NON_FINITE % t)
     return u_new, flux, src, a
+
+
+def _boundary_abs(u):
+    """max |u| over the two cells at each end of the grid."""
+    return float(max(abs(u[0]), abs(u[1]), abs(u[-2]), abs(u[-1])))
 
 
 def solve(spec, grid, snapshots=8, dt_override=None, reg=None):
@@ -324,10 +341,10 @@ def solve(spec, grid, snapshots=8, dt_override=None, reg=None):
     U = np.empty((len(targets), grid.n_cells))
     V = np.empty_like(U)
     dt_hist, cfl_hist, mass_hist = [], [], []
-    mass = float(np.sum(u)) * grid.dx
+    mass = float(u.sum()) * grid.dx
     mass_hist.append(mass)
     max_drift = 0.0
-    boundary_max = float(np.max(np.abs(np.concatenate([u[:2], u[-2:]]))))
+    boundary_max = _boundary_abs(u)
 
     t = 0.0
     # near a blow-up the ledger sums and v overflow while u is still
@@ -338,20 +355,20 @@ def solve(spec, grid, snapshots=8, dt_override=None, reg=None):
                 dt = min(dt_base, target - t)
                 u, flux, src, a = step(u, dt, t, reg)
                 t += dt
-                new_mass = float(np.sum(u)) * grid.dx
+                new_mass = float(u.sum()) * grid.dx
+                # src is an array or the scalar 0.0; add.reduce takes both
                 expected = mass - dt * (float(flux[-1]) - float(flux[0])) \
-                    + dt * grid.dx * float(np.sum(src))
+                    + dt * grid.dx * float(np.add.reduce(src))
                 max_drift = max(max_drift, abs(new_mass - expected))
                 mass = new_mass
                 dt_hist.append(dt)
                 cfl_hist.append(dt * float(a.max()) / grid.dx)
                 mass_hist.append(mass)
-                boundary_max = max(boundary_max, float(np.max(np.abs(
-                    np.concatenate([u[:2], u[-2:]])))))
+                boundary_max = max(boundary_max, _boundary_abs(u))
             t = target
             U[k] = u
             V[k] = reg.theta.v_of_u(u)
-            if not np.all(np.isfinite(V[k])):
+            if not np.isfinite(V[k]).all():
                 raise SolverError(_NON_FINITE % t)
 
     warnings = []

@@ -12,6 +12,7 @@ from balancelab.entropy import (EntropyReport, ResidualEvaluator, TestFunction,
                                 bump_profile_dy, k_samples,
                                 l1_distance_curve, pair_gap_battery)
 from balancelab.flux import FluxCurve
+from balancelab.monotone import ThetaRegularization
 from balancelab.problem import SourceSpec
 from balancelab.solver import Grid1D, cfl_dt, regularized, solve
 from conftest import canonical_spec, pair_gap
@@ -120,6 +121,29 @@ def test_constant_run_zero_residual_all_forms():
     for form in ("SEMI_PLUS", "SEMI_MINUS", "SGN", "N2"):
         assert np.all(np.abs(ev.residual(form, k_v, psis)) <= 1e-8)
     assert np.all(np.abs(ev.residual("N1", 0.5, psis)) <= 1e-8)
+
+
+@pytest.mark.parametrize("ell, m", [(2.0, 3.0), (INF, 2.0), (2.0, INF)])
+def test_evaluator_reads_the_run_v_rows_for_the_perturbation(monkeypatch, ell, m):
+    # with l or m finite the source term reads theta_j(u); the run already
+    # holds those bits in V, so building the evaluator forms no v of its own
+    spec = canonical_spec(source=SourceSpec("arctan", {"c": 0.8}), ell=ell, m=m,
+                          coeff={"kind": "smooth", "a": 1.5, "b": 0.5, "k": 1.0,
+                                 "phase": 0.0})
+    res, reg = _run(spec, 32, snapshots=6)
+    want = np.array([reg.source_values(t, res.U[s])
+                     for s, t in enumerate(res.times[:-1])])
+    calls = []
+    v_of_u = ThetaRegularization.v_of_u
+
+    def counted(self, u):
+        calls.append(np.shape(u))
+        return v_of_u(self, u)
+
+    monkeypatch.setattr(ThetaRegularization, "v_of_u", counted)
+    ev = ResidualEvaluator(res, reg)
+    assert calls == []
+    assert ev.f_cells.tobytes() == want.tobytes()
 
 
 def test_semi_forms_vanish_beyond_state_range():

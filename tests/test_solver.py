@@ -247,6 +247,25 @@ def test_step_single_cell_mass():
     assert abs(np.sum(out) * grid.dx - np.sum(u) * grid.dx) < 1e-13
 
 
+def test_step_zero_source_adds_a_positive_zero():
+    # the zero source adds dt * 0 to every cell, as an array of zeros would:
+    # x + 0.0 turns a -0.0 cell whose flux difference vanishes into 0.0
+    spec = _classical_spec(j=16)
+    grid = Grid1D(spec.x_lo, spec.x_hi, 32)
+    reg = regularized(spec, grid)
+    u = np.zeros(32)
+    u[::3] = -0.0
+    u[14:18] = [0.25, -0.5, 0.75, 0.125]
+    dt = 1e-3
+    u_ext = np.zeros(34)
+    u_ext[1:-1] = u
+    flux, _ = reg.numerical_flux(u_ext[:-1], u_ext[1:])
+    want = u - (dt / grid.dx) * (flux[1:] - flux[:-1]) + dt * np.zeros(32)
+    got = step(u, dt, 0.0, reg)[0]
+    assert np.signbit(u).sum() > 4 and not np.signbit(want[:10]).any()
+    assert got.tobytes() == want.tobytes()
+
+
 def test_step_monotone_ordering():
     spec = canonical_spec(source=SourceSpec("arctan", {"c": 1.0}), ell=2.0, m=2.0, j=16)
     grid = Grid1D(spec.x_lo, spec.x_hi, 64)
@@ -413,6 +432,77 @@ def test_v_formed_per_step_only_with_the_perturbation_on(monkeypatch, ell, m):
     assert res.n_steps > 3
     assert len(calls) == len(res.times) + per_step
     assert set(calls) == {(grid.n_cells,)}
+
+
+def _reference_ledger(spec, grid, snapshots, reg):
+    """solve's run record, rebuilt from ``step`` in the plainest form:
+    (mass history, max drift, CFL history, boundary max, final u)."""
+    u = spec.initial_values(grid.centers, grid.dx)
+    dt_base = cfl_dt(u, reg)
+    slab = spec.T / snapshots
+    targets = [(k + 0.5) * slab for k in range(snapshots)] + [spec.T]
+    eps = 1e-12 * max(spec.T, 1.0)
+    mass = float(np.sum(u)) * grid.dx
+    masses, cfls, drift = [mass], [], 0.0
+    edge = float(np.max(np.abs(np.concatenate([u[:2], u[-2:]]))))
+    t = 0.0
+    for target in targets:
+        while target - t > eps:
+            dt = min(dt_base, target - t)
+            u, flux, src, a = step(u, dt, t, reg)
+            t += dt
+            new_mass = float(np.sum(u)) * grid.dx
+            # the source summed as one value per cell, whether step returned
+            # an array or the zero source's scalar
+            expected = mass - dt * (float(flux[-1]) - float(flux[0])) \
+                + dt * grid.dx * float(np.sum(src * np.ones(grid.n_cells)))
+            drift = max(drift, abs(new_mass - expected))
+            mass = new_mass
+            cfls.append(dt * float(np.max(a)) / grid.dx)
+            masses.append(mass)
+            edge = max(edge, float(np.max(np.abs(np.concatenate([u[:2], u[-2:]])))))
+        t = target
+    return np.array(masses), drift, np.array(cfls), edge, u
+
+
+@seed(20140420)
+@settings(max_examples=30, deadline=None)
+@given(
+    source=st.sampled_from([("zero", {}), ("arctan", {"c": 1.0}),
+                            ("linear", {"c": 0.5})]),
+    ell_m=st.sampled_from([(INF, INF), (2.0, 3.0)]),
+    coeff=st.sampled_from([{"kind": "const"},
+                           {"kind": "smooth", "a": 1.5, "b": 0.5, "k": 1.0,
+                            "phase": 0.0}]),
+    datum=st.sampled_from(["box", "bump"]),
+    height=st.floats(-1.5, 1.5),
+    a=st.floats(-2.6, 1.6),
+    width=st.floats(0.2, 1.5),
+    n_cells=st.integers(8, 40),
+    snapshots=st.integers(1, 4),
+)
+def test_solve_bookkeeping_matches_a_plain_step_loop(source, ell_m, coeff,
+                                                     datum, height, a, width,
+                                                     n_cells, snapshots):
+    # the mass ledger, CFL history, boundary max and warnings of solve are
+    # those of a loop over step, bit for bit; data near or over either end
+    # of the domain reach the boundary cells
+    spec = canonical_spec(source=SourceSpec(*source), ell=ell_m[0], m=ell_m[1],
+                          coeff=coeff, T=0.3,
+                          u0={"id": datum, "params": {"height": height, "a": a,
+                                                      "b": a + width}})
+    grid = Grid1D(spec.x_lo, spec.x_hi, n_cells)
+    reg = regularized(spec, grid)
+    res = solve(spec, grid, snapshots=snapshots, reg=reg)
+    masses, drift, cfls, edge, u = _reference_ledger(spec, grid, snapshots, reg)
+    assert res.mass_history.tobytes() == masses.tobytes()
+    assert res.cfl_history.tobytes() == cfls.tobytes()
+    assert np.float64(res.max_drift).tobytes() == np.float64(drift).tobytes()
+    assert np.float64(res.boundary_max).tobytes() == np.float64(edge).tobytes()
+    assert res.final_u.tobytes() == u.tobytes()
+    reached = ["state reached the boundary cells (max %.3e); enlarge the domain"
+               % edge] if edge > 1e-12 else []
+    assert res.warnings == reached
 
 
 def test_solve_deterministic_rerun():

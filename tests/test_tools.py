@@ -49,10 +49,12 @@ def test_artifact_digests_runs_a_workload_at_a_seed(tmp_path):
 
 
 def test_kernel_timing_reports_both_kernels_per_cell_count():
-    # the default workload (converge-riemann, one-row flux tables) and
-    # verify-smooth (one flux-table row per interface)
+    # the default workload (converge-riemann, one-row flux tables),
+    # verify-smooth (one flux-table row per interface) and ym-ensemble (an
+    # arctan source with finite l and m on every step)
     tool = os.path.join(ROOT, "tools", "kernel_timing.py")
-    for extra in ([], ["--workload", "verify-smooth"]):
+    for extra in ([], ["--workload", "verify-smooth"],
+                  ["--workload", "ym-ensemble"]):
         proc = subprocess.run([sys.executable, tool, os.path.join(ROOT, "src"),
                                "--cells", "16", "32", "--calls", "2",
                                "--repeats", "1"] + extra,

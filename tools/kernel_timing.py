@@ -4,13 +4,15 @@ Usage, from the root of a checkout:
 
     python3 tools/kernel_timing.py SRC_DIR [--cells 64 512 1024 2048]
         [--calls 200] [--repeats 7]
-        [--workload {converge-riemann,verify-smooth}]
+        [--workload {converge-riemann,verify-smooth,ym-ensemble}]
 
 Imports ``balancelab`` from SRC_DIR and builds the problem of one
 benchmark workload at seed 1 (perfbench/workloads.py): converge-riemann
 by default, whose solves are mostly this kernel on one-row flux tables, or
 verify-smooth, whose x-dependent coefficient gives one flux-table row per
-interface.  For each cell count it solves to
+interface, or ym-ensemble, whose arctan source with finite l and m puts
+the source and its theta_j on every step; on its 64 cells each call's
+fixed cost is most of its time.  For each cell count it solves to
 T/4 (the first snapshot of a two-slab run), then times ``numerical_flux``
 on that state's interfaces and one whole ``step`` from it: ``--repeats``
 blocks of ``--calls`` calls each.  The last line of standard output is one JSON
@@ -53,7 +55,8 @@ def main(argv=None):
     p.add_argument("--cells", type=int, nargs="+", default=[64, 512, 1024, 2048])
     p.add_argument("--calls", type=int, default=200)
     p.add_argument("--repeats", type=int, default=7)
-    p.add_argument("--workload", choices=["converge-riemann", "verify-smooth"],
+    p.add_argument("--workload",
+                   choices=["converge-riemann", "verify-smooth", "ym-ensemble"],
                    default="converge-riemann")
     args = p.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
