@@ -427,6 +427,8 @@ def compose_graphs(outer, inner):
 
 # rows per block when Table scans its slopes for the margin and Lipschitz bound
 _SLOPE_BLOCK_ROWS = 64
+# bracket points per block of range_max_abs_slope
+_RANGE_BLOCK_POINTS = 32
 
 
 @dataclass
@@ -443,10 +445,10 @@ class Table:
     grid; the interpolation and the slope range queries share that pass.  A
     bracket [lo, hi] covers the slope cells between the nodes floor(t_lo) and
     ceil(t_hi), at least one and clipped to the grid, so its max |slope| is
-    nondecreasing under inclusion.  ``llf_terms`` on a table of more than
-    one row gathers the bracket cells before taking the max; one-row tables
-    and ``range_max_abs_slope`` reduce interleaved bracket bounds over the
-    whole flat slope table.
+    nondecreasing under inclusion.  A one-row table reduces interleaved
+    bracket bounds over its cached |slope| row; a table of more than one
+    row gathers the samples at both ends of each bracket cell and takes
+    the max of their |differences|, and keeps no slope table.
     """
 
     lo: float
@@ -472,17 +474,9 @@ class Table:
 
     @functools.cached_property
     def _abs_slopes(self):
-        # flat |slopes| plus one sentinel, so that every bracket end is a
-        # valid np.maximum.reduceat index; only range queries read it.
-        # Built in place in its one array, with no table-sized temporary
-        T = self.values
-        out = np.empty(T.size - len(T) + 1)
-        slopes = out[:-1].reshape(len(T), self.n_samples - 1)
-        np.subtract(T[:, 1:], T[:, :-1], out=slopes)
-        slopes /= self.du
-        np.abs(slopes, out=slopes)
-        out[-1] = 0.0
-        return out
+        # |slopes| of a one-row table plus one sentinel, so that every
+        # bracket end is a valid np.maximum.reduceat index
+        return np.append(np.abs(np.diff(self.values[0]) / self.du), 0.0)
 
     @staticmethod
     def from_function(fn, lo, hi, n=4097):
@@ -540,42 +534,56 @@ class Table:
         lo, hi = T[rows, i], T[rows, i + 1]
         return self.lo + self.du * (i + (v - lo) / (hi - lo))
 
-    def _bracket_max(self, rows, i0, t_hi, gather=False):
+    def _bracket_max(self, rows, i0, t_hi):
         # slope cells i0 .. ceil(t_hi) - 1, at least one and within the grid;
         # t is monotone in u, so from the cell passes of the two ends this is
         # exactly the cover of [lo, hi]
-        n_slope = self.n_samples - 1
-        i1 = np.minimum(np.maximum(np.ceil(t_hi).astype(int), i0 + 1), n_slope)
-        base = 0 if self._one_row(rows, i0) is not None else np.asarray(rows) * n_slope
-        if gather:
-            # the bracket cells alone, back to back, at flat indices
-            # start .. start + width - 1: reduceat reads each cell once
-            start = base + i0
-            width = (base + i1 - start).ravel()
-            offsets = width.cumsum() - width
-            flat = (start.ravel() - offsets).repeat(width)
-            flat += np.arange(len(flat))
-            return np.maximum.reduceat(self._abs_slopes[flat], offsets).reshape(start.shape)
-        # flat (start, end) pairs into _abs_slopes, interleaved for reduceat;
-        # the odd segments, from one bracket's end to the next one's start,
-        # are reduced and dropped
-        shape = np.broadcast(base, i0, i1).shape
-        bounds = np.empty(shape + (2,), dtype=int)
-        np.add(base, i0, out=bounds[..., 0])
-        np.add(base, i1, out=bounds[..., 1])
-        return np.maximum.reduceat(self._abs_slopes, bounds.ravel())[::2].reshape(shape)
+        i1 = np.minimum(np.maximum(np.ceil(t_hi).astype(int), i0 + 1),
+                        self.n_samples - 1)
+        if len(self.values) == 1:
+            # interleaved (start, end) pairs into the slope row for reduceat;
+            # the odd segments, from one bracket's end to the next one's
+            # start, are reduced and dropped
+            shape = np.broadcast(rows, i0, i1).shape
+            bounds = np.empty(shape + (2,), dtype=int)
+            bounds[..., 0] = i0
+            bounds[..., 1] = i1
+            return np.maximum.reduceat(self._abs_slopes, bounds.ravel())[::2].reshape(shape)
+        # the bracket cells alone, back to back, at flat sample indices
+        # start .. start + width - 1 and one past each; dividing by du > 0
+        # after the max rounds to the max of the rounded slopes
+        base = np.asarray(rows) * self.n_samples
+        start = base + i0
+        width = (base + i1 - start).ravel()
+        offsets = width.cumsum() - width
+        flat = (start.ravel() - offsets).repeat(width)
+        flat += np.arange(len(flat))
+        samples = self.values.reshape(-1)
+        diff = samples[flat]
+        flat += 1
+        diff -= samples[flat]
+        np.abs(diff, out=diff)
+        return np.maximum.reduceat(diff, offsets).reshape(start.shape) / self.du
 
     def range_max_abs_slope(self, rows, lo, hi):
         """Exact max of |slope| per row over the slope cells between the
         nodes floor(t_lo) and ceil(t_hi) covering [lo, hi], where
         t = (u - self.lo)/du; nondecreasing under bracket inclusion.
 
-        It always scans interleaved: its caller, ``max_speed`` (for
-        ``cfl_dt``), asks for one wide bracket on every row, whose gathered
-        cells would cost more memory than the gaps between them cost time."""
+        Its caller, ``max_speed`` (for ``cfl_dt``), asks for one wide
+        bracket on every row, so the brackets are gathered a block of
+        ``_RANGE_BLOCK_POINTS`` at a time: the cells of one block take far
+        less memory than the table."""
         _, i0 = self._cells(lo)
         t_hi, _ = self._cells(hi)
-        return self._bracket_max(rows, i0, t_hi)
+        rows, i0, t_hi = np.broadcast_arrays(rows, i0, t_hi)
+        out = np.empty(rows.shape)
+        flat = out.reshape(-1)
+        rows, i0, t_hi = rows.ravel(), i0.ravel(), t_hi.ravel()
+        for start in range(0, len(flat), _RANGE_BLOCK_POINTS):
+            block = slice(start, start + _RANGE_BLOCK_POINTS)
+            flat[block] = self._bracket_max(rows[block], i0[block], t_hi[block])
+        return out
 
     def llf_terms(self, rows, uL, uR):
         """(F(uL), F(uR), a) for the local Lax-Friedrichs flux: a equals
@@ -593,9 +601,7 @@ class Table:
         pair[1] = uR
         t, i = self._cells(pair)
         F = self._interp(rows, t, i)
-        a = self._bracket_max(rows, np.minimum(i[0], i[1]),
-                              np.maximum(t[0], t[1]),
-                              gather=len(self.values) > 1)
+        a = self._bracket_max(rows, np.minimum(i[0], i[1]), np.maximum(t[0], t[1]))
         return F[0], F[1], a
 
 

@@ -150,8 +150,9 @@ class RegularizedProblem:
     ``cell_c`` holds the coefficient c(x_i) of each cell, ``theta`` the
     per-cell tables of theta_j, and ``flux`` the composed interface flux
     F(u) on the shared u sample grid, one row per distinct interface
-    coefficient (the arithmetic mean of the two adjacent cells');
-    ``if_rows`` maps each interface to its row of ``flux``.
+    coefficient (the arithmetic mean of the two adjacent cells'), composed
+    in the memory of the interface theta table; ``if_rows`` maps each
+    interface to its row of ``flux``.
     """
 
     spec: object
@@ -225,7 +226,7 @@ def regularized(spec, grid):
     and (mean-coefficient) interfaces, absorbs flux jumps into theta via the
     plateau parametrization when present, mollifies the flux curve over the
     full range the theta tables can produce, and tabulates the composed
-    interface flux.
+    interface flux over the interface theta table, which it replaces.
     """
     rad = spec.sample_radius
     par = None
@@ -252,15 +253,16 @@ def regularized(spec, grid):
     pad = max(1e-9, 0.05 * (v_hi - v_lo))
     curve = mollify_callable(spec.flux.eval if par is None else par.calA,
                              spec.j, v_lo - pad, v_hi + pad)
-    # F = A_j(theta_j) a block of rows at a time: per-cell tables are
-    # (n_cells + 1) x THETA_SAMPLES, and interpolating a whole one at once
-    # made the temporaries that set the peak memory of a run
-    flux_values = np.empty_like(iface.table)
+    # F = A_j(theta_j) a block of rows at a time, written over the interface
+    # theta rows it is read from: per-cell tables are (n_cells + 1) x
+    # THETA_SAMPLES, and interpolating a whole one at once, or into a table
+    # of its own, made the temporaries that set the peak memory of a run
+    flux_values = iface.table
     for start in range(0, len(flux_values), _FLUX_BLOCK_ROWS):
         block = slice(start, start + _FLUX_BLOCK_ROWS)
-        flux_values[block] = curve(0, iface.table[block])
+        flux_values[block] = curve(0, flux_values[block])
     flux = Table(iface.u_lo, iface.u_hi, flux_values)
-    # of the interface tables only the row map outlives the build
+    # of the interface theta table only the row map outlives the build
     return RegularizedProblem(spec, grid, c, theta, iface.cell_rows, curve,
                               par, flux)
 

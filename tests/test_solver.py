@@ -184,10 +184,10 @@ def test_interface_mean_coefficient_row():
 
 def test_regularized_smooth_retains_three_tables():
     # the theta and flux tables are what a smooth 512-cell problem keeps
-    # before its first step: the interface theta table is dropped once the
-    # flux rows are built from it, and the flat |slope| array that only the
-    # flux's range queries read is built on the first query.  The flux
-    # table is evaluated in row blocks, so the build never holds
+    # before its first step: the flux rows are composed over the interface
+    # theta rows they are read from, and the flux's range queries gather
+    # slope cells from its samples, with no |slope| table of their own.
+    # The flux table is evaluated in row blocks, so the build never holds
     # interpolation temporaries of a whole table on top of three tables.
     spec = canonical_spec(coeff={"kind": "smooth", "a": 1.0, "b": 0.3, "k": 1.0, "phase": 0.5})
     grid = Grid1D(spec.x_lo, spec.x_hi, 512)
@@ -210,6 +210,33 @@ def test_regularized_smooth_retains_three_tables():
     assert np.array_equal(reg.flux.values, reg.curve(0, iface.table))
     # a query over the whole sample range reaches every slope cell
     assert reg.max_speed(reg.flux.lo, reg.flux.hi) == reg.flux.lipschitz
+
+
+def test_smooth_run_holds_two_tables_after_its_steps():
+    # a smooth 512-cell problem: the build peaks below three tables, since
+    # the flux is written over the interface theta table, and after cfl_dt
+    # and ten steps the run still holds only its theta and flux tables (no
+    # |slope| table is left behind by the range queries)
+    spec = canonical_spec(coeff={"kind": "smooth", "a": 1.0, "b": 0.3, "k": 1.0, "phase": 0.5})
+    grid = Grid1D(spec.x_lo, spec.x_hi, 512)
+    u = spec.initial_values(grid.centers, grid.dx)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        reg = regularized(spec, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+        dt = cfl_dt(u, reg)
+        for _ in range(10):
+            u = step(u, dt, 0.0, reg)[0]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    one_table = (grid.n_cells + 1) * reg.n_samples * 8
+    assert peak - base <= 3.0 * one_table
+    assert held - base <= 2.2 * one_table
+    assert np.isfinite(u).all()
+
 
 # ---------------------------------------------------------------------------
 # Single explicit Euler step

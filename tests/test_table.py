@@ -6,8 +6,8 @@ searchsorted inverse, and the n x (widest bracket) gather of slope cells.
 The Table must agree with each of them bit for bit, and its LLF query
 (both interpolants and the bracket max from one cell pass per side) with
 its own interpolation and that gather, both on one-row tables (which scan
-interleaved bracket bounds) and on tables of several rows (which gather
-the bracket cells first).
+interleaved bracket bounds over their slope row) and on tables of several
+rows (which gather the samples of the bracket cells first).
 """
 
 import tracemalloc
@@ -252,21 +252,23 @@ def test_llf_terms_on_wide_brackets_with_a_row_per_interface():
         assert np.array_equal(a, want.reshape(shape))
 
 
-def test_abs_slopes_peak_near_one_slope_array():
-    # the flat |slope| array is built in place: its build allocates about
-    # that one array, not the diff, quotient and abs temporaries next to it
+def test_range_max_on_every_row_peaks_below_half_a_table():
+    # max_speed's query, one bracket over the whole grid on every row: the
+    # bracket cells are gathered a block of rows at a time, and no |slope|
+    # array of the table's size is built
     rng = np.random.default_rng(20140415)
     table = Table(-2.0, 2.0, rng.normal(size=(256, 1025)))
-    want = np.append(np.abs(np.diff(table.values, axis=1) / table.du).ravel(), 0.0)
+    rows = np.arange(256)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        got = table._abs_slopes
+        got = table.range_max_abs_slope(rows, table.lo, table.hi)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - base <= 1.1 * got.nbytes
+    assert peak - base <= 0.5 * table.values.nbytes
+    want = gather_range_max(table, rows, np.full(256, table.lo), np.full(256, table.hi))
     assert np.array_equal(got, want)
 
 

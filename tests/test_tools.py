@@ -1,5 +1,6 @@
 """Smoke tests of tools/artifact_digests.py on one config and one subcommand,
-and on one benchmark workload, and of tools/kernel_timing.py on small grids."""
+and on one benchmark workload, of tools/kernel_timing.py on small grids,
+and of tools/phase_memory.py on one workload."""
 
 import hashlib
 import json
@@ -67,3 +68,21 @@ def test_kernel_timing_reports_both_kernels_per_cell_count():
             assert all(us > 0 for us in times.values())
             for kernel in ("numerical_flux", "step"):
                 assert times[kernel + "_min_us"] <= times[kernel + "_us"]
+
+
+def test_phase_memory_reports_every_layer_the_run_reaches():
+    tool = os.path.join(ROOT, "tools", "phase_memory.py")
+    proc = subprocess.run([sys.executable, tool, os.path.join(ROOT, "src"),
+                           "--workload", "ym-ensemble", "--seed", "3"],
+                          check=True, capture_output=True, text=True)
+    record = json.loads(proc.stdout.splitlines()[-1])
+    assert (record["workload"], record["seed"], record["command"], record["rc"]) == (
+        "ym-ensemble", 3, "ym", 0)
+    layers = record["layers"]
+    for name in ("config.load_config", "solver.regularized", "solver.solve",
+                 "solver.numerical_flux", "measures.residual", "cli.write"):
+        assert layers[name]["calls"] >= 1
+    for rec in layers.values():
+        assert max(rec["held_mb"], 0.0) <= rec["peak_mb"] <= record["total"]["traced_peak_mb"]
+        assert 0.0 <= rec["maxrss_rise_mb"] <= rec["maxrss_mb"] <= record["total"]["maxrss_mb"]
+    assert layers["solver.regularized"]["peak_mb"] > 0.0
