@@ -30,6 +30,11 @@ and on a 2-vCPU host concurrent members cost more CPU than they save in
 wall time.  They run on one worker thread only so that the benchmark's
 tracer (``perfbench/spans.py``) counts their steps.  Aggregation is by
 schedule index, so repeated invocations give bit-identical reports.
+
+The step table (the composed interface flux, ``RegularizedProblem.flux``)
+lives only while the runs step: ``solve_points`` drops it from the problems
+it returns, which the checks downstream read for their cell tables, flux
+curve and sources.
 """
 
 from __future__ import annotations
@@ -149,6 +154,10 @@ def solve_points(specs, grid, snapshots=8):
     so the runs share snapshot instants exactly.  The runs go one at a
     time, in spec order, on one worker thread (see the module docstring
     for why); returns (runs, dt, regs) in spec order.
+
+    The returned regs carry no step table: once the last run has stepped,
+    ``reg.flux`` is None on each of them, so the per-interface flux table
+    is freed before the checks that read the regs allocate theirs.
     """
     built, regs, dts = {}, [], []
     for s in specs:
@@ -167,6 +176,8 @@ def solve_points(specs, grid, snapshots=8):
             lambda i: solve(specs[i], grid, snapshots=snapshots,
                             dt_override=dt, reg=regs[i]),
             range(len(specs))))
+    for reg in regs:
+        reg.flux = None
     return runs, dt, regs
 
 

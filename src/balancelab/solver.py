@@ -41,8 +41,9 @@ DEFAULT_CFL = 0.45
 # coefficient nonnegative (ROADMAP item 6).
 _SOURCE_CAP = 0.5
 
-# interface-table rows per block when the composed flux table is evaluated
-_FLUX_BLOCK_ROWS = 64
+# interface-table rows per block when the composed flux table is evaluated;
+# few enough that a block's temporaries stay below the peak of the steps
+_FLUX_BLOCK_ROWS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +154,12 @@ class RegularizedProblem:
     coefficient (the arithmetic mean of the two adjacent cells'), composed
     in the memory of the interface theta table; ``if_rows`` maps each
     interface to its row of ``flux``.
+
+    ``flux`` is the step table: ``numerical_flux`` and ``max_speed`` read
+    it, and nothing else does.  ``harness.solve_points`` sets it to None
+    once its runs have stepped, so a problem it returns carries the cell
+    tables, the flux curve and the table geometry (``u_lo``, ``du``,
+    ``n_samples``) but cannot step.
     """
 
     spec: object
@@ -162,9 +169,11 @@ class RegularizedProblem:
     if_rows: np.ndarray
     curve: Table
     par: object
-    flux: Table
+    flux: Table | None
 
     def __post_init__(self):
+        # copied once: a problem whose flux has been released keeps them,
+        # but dataclasses.replace cannot rebuild it
         self.u_lo = self.flux.lo
         self.du = self.flux.du
         self.n_samples = self.flux.n_samples

@@ -6,11 +6,14 @@ import json
 import math
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from balancelab import harness
+from balancelab.entropy import (FORMS, ResidualEvaluator, battery_from_geometry,
+                                k_samples, pair_gap_battery)
 from balancelab.flux import FluxCurve
 from balancelab.harness import (scheme_tol, self_convergence_order,
                                 solve_points, sweep)
@@ -118,6 +121,47 @@ def test_solve_points_solves_one_member_at_a_time_off_the_calling_thread(
     assert peak[0] == 1
     assert order == specs
     assert threading.get_ident() not in threads
+
+
+SMOOTH = {"kind": "smooth", "a": 1.0, "b": 0.3, "k": 1.0, "phase": 0.5}
+
+
+def test_solve_points_returns_no_step_table():
+    # a smooth-coefficient pair on 512 cells, as verify solves it: once the
+    # members have stepped, what solve_points returns holds the theta table
+    # and the runs, not the per-interface flux table the steps read
+    spec = canonical_spec(coeff=SMOOTH)
+    specs = [spec, dataclasses.replace(spec, u0=TWOLOBE)]
+    grid = Grid1D(spec.x_lo, spec.x_hi, 512)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        runs, _, regs = solve_points(specs, grid, snapshots=4)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    one_table = (grid.n_cells + 1) * regs[0].n_samples * 8
+    snapshots = sum(run.U.nbytes + run.V.nbytes for run in runs)
+    assert held - snapshots <= 1.3 * one_table  # 1.04 measured
+    assert all(reg.flux is None for reg in regs)
+
+
+def test_checks_run_on_regs_without_a_step_table():
+    # the k levels, the entropy battery (N1 form on) and the pair gaps read
+    # the cell tables, the flux curve and the sources of the regs that
+    # solve_points returns, never their released flux table
+    spec = _mixed_sign_spec(coeff=SMOOTH, ell=2.0)
+    grid = Grid1D(spec.x_lo, spec.x_hi, 64)
+    runs, _, regs = solve_points([spec, dataclasses.replace(spec, u0=BOX)],
+                                 grid, snapshots=64)
+    assert regs[0].flux is None and spec.smooth_in_x
+    ks = {f: k_samples(runs[0].U if f == "N1" else runs[0].V, regs[0],
+                       space="u" if f == "N1" else "v") for f in FORMS}
+    ev1, ev2 = (ResidualEvaluator(run, reg) for run, reg in zip(runs, regs))
+    psis = battery_from_geometry(spec)
+    rows = ev1.battery_report(FORMS, ks, psis).rows
+    assert {form for form, *_ in rows} == set(FORMS)
+    assert np.all(np.isfinite(pair_gap_battery("CONTRACTION", ev1, ev2, psis)))
 
 
 # ---------------------------------------------------------------------------
