@@ -48,7 +48,7 @@ import numpy as np
 
 from .config import write_json
 from .problem import json_number
-from .solver import cfl_dt, regularized, solve
+from .solver import cfl_dt, checked_initial_values, regularized, solve
 
 # Ordering directions along the schedule: later m entries raise v, later
 # ell entries lower it, and the j sweep asserts no ordering at all.
@@ -161,13 +161,14 @@ def solve_points(specs, grid, snapshots=8):
     """
     built, regs, dts = {}, [], []
     for s in specs:
+        u0 = checked_initial_values(s, grid)
         key = (s.j, s.gap_slope, s.sample_radius, id(s.theta_graph),
                id(s.coeff), id(s.flux))
         if key not in built:
             built[key] = regularized(s, grid)
         reg = dataclasses.replace(built[key], spec=s)
         regs.append(reg)
-        dts.append(cfl_dt(s.initial_values(grid.centers, grid.dx), reg))
+        dts.append(cfl_dt(u0, reg))
     dt = float(min(dts))
     # one worker, kept only because perfbench/spans.py counts sweep steps
     # from solves off the calling thread: a plain loop here would count none

@@ -425,10 +425,8 @@ def compose_graphs(outer, inner):
 # Table: rows of samples on one uniform grid (every sampled curve lives here)
 # ---------------------------------------------------------------------------
 
-# rows per block when Table scans its slopes for the margin and Lipschitz bound
+# rows per block of Table's slope scan (margin, Lipschitz bound, max_abs_slope)
 _SLOPE_BLOCK_ROWS = 64
-# bracket points per block of range_max_abs_slope
-_RANGE_BLOCK_POINTS = 32
 
 
 @dataclass
@@ -445,9 +443,11 @@ class Table:
     grid; the interpolation and the slope range queries share that pass.  A
     bracket [lo, hi] covers the slope cells between the nodes floor(t_lo) and
     ceil(t_hi), at least one and clipped to the grid, so its max |slope| is
-    nondecreasing under inclusion.  A one-row table reduces interleaved
-    bracket bounds over its cached |slope| row; a table of more than one
-    row gathers the samples at both ends of each bracket cell and takes
+    nondecreasing under inclusion.  One bracket on every row
+    (``max_abs_slope``) is a column window of the slope scan that gives
+    ``margin`` and ``lipschitz``.  Per-row brackets (``llf_terms``) reduce
+    interleaved bounds over a one-row table's cached |slope| row; a table of
+    more rows gathers the samples at both ends of each bracket cell, takes
     the max of their |differences|, and keeps no slope table.
     """
 
@@ -461,16 +461,21 @@ class Table:
         if self.n_samples < 2:
             raise ValueError("need at least two samples")
         self.du = (self.hi - self.lo) / (self.n_samples - 1)
-        # slope extremes a block of rows at a time, so that no temporary
-        # of the table's size is made (min and max are exact in any order)
-        min_slope, max_abs_slope = np.inf, 0.0
-        for start in range(0, len(self.values), _SLOPE_BLOCK_ROWS):
-            block = self.values[start:start + _SLOPE_BLOCK_ROWS]
-            slopes = np.diff(block, axis=1) / self.du
-            min_slope = np.minimum(min_slope, slopes.min())
-            max_abs_slope = np.maximum(max_abs_slope, np.abs(slopes).max())
+        min_slope, max_abs_slope = self._slope_extremes(0, self.n_samples - 1)
         self.margin = float(min_slope)  # > 0 certifies strict increase
         self.lipschitz = float(max_abs_slope)
+
+    def _slope_extremes(self, i0, i1):
+        """(min slope, max |slope|) over slope cells i0 .. i1 - 1 of every row,
+        a block of rows at a time, each block freed before the next is formed;
+        dividing the exact extremes by du > 0 rounds to those of the slopes."""
+        least, most = np.inf, 0.0
+        for start in range(0, len(self.values), _SLOPE_BLOCK_ROWS):
+            diff = np.diff(self.values[start:start + _SLOPE_BLOCK_ROWS, i0:i1 + 1], axis=1)
+            least = np.minimum(least, diff.min())
+            most = np.maximum(most, np.abs(diff, out=diff).max())
+            del diff
+        return least / self.du, most / self.du
 
     @functools.cached_property
     def _abs_slopes(self):
@@ -565,29 +570,19 @@ class Table:
         np.abs(diff, out=diff)
         return np.maximum.reduceat(diff, offsets).reshape(start.shape) / self.du
 
-    def range_max_abs_slope(self, rows, lo, hi):
-        """Exact max of |slope| per row over the slope cells between the
+    def max_abs_slope(self, lo, hi):
+        """Exact max of |slope| over every row's slope cells between the
         nodes floor(t_lo) and ceil(t_hi) covering [lo, hi], where
-        t = (u - self.lo)/du; nondecreasing under bracket inclusion.
-
-        Its caller, ``max_speed`` (for ``cfl_dt``), asks for one wide
-        bracket on every row, so the brackets are gathered a block of
-        ``_RANGE_BLOCK_POINTS`` at a time: the cells of one block take far
-        less memory than the table."""
+        t = (u - self.lo)/du, at least one cell and clipped to the grid (the
+        cover of ``_bracket_max``); nondecreasing under bracket inclusion."""
         _, i0 = self._cells(lo)
         t_hi, _ = self._cells(hi)
-        rows, i0, t_hi = np.broadcast_arrays(rows, i0, t_hi)
-        out = np.empty(rows.shape)
-        flat = out.reshape(-1)
-        rows, i0, t_hi = rows.ravel(), i0.ravel(), t_hi.ravel()
-        for start in range(0, len(flat), _RANGE_BLOCK_POINTS):
-            block = slice(start, start + _RANGE_BLOCK_POINTS)
-            flat[block] = self._bracket_max(rows[block], i0[block], t_hi[block])
-        return out
+        i1 = min(max(math.ceil(t_hi), i0 + 1), self.n_samples - 1)
+        return float(self._slope_extremes(i0, i1)[1])
 
     def llf_terms(self, rows, uL, uR):
-        """(F(uL), F(uR), a) for the local Lax-Friedrichs flux: a equals
-        range_max_abs_slope over [min(uL, uR), max(uL, uR)], its nodes
+        """(F(uL), F(uR), a) for the local Lax-Friedrichs flux: a is the
+        max |slope| of its row over [min(uL, uR), max(uL, uR)], its nodes
         floor(t_min) and ceil(t_max) taken from the interpolation's cells.
 
         The two sides, broadcast against ``rows``, are stacked into one

@@ -155,8 +155,8 @@ class RegularizedProblem:
     in the memory of the interface theta table; ``if_rows`` maps each
     interface to its row of ``flux``.
 
-    ``flux`` is the step table: ``numerical_flux`` and ``max_speed`` read
-    it, and nothing else does.  ``harness.solve_points`` sets it to None
+    ``flux`` is the step table: ``numerical_flux`` and ``cfl_dt`` read it,
+    and nothing else does.  ``harness.solve_points`` sets it to None
     once its runs have stepped, so a problem it returns carries the cell
     tables, the flux curve and the table geometry (``u_lo``, ``du``,
     ``n_samples``) but cannot step.
@@ -185,11 +185,6 @@ class RegularizedProblem:
         """Lipschitz bound in u of f_j + phi_{l,m} composed with theta_j."""
         chain = perturbation_lipschitz(self.spec.ell, self.spec.m) * self.theta.lipschitz
         return self.spec.source.lipschitz_u() + chain
-
-    def max_speed(self, lo, hi):
-        """Exact max of |dF/du| over [lo, hi] on the sampled representation."""
-        rows = np.arange(len(self.flux.values))
-        return float(self.flux.range_max_abs_slope(rows, lo, hi).max())
 
     # -- interface flux ----------------------------------------------------------
 
@@ -282,12 +277,13 @@ def regularized(spec, grid):
 
 
 def cfl_dt(u, reg):
-    """Stable time step: DEFAULT_CFL * dx / max wave speed over the range
-    of the state u, capped so that dt * Lip(source in u) <= 1/2 and
-    dt <= dx (the latter covers the zero-wave-speed pure-source regime)."""
+    """Stable time step: DEFAULT_CFL * dx / max |dF/du| over the step
+    table's slope cells covering [min(u, 0), max(u, 0)] on every row
+    (``Table.max_abs_slope``), capped so that dt * Lip(source in u) <= 1/2
+    and dt <= dx (the latter covers the zero-wave-speed pure-source regime)."""
     lo = min(float(u.min()), 0.0)
     hi = max(float(u.max()), 0.0)
-    speed = reg.max_speed(lo, hi)
+    speed = reg.flux.max_abs_slope(lo, hi)
     dx = reg.grid.dx
     dt = dx
     if speed > 0.0:
@@ -306,16 +302,16 @@ def step(u, dt, t, reg):
     source per cell (the scalar 0.0 when there is none, see
     ``source_values``) and the interface wave speeds of the step, which the
     mass ledger and the CFL history read.  Raises SolverError when u_new is
-    not finite.
+    not finite.  A direct call runs under numpy's own error state, so an
+    overflow warns first; ``solve`` steps with those warnings off.
     """
     grid = reg.grid
     n = grid.n_cells
-    with np.errstate(over="ignore", invalid="ignore"):
-        u_ext = np.zeros(n + 2)  # one ghost cell per side
-        u_ext[1:-1] = u
-        flux, a = reg.numerical_flux(u_ext[:-1], u_ext[1:])
-        src = reg.source_values(t, u)
-        u_new = u - (dt / grid.dx) * (flux[1:] - flux[:-1]) + dt * src
+    u_ext = np.zeros(n + 2)  # one ghost cell per side
+    u_ext[1:-1] = u
+    flux, a = reg.numerical_flux(u_ext[:-1], u_ext[1:])
+    src = reg.source_values(t, u)
+    u_new = u - (dt / grid.dx) * (flux[1:] - flux[:-1]) + dt * src
     if not np.isfinite(u_new).all():
         raise SolverError(_NON_FINITE % t)
     return u_new, flux, src, a
@@ -324,6 +320,16 @@ def step(u, dt, t, reg):
 def _boundary_abs(u):
     """max |u| over the two cells at each end of the grid."""
     return float(max(abs(u[0]), abs(u[1]), abs(u[-2]), abs(u[-1])))
+
+
+def checked_initial_values(spec, grid):
+    """The initial cell averages, checked before any table reads them."""
+    u = spec.initial_values(grid.centers, grid.dx)
+    if not np.all(np.isfinite(u)):
+        raise ValueError("field values must be finite")
+    if np.max(np.abs(u)) > spec.sample_radius:
+        raise ValueError("initial data exceeds sample_radius; tables too narrow")
+    return u
 
 
 def solve(spec, grid, snapshots=8, dt_override=None, reg=None):
@@ -335,13 +341,9 @@ def solve(spec, grid, snapshots=8, dt_override=None, reg=None):
     inputs give bit-identical runs; pass ``dt_override`` to force a common
     step across paired runs.
     """
+    u = checked_initial_values(spec, grid)
     if reg is None:
         reg = regularized(spec, grid)
-    u = spec.initial_values(grid.centers, grid.dx)
-    if not np.all(np.isfinite(u)):
-        raise ValueError("field values must be finite")
-    if np.max(np.abs(u)) > spec.sample_radius:
-        raise ValueError("initial data exceeds sample_radius; tables too narrow")
     dt_base = dt_override if dt_override is not None else cfl_dt(u, reg)
 
     slab = spec.T / snapshots

@@ -146,6 +146,18 @@ def test_solve_points_returns_no_step_table():
     assert all(reg.flux is None for reg in regs)
 
 
+@pytest.mark.filterwarnings("error")
+def test_solve_points_rejects_a_non_finite_datum_before_any_table_read():
+    # the config front end rejects NaN, so only a programmatic spec gets
+    # here; the datum is checked before cfl_dt reads the step table, so no
+    # cast warning precedes the error
+    spec = canonical_spec(u0={"id": "box", "params": {"height": float("nan"),
+                                                      "a": -1.0, "b": 0.0}})
+    grid = Grid1D(spec.x_lo, spec.x_hi, 32)
+    with pytest.raises(ValueError, match="field values must be finite"):
+        solve_points([spec], grid, snapshots=2)
+
+
 def test_checks_run_on_regs_without_a_step_table():
     # the k levels, the entropy battery (N1 form on) and the pair gaps read
     # the cell tables, the flux curve and the sources of the regs that

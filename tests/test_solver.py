@@ -209,7 +209,7 @@ def test_regularized_smooth_retains_three_tables():
     assert np.array_equal(reg.if_rows, iface.cell_rows)
     assert np.array_equal(reg.flux.values, reg.curve(0, iface.table))
     # a query over the whole sample range reaches every slope cell
-    assert reg.max_speed(reg.flux.lo, reg.flux.hi) == reg.flux.lipschitz
+    assert reg.flux.max_abs_slope(reg.flux.lo, reg.flux.hi) == reg.flux.lipschitz
 
 
 def test_smooth_run_holds_two_tables_after_its_steps():

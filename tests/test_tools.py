@@ -63,10 +63,11 @@ def test_kernel_timing_reports_both_kernels_per_cell_count():
         record = json.loads(proc.stdout.splitlines()[-1])
         assert sorted(record) == ["16", "32"]
         for times in record.values():
-            assert sorted(times) == ["numerical_flux_min_us", "numerical_flux_us",
+            assert sorted(times) == ["cfl_dt_min_us", "cfl_dt_us",
+                                     "numerical_flux_min_us", "numerical_flux_us",
                                      "step_min_us", "step_us"]
             assert all(us > 0 for us in times.values())
-            for kernel in ("numerical_flux", "step"):
+            for kernel in ("cfl_dt", "numerical_flux", "step"):
                 assert times[kernel + "_min_us"] <= times[kernel + "_us"]
 
 

@@ -1,4 +1,4 @@
-"""Per-call wall time of the LLF step kernel at several grid sizes.
+"""Per-call wall time of the LLF step kernel and cfl_dt at several grid sizes.
 
 Usage, from the root of a checkout:
 
@@ -14,12 +14,13 @@ interface, or ym-ensemble, whose arctan source with finite l and m puts
 the source and its theta_j on every step; on its 64 cells each call's
 fixed cost is most of its time.  For each cell count it solves to
 T/4 (the first snapshot of a two-slab run), then times ``numerical_flux``
-on that state's interfaces and one whole ``step`` from it: ``--repeats``
-blocks of ``--calls`` calls each.  The last line of standard output is one JSON
-object mapping each cell count to the median (``*_us``) and the minimum
-(``*_min_us``) over blocks of the microseconds per call.  Other tenants'
-load only ever adds time, so the minimum separates two trees where the
-median cannot.  Run it on two source trees in alternation to compare them
+on that state's interfaces, one whole ``step`` from it and ``cfl_dt`` on
+it (the max |slope| over the state's range on every flux-table row):
+``--repeats`` blocks of ``--calls`` calls each.  The last line of standard
+output is one JSON object mapping each cell count to the median
+(``*_us``) and the minimum (``*_min_us``) over blocks of the microseconds
+per call.  Other tenants' load only ever adds time, so the minimum
+separates two trees where the median cannot.  Run it on two source trees in alternation to compare them
 on one machine.
 """
 
@@ -78,6 +79,7 @@ def main(argv=None):
         kernels = {
             "numerical_flux": lambda: reg.numerical_flux(u_ext[:-1], u_ext[1:]),
             "step": lambda: step(u, dt, 0.0, reg),
+            "cfl_dt": lambda: cfl_dt(u, reg),
         }
         out[str(n)] = {}
         for name, fn in kernels.items():
