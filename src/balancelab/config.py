@@ -89,7 +89,7 @@ def _check_fracs(name, vals):
              f"battery.{name} must be a nonempty list")
     for v in vals:
         _require(isinstance(v, (int, float)) and 0.0 < float(v) < 1.0,
-                 f"battery.{name} entries must lie strictly in (0, 1)")
+                 f"battery.{name} entries must be numbers strictly in (0, 1)")
     return [float(v) for v in vals]
 
 
@@ -138,7 +138,7 @@ class RunConfig:
         k.update(check_keys(self.k_policy, _K_KEYS, "k_policy"))
         _require(isinstance(k["n"], int) and k["n"] >= 2, "k_policy.n must be an integer >= 2")
         _require(isinstance(k["pad"], (int, float)) and float(k["pad"]) >= 0.0,
-                 "k_policy.pad must be nonnegative")
+                 "k_policy.pad must be a number >= 0")
         k["pad"] = float(k["pad"])
         self.k_policy = k
 

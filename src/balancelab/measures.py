@@ -31,7 +31,7 @@ from dataclasses import dataclass, field as _field
 import numpy as np
 
 from .config import write_json
-from .entropy import _require_matching, quadrature
+from .entropy import ResolutionError, _require_matching, quadrature
 from .problem import perturbation
 
 
@@ -150,7 +150,8 @@ def estimate_young_measure(ensemble, macro=(8, 8), merge_tol=1e-9, min_samples=1
     """Pool the transformed states of an ensemble into atomic block measures.
 
     ``macro`` is (slabs per block, cells per block); every block must
-    aggregate at least ``min_samples`` pooled samples across the ensemble.
+    aggregate at least ``min_samples`` pooled samples across the ensemble,
+    or a ``ResolutionError`` names the first that does not.
     """
     if not ensemble:
         raise ValueError("ensemble must contain at least one run")
@@ -174,9 +175,11 @@ def estimate_young_measure(ensemble, macro=(8, 8), merge_tol=1e-9, min_samples=1
                 V[t_edges[bt]:t_edges[bt + 1], x_edges[bx]:x_edges[bx + 1]].ravel()
                 for V in V_stack])
             if len(pooled) < min_samples:
-                raise ValueError(
-                    "block (%d, %d) pools %d samples, need >= %d"
-                    % (bt, bx, len(pooled), min_samples))
+                raise ResolutionError(
+                    "block (%d, %d) pools %d samples, need >= %d: with %d "
+                    "runs a macro block needs slabs x cells >= %d"
+                    % (bt, bx, len(pooled), min_samples, len(ensemble),
+                       -(-min_samples // len(ensemble))))
             row.append(_merge_sorted(np.sort(pooled), merge_tol))
         atoms.append(row)
     slab = float(t0[-1]) / S
@@ -224,35 +227,24 @@ def chi_gamma_below(lam, mu, gamma):
 
 
 def _scans(x, counts):
-    """Sums of each segment of the rows of x below and above every cut.
+    """Sums of each unit of the rows of x below and above every cut.
 
-    x is (q, N), made of segments of the given lengths laid end to end.
-    Cut k of segment s (k = 0 .. counts[s]) sits at slot i + s of the
-    returned (q, N + segments) arrays ``below`` and ``above``, where i is
-    the index in x of the segment's entry k: ``below`` holds the sum of
-    the segment's first k entries, added from the bottom, and ``above``
-    that of the others, added from the top.  Each is accumulated rank by
-    rank, all segments that have the rank at once, in a copy of x laid
-    out rank after rank so that each rank is one contiguous slice.
+    x is (q, N), made of units of the given lengths laid end to end.  Cut k
+    of unit s (k = 0 .. counts[s]) sits at slot i + s of the returned
+    (q, N + units) arrays ``below`` and ``above``, where i is the index in
+    x of the unit's entry k: ``below`` holds the sum of the unit's first k
+    entries, added from the bottom, and ``above`` that of the others,
+    added from the top.  Each side is one cumulative sum per unit.
     """
-    n_seg, n = len(counts), x.shape[-1]
-    seg = np.repeat(np.arange(n_seg), counts)
-    rank = np.arange(n) - (np.cumsum(counts) - counts)[seg]
-    # rank k holds the segments longer than k, longest first
-    live = n_seg - np.cumsum(np.bincount(counts))[:-1]
-    row = np.concatenate(([0], np.cumsum(live)))
-    place = np.empty(n_seg, dtype=int)
-    place[np.argsort(-counts, kind="stable")] = np.arange(n_seg)
-    out = []
-    for k, shift in ((rank, 1), (counts[seg] - 1 - rank, 0)):
-        y = np.empty_like(x)
-        y[:, row[k] + place[seg]] = x
-        for r in range(1, len(live)):
-            y[:, row[r]:row[r + 1]] += y[:, row[r - 1]:row[r - 1] + live[r]]
-        z = np.zeros(x.shape[:-1] + (n + n_seg,))
-        z[:, np.arange(n) + seg + shift] = y[:, row[k] + place[seg]]
-        out.append(z)
-    return out
+    below = np.zeros(x.shape[:-1] + (x.shape[-1] + len(counts),))
+    above = np.zeros_like(below)
+    start = 0
+    for s, n in enumerate(counts.tolist()):
+        seg, slot = x[:, start:start + n], start + s
+        np.cumsum(seg, axis=-1, out=below[:, slot + 1:slot + n + 1])
+        above[:, slot:slot + n] = np.cumsum(seg[:, ::-1], axis=-1)[:, ::-1]
+        start += n
+    return below, above
 
 
 class MeasureContext:
@@ -261,19 +253,23 @@ class MeasureContext:
     Brackets live on units, one per block and distinct theta row of its x
     block (one per block where the coefficient is constant), in (t block,
     x block, row) order; every cell of a unit shares eta(x, .), and each
-    atom is inverted once per unit.  ``unit_row`` is the row of every unit
-    and ``cell_unit`` the unit of every (t block, cell).  The flat
-    per-unit-atom arrays (``unit``, ``vals``, ``w``, ``A``, ``phi``,
-    ``eta``, ``g_eta``) list each unit's atoms, its block's, in ascending
-    order.  eta(x, .) is nondecreasing, so (eta(x,lam) - eta(x,mu))^+ is
-    chi_{lam>mu} (eta(x,lam) - eta(x,mu)), and each sharp bracket at a
-    level is a sum over the atoms above (PLUS) or below (MINUS) it.
-    ``above`` and ``below`` hold the sums of w, w A, w phi, w eta and
-    w g_eta of every unit past each cut (``_scans``), taken from the top
-    and from the bottom; a level finds its cut in each unit by binary
-    search and gathers them there.  A smoothed indicator's ramp atoms are
-    added one by one.  The brackets per unit expand to fields on the fine
-    (slab, cell) grid for the shared quadrature.
+    atom is inverted once per unit.  Every t block has the same ``n_pairs``
+    (x block, row) pairs, so unit u is pair u % n_pairs of t block
+    u // n_pairs; ``pair_of_cell`` is the pair of every cell, ``unit_row``
+    the row of every unit and ``cell_unit`` the unit of every (t block,
+    cell).  The flat per-unit-atom arrays (``unit``, ``vals``, ``w``,
+    ``A``, ``phi``, ``eta``, ``g_eta``) list each unit's atoms, its
+    block's, in ascending order.  eta(x, .) is nondecreasing, so
+    (eta(x,lam) - eta(x,mu))^+ is chi_{lam>mu} (eta(x,lam) - eta(x,mu)),
+    and each sharp bracket at a level is a sum over the atoms above (PLUS)
+    or below (MINUS) it.  ``above`` and ``below`` hold the sums of w, w A,
+    w phi, w eta and w g_eta of every unit past each cut, one cumulative
+    sum per unit and side (``_scans``): cut k of unit u sits at slot
+    i + u, i the flat index of the unit's atom k.  A level finds its cut
+    in each unit by binary search and gathers them there.  A smoothed
+    indicator's ramp atoms are added one by one.  The brackets per unit
+    expand to fields on the fine (slab, cell) grid for the shared
+    quadrature.
     """
 
     def __init__(self, ym, reg):
@@ -300,7 +296,8 @@ class MeasureContext:
                  + pair_block).ravel()
         self.unit_row = np.tile(pair_row, ym.n_t_blocks)
         self.units = np.arange(len(block))
-        self.cell_unit = np.arange(ym.n_t_blocks)[:, None] * len(pairs) + pair_of_cell
+        self.n_pairs, self.pair_of_cell = len(pairs), pair_of_cell
+        self.cell_unit = np.arange(ym.n_t_blocks)[:, None] * self.n_pairs + pair_of_cell
         counts = np.diff(ym.offsets)[block]
         self.unit = np.repeat(self.units, counts)
         # each unit atom's index into the estimate's flat atoms
@@ -485,18 +482,15 @@ def support_and_trace_check(ctx, r_field, u0_values):
                   for b, v in zip(block[over], ym.values[over])]
     # |eta(x, lam) - u0(x)| summed over the cells of each unit atom's unit:
     # pass j adds the j-th cell of every (x block, row) pair that has one
-    pair_of_cell = ctx.cell_unit[0]  # the units of t block 0 are the pairs
-    n_pairs = len(ctx.units) // ym.n_t_blocks
-    pair = ctx.unit % n_pairs
-    cells = np.argsort(pair_of_cell, kind="stable")
-    n_cells = np.bincount(pair_of_cell, minlength=n_pairs)
+    t_block, pair = np.divmod(ctx.unit, ctx.n_pairs)
+    cells = np.argsort(ctx.pair_of_cell, kind="stable")
+    n_cells = np.bincount(ctx.pair_of_cell, minlength=ctx.n_pairs)
     first = (np.cumsum(n_cells) - n_cells)[pair]
     dist = np.zeros(len(pair))
     for j in range(int(n_cells.max())):
         has = np.flatnonzero(n_cells[pair] > j)
         dist[has] += np.abs(ctx.eta[has] - u0[cells[first[has] + j]])
-    trace = ym.dx * np.bincount(ctx.unit // n_pairs, ctx.w * dist,
-                                ym.n_t_blocks)
+    trace = ym.dx * np.bincount(t_block, ctx.w * dist, ym.n_t_blocks)
     return {
         "support_ok": not violations,
         "violations": violations,

@@ -101,6 +101,10 @@ class SourceSpec:
             raise ValueError(f"unknown source id {self.id!r}")
         p = dict(check_keys(self.params, _SOURCES[self.id],
                             "problem.source.params"))
+        for key, v in p.items():
+            if key != "g" and not isinstance(v, (int, float)):
+                raise ValueError(
+                    f"problem.source.params.{key} must be a number, not {v!r}")
         if self.id in ("linear", "arctan", "antilinear_test"):
             p.setdefault("c", 1.0)
             if p["c"] < 0:

@@ -576,6 +576,66 @@ def test_ym_macro_entry_below_one_exits_2(tmp_path, capsys):
     assert "macro" in err["message"]
 
 
+@pytest.mark.parametrize("macro", [[1, 1], [2, 1], [1, 3]])
+def test_ym_macro_block_under_16_samples_exits_3(macro, tmp_path, capsys):
+    # 5 ensemble members pool 5, 10 and 15 samples per block
+    d = _load("arctan_damped").to_dict()
+    d["options"]["macro"] = macro
+    code, err = _exit_of(d, tmp_path, capsys, "ym")
+    assert code == 3
+    err = json.loads(err)
+    assert err["error"] == "resolution"
+    assert "block (0, 0) pools %d samples" % (5 * macro[0] * macro[1]) in err["message"]
+    assert "slabs x cells >= 4" in err["message"]
+
+
+# (key path, config, value): keys where a number written as a string exits 2
+STRING_FOR_NUMBER = [
+    (["grid_sizes"], "arctan_damped", ["64"]),
+    (["snapshots"], "arctan_damped", "64"),
+    (["k_policy", "n"], "arctan_damped", "33"),
+    (["k_policy", "pad"], "arctan_damped", "0.5"),
+    (["battery", "t_fracs"], "arctan_damped", ["0.3"]),
+    (["battery", "radius_fracs"], "arctan_damped", ["0.2"]),
+    (["schedules", "j"], "arctan_damped", ["4", "8"]),
+    (["schedules", "ell"], "arctan_damped", ["1.0"]),
+    (["schedules", "m"], "arctan_damped", ["1.0"]),
+    (["options", "macro"], "arctan_damped", ["8", "8"]),
+    (["options", "gamma"], "arctan_damped", "0.1"),
+    (["options", "partner_scale"], "arctan_damped", "0.5"),
+    (["options", "n_samples"], "arctan_damped", "257"),
+    (["problem", "indices", "j"], "arctan_damped", "16"),
+    (["problem", "source", "params", "c"], "arctan_damped", "1.0"),
+    (["problem", "source", "params", "c"], "linear_decay", "1.0"),
+    (["problem", "source", "params", "amp"], "modulated", "1.0"),
+    (["problem", "source", "params", "mod"], "modulated", "0.5"),
+    (["problem", "source", "params", "freq_t"], "modulated", "1.0"),
+    (["problem", "source", "params", "freq_x"], "modulated", "1.0"),
+]
+
+
+@pytest.mark.parametrize("where,name,value", STRING_FOR_NUMBER)
+def test_string_for_a_number_exits_2_naming_its_key(where, name, value,
+                                                     tmp_path, capsys):
+    if name == "modulated":
+        d = _load("arctan_damped").to_dict()
+        d["problem"]["source"] = {"id": "modulated", "params": {}}
+    else:
+        d = _load(name).to_dict()
+    obj = d
+    for key in where[:-1]:
+        obj = obj[key]
+    obj[where[-1]] = value
+    code, err = _exit_of(d, tmp_path, capsys)
+    assert code == 2
+    message = json.loads(err)["message"]
+    # indices.j is named without its `problem.` prefix
+    key = ".".join(where[1:] if where[:2] == ["problem", "indices"] else where)
+    assert key in message
+    assert "number" in message or "integer" in message
+    assert "TypeError" not in message and "malformed" not in message
+
+
 @pytest.mark.parametrize("key,value", [
     ("macro", [2.5, 8]),  # not truncated to [2, 8]
     ("macro", [0.5, 8]),  # not quoted as [0, 8]

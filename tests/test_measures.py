@@ -14,7 +14,8 @@ from balancelab.entropy import (ResidualEvaluator, ResolutionError,
 from balancelab.flux import FluxCurve
 from balancelab.harness import solve_points
 from balancelab.measures import (MeasureContext, YoungMeasureEstimate,
-                                 _merge_sorted, averaged_contraction_gap,
+                                 _merge_sorted, _scans,
+                                 averaged_contraction_gap,
                                  chi_gamma_above, chi_gamma_below,
                                  default_support_radius,
                                  estimate_young_measure,
@@ -177,6 +178,52 @@ def test_merge_matches_sequential_clustering(sample):
     got_v, got_w = _merge_sorted(vals, tol)
     want_v, want_w = _merge_sequential(vals, tol)
     assert np.array_equal(got_v, want_v) and np.array_equal(got_w, want_w)
+
+
+def _scans_by_hand(x, counts):
+    """Each unit's sums past every cut, one Python float addition at a
+    time: from the bottom for ``below`` and from the top for ``above``."""
+    below = np.zeros((x.shape[0], x.shape[1] + len(counts)))
+    above = np.zeros_like(below)
+    start = 0
+    for s, n in enumerate(counts):
+        slot = start + s
+        for q in range(x.shape[0]):
+            row = [float(v) for v in x[q, start:start + n]]
+            acc = None
+            for k in range(n):
+                acc = row[k] if acc is None else acc + row[k]
+                below[q, slot + k + 1] = acc
+            acc = None
+            for k in reversed(range(n)):
+                acc = row[k] if acc is None else acc + row[k]
+                above[q, slot + k] = acc
+        start += n
+    return below, above
+
+
+@st.composite
+def scan_rows(draw):
+    """Five rows of units of 0 to 50 entries, many of one entry; half the
+    entries are +-0.0, +-1e300 or +-1e-300, so a change of summation order
+    shows in the bits."""
+    counts = draw(st.lists(st.one_of(st.just(1), st.integers(0, 50)),
+                           min_size=1, max_size=16))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = sum(counts)
+    special = rng.choice([-0.0, 0.0, 1e300, -1e300, 1e-300, -1e-300], (5, n))
+    x = np.where(rng.random((5, n)) < 0.5, special, rng.normal(size=(5, n)))
+    return x, np.array(counts, dtype=int)
+
+
+@seed(20140412)
+@settings(max_examples=200, deadline=None)
+@given(scan_rows())
+def test_scans_match_sequential_sums_bit_for_bit(rows):
+    x, counts = rows
+    for got, want in zip(_scans(x, counts), _scans_by_hand(x, counts)):
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_estimate_weight_validation():

@@ -52,7 +52,7 @@ def test_artifact_digests_runs_a_workload_at_a_seed(tmp_path):
 def test_kernel_timing_reports_both_kernels_per_cell_count():
     # the default workload (converge-riemann, one-row flux tables),
     # verify-smooth (one flux-table row per interface) and ym-ensemble (an
-    # arctan source with finite l and m on every step)
+    # arctan source with finite l and m on every step, and MeasureContext)
     tool = os.path.join(ROOT, "tools", "kernel_timing.py")
     for extra in ([], ["--workload", "verify-smooth"],
                   ["--workload", "ym-ensemble"]):
@@ -62,12 +62,14 @@ def test_kernel_timing_reports_both_kernels_per_cell_count():
                               check=True, capture_output=True, text=True)
         record = json.loads(proc.stdout.splitlines()[-1])
         assert sorted(record) == ["16", "32"]
+        kernels = ["cfl_dt", "numerical_flux", "step"]
+        if extra[-1:] == ["ym-ensemble"]:
+            kernels.append("measure_context")
         for times in record.values():
-            assert sorted(times) == ["cfl_dt_min_us", "cfl_dt_us",
-                                     "numerical_flux_min_us", "numerical_flux_us",
-                                     "step_min_us", "step_us"]
+            assert sorted(times) == sorted(k + s for k in kernels
+                                           for s in ("_min_us", "_us"))
             assert all(us > 0 for us in times.values())
-            for kernel in ("cfl_dt", "numerical_flux", "step"):
+            for kernel in kernels:
                 assert times[kernel + "_min_us"] <= times[kernel + "_us"]
 
 

@@ -1,4 +1,4 @@
-"""Per-call wall time of the LLF step kernel and cfl_dt at several grid sizes.
+"""Per-call wall time of the LLF step, cfl_dt and MeasureContext by grid size.
 
 Usage, from the root of a checkout:
 
@@ -16,8 +16,11 @@ fixed cost is most of its time.  For each cell count it solves to
 T/4 (the first snapshot of a two-slab run), then times ``numerical_flux``
 on that state's interfaces, one whole ``step`` from it and ``cfl_dt`` on
 it (the max |slope| over the state's range on every flux-table row):
-``--repeats`` blocks of ``--calls`` calls each.  The last line of standard
-output is one JSON object mapping each cell count to the median
+``--repeats`` blocks of ``--calls`` calls each.  For ym-ensemble it also
+solves the workload's j ensemble once per cell count, estimates its Young
+measure as ``ym`` does and times the construction of
+``MeasureContext(ym, regs[-1])`` (``measure_context``).  The last line
+of standard output is one JSON object mapping each cell count to the median
 (``*_us``) and the minimum (``*_min_us``) over blocks of the microseconds
 per call.  Other tenants' load only ever adds time, so the minimum
 separates two trees where the median cannot.  Run it on two source trees in alternation to compare them
@@ -25,6 +28,7 @@ on one machine.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import statistics
@@ -62,12 +66,15 @@ def main(argv=None):
     args = p.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
     from balancelab import load_config
+    from balancelab.harness import solve_points
+    from balancelab.measures import MeasureContext, estimate_young_measure
     from balancelab.solver import Grid1D, cfl_dt, regularized, solve, step
 
     with tempfile.TemporaryDirectory() as work:
         config = workloads.write_config(args.workload, 1,
                                         os.path.join(work, "config.json"))
-        spec = load_config(config).problem
+        cfg = load_config(config)
+    spec = cfg.problem
     out = {}
     for n in args.cells:
         grid = Grid1D(spec.x_lo, spec.x_hi, n)
@@ -81,6 +88,11 @@ def main(argv=None):
             "step": lambda: step(u, dt, 0.0, reg),
             "cfl_dt": lambda: cfl_dt(u, reg),
         }
+        if args.workload == "ym-ensemble":
+            specs = [dataclasses.replace(spec, j=j) for j in cfg.schedules["j"]]
+            runs, _, regs = solve_points(specs, grid, snapshots=cfg.snapshots)
+            ym = estimate_young_measure(runs)
+            kernels["measure_context"] = lambda: MeasureContext(ym, regs[-1])
         out[str(n)] = {}
         for name, fn in kernels.items():
             median, least = per_call_us(fn, args.calls, args.repeats)
