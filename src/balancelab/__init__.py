@@ -23,6 +23,24 @@ package bundles:
   :mod:`balancelab.config` and :mod:`balancelab.cli`.
 """
 
+import os
+
+# OpenBLAS reads its thread count once, when numpy loads it.  The lab's
+# matrix products are thin, and an idle second BLAS thread only spins on
+# another CPU, so numpy is loaded here with one BLAS thread unless the user
+# has set OPENBLAS_NUM_THREADS.  Nothing changes if numpy was loaded before
+# balancelab.  The variable is taken back out once numpy has loaded, so
+# child processes see the user's environment.
+if "OPENBLAS_NUM_THREADS" in os.environ:
+    import numpy
+else:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+del os, numpy
+
 from .config import load_config
 from .flux import FluxCurve, build_parametrization, smooth_flux
 from .monotone import (

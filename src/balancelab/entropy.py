@@ -9,7 +9,8 @@ inequality holds with margin.  Each psi is a product b_t(t) b_x(x), so its
 quadrature against a field G is the bilinear form b_t^T G b_x: the fields
 of one level are built once and meet the whole battery in one thin matmul
 per field with the distinct b_x columns, contracted with the b_t columns.
-Only one level's fields are live at a time.
+Only one level's fields are live at a time, and the columns (with the
+resolution check of every psi) are built once per battery, not per level.
 
 Scalar forms, for a state u with transformed companion v and k ranging
 over the transformed variable (eta denotes the per-cell inverse map
@@ -220,24 +221,54 @@ def _columns(y, keys):
     return bump_profile(z), bump_profile_dy(z) / r, cols
 
 
-def quadrature(fields, psis, t, x, dx, slab, block=(1, 1)):
-    """Midpoint quadrature of psi-independent fields (G1, G2, G3[, W0]),
-    one value per psi = b_t(t) b_x(x):
-    dx slab (b_t'^T G1 b_x + b_t^T G2 b_x' + b_t^T G3 b_x), plus
-    dx b_t(0) W0 b_x when the initial term W0 is given.  Each field meets
-    the battery's distinct b_x columns in one thin matmul."""
+def battery_columns(psis, t, x, dx, slab, block=(1, 1)):
+    """The bump columns of a battery on one grid, after the resolution
+    check of every psi (same messages, same ``ResolutionError``):
+    (Bt, Bt', it, Bx, Bx', ix), the time columns over the slab midpoints
+    t plus a last row at t = 0 for the initial term, the space columns over
+    the cell centers x, and the column of each psi on either axis."""
     for psi in psis:
         _check_resolution(psi, dx, slab, len(x), len(t), block)
-    # the last row of the time columns is t = 0, for the initial term
-    Bt, Bt1, it = _columns(np.append(t, 0.0),
-                           [(p.t_center, p.r_t) for p in psis])
-    Bx, Bx1, ix = _columns(x, [(p.x_center, p.r_x) for p in psis])
+    return (_columns(np.append(t, 0.0), [(p.t_center, p.r_t) for p in psis])
+            + _columns(x, [(p.x_center, p.r_x) for p in psis]))
+
+
+def contract(fields, columns, dx, slab):
+    """Midpoint quadrature of psi-independent fields (G1, G2, G3[, W0])
+    against the ``battery_columns`` of a battery, one value per psi =
+    b_t(t) b_x(x): dx slab (b_t'^T G1 b_x + b_t^T G2 b_x' + b_t^T G3 b_x),
+    plus dx b_t(0) W0 b_x when the initial term W0 is given.  Each field
+    meets the battery's distinct b_x columns in one thin matmul."""
+    Bt, Bt1, it, Bx, Bx1, ix = columns
     G1, G2, G3 = fields[:3]
     H = Bt1[:-1].T @ (G1 @ Bx) + Bt[:-1].T @ (G2 @ Bx1 + G3 @ Bx)
     out = dx * slab * H[it, ix]
     if len(fields) == 4:
         out += dx * np.outer(Bt[-1], fields[3] @ Bx)[it, ix]
     return out
+
+
+def quadrature(fields, psis, t, x, dx, slab, block=(1, 1)):
+    """``contract`` of the fields against the columns of the battery psis:
+    the one-shot form, for a battery met by one set of fields."""
+    return contract(fields, battery_columns(psis, t, x, dx, slab, block),
+                    dx, slab)
+
+
+class ColumnCache:
+    """The ``battery_columns`` on one grid of the battery last asked for,
+    kept while every psi keeps its centers and radii."""
+
+    def __init__(self, t, x, dx, slab, block=(1, 1)):
+        self.grid = (t, x, dx, slab, block)
+        self.key = self.columns = None
+
+    def __call__(self, psis):
+        key = [(p.t_center, p.x_center, p.r_t, p.r_x) for p in psis]
+        if key != self.key:
+            self.columns = battery_columns(psis, *self.grid)
+            self.key = key
+        return self.columns
 
 
 class ResidualEvaluator:
@@ -267,6 +298,8 @@ class ResidualEvaluator:
         for s, t in enumerate(self.t_mid):
             self.f_cells[s] = reg.source_values(t, self.U[s], self.V[s])
         self.AV = reg.curve(0, self.V)
+        self._eta_k = {}  # one inversion per level k, shared by its forms
+        self._columns = ColumnCache(self.t_mid, self.x, self.dx, self.slab)
 
     def terms(self, form, k):
         """psi-independent integrand fields (G1, G2, G3, W0) of one form:
@@ -286,7 +319,10 @@ class ResidualEvaluator:
                    sg * (self.f_cells - div_phi_k),
                    np.abs(self.u0 - k))
         else:
-            eta_k = theta.eta_cells(k)
+            k = float(k)
+            if k not in self._eta_k:
+                self._eta_k[k] = theta.eta_cells(k)
+            eta_k = self._eta_k[k]
             a_k = float(curve(0, k))
             if form == "SEMI_PLUS":
                 chi = (self.V > k).astype(float)
@@ -311,9 +347,10 @@ class ResidualEvaluator:
         return out
 
     def residual(self, form, k, psis):
-        """Residuals of one (form, k) level, one per test function."""
-        return quadrature(self.terms(form, k), psis, self.t_mid, self.x,
-                          self.dx, self.slab)
+        """Residuals of one (form, k) level, one per test function; the
+        columns of the battery last given are kept for the next level."""
+        return contract(self.terms(form, k), self._columns(psis), self.dx,
+                        self.slab)
 
     def battery_report(self, forms, ks, psis):
         """Residuals in fixed lexicographic (form, k, psi) order.

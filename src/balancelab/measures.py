@@ -31,7 +31,8 @@ from dataclasses import dataclass, field as _field
 import numpy as np
 
 from .config import write_json
-from .entropy import ResolutionError, _require_matching, quadrature
+from .entropy import (ColumnCache, ResolutionError, _require_matching,
+                      contract, quadrature)
 from .problem import perturbation
 
 
@@ -320,6 +321,8 @@ class MeasureContext:
                                self.eta, self.g_eta]),
             np.bincount(self.unit, minlength=len(self.units)))
         self._eta_mu = {}
+        self._columns = ColumnCache(ym.times, ym.centers, ym.dx, ym.slab,
+                                    self.block_shape)
 
     def cut(self, lam, side, units=None):
         """Slot in ``below``/``above`` of the cut of each unit's atoms (or
@@ -377,10 +380,10 @@ class MeasureContext:
 
     def residual(self, sign, mu, psis, gamma=0.0):
         """Quadrature values of (EQ+) / negated (EQ-) at level mu, one per
-        test function."""
-        ym = self.ym
-        return quadrature(self.terms(sign, mu, gamma), psis, ym.times,
-                          ym.centers, ym.dx, ym.slab, block=self.block_shape)
+        test function; the columns of the battery last given are kept for
+        the next level."""
+        return contract(self.terms(sign, mu, gamma), self._columns(psis),
+                        self.ym.dx, self.ym.slab)
 
 
 def mu_is_atom(atoms, mu):

@@ -42,13 +42,22 @@ _CHAIN_TOL = 1e-9
 _N_KERNEL = 16
 
 
-def mollifier_nodes():
-    """Return (nodes, weights) of the fixed 16-point midpoint kernel rule."""
+def _kernel_rule():
     h = 2.0 / _N_KERNEL
     nodes = -1.0 + (np.arange(_N_KERNEL) + 0.5) * h
     raw = np.exp(-1.0 / (1.0 - nodes**2))
     weights = raw / raw.sum()
+    nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
+
+
+_KERNEL_RULE = _kernel_rule()
+
+
+def mollifier_nodes():
+    """Return (nodes, weights) of the fixed 16-point midpoint kernel rule,
+    read-only arrays computed once per process."""
+    return _KERNEL_RULE
 
 
 def bump_profile(y):

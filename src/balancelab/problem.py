@@ -14,6 +14,7 @@ trigonometric modulations pick up the kernel cosine factor in closed form.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -40,6 +41,32 @@ def json_number(x):
     if isinstance(x, float) and math.isinf(x):
         return "inf" if x > 0 else "-inf"
     return x
+
+
+def _parse_numbers(obj, where, keep=()):
+    """A copy of the JSON object ``obj`` with each number written as a
+    string, as a value or as a list entry, read as that number (an integer
+    literal as an int, as JSON reads it); the keys in ``keep`` are left as
+    they are, and so is ``obj`` when it is not an object.  A string that
+    is no finite number is a ValueError naming its key."""
+    def number(v, key):
+        if not isinstance(v, str):
+            return v
+        for kind in (int, float):
+            try:
+                x = kind(v)
+            except ValueError:
+                continue
+            if math.isfinite(x):
+                return x
+        raise ValueError(f"{where}.{key} must be a number, not {v!r}")
+
+    if not isinstance(obj, dict):
+        return obj
+    return {key: v if key in keep
+            else [number(e, key) for e in v] if isinstance(v, list)
+            else number(v, key)
+            for key, v in obj.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +104,13 @@ def _kernel_cos_factor(z):
     kappa(w r) = sum_q weight_q cos(w r s_q)."""
     nodes, weights = mollifier_nodes()
     return float(weights @ np.cos(z * nodes))
+
+
+@functools.lru_cache(maxsize=None)
+def _arctan_zero_row(j):
+    """The u = 0 row of the mollified arctan, sum_q weight_q atan(-s_q / j)."""
+    nodes, weights = mollifier_nodes()
+    return float((np.arctan(-(1.0 / j) * nodes) * weights).sum())
 
 
 # source id -> its parameter names
@@ -178,8 +212,7 @@ class SourceSpec:
         # row-wise kernel sums reduce identical rows to identical bits, so
         # subtracting the u = 0 row keeps g_mollified(j, 0) = 0 exactly
         base = (np.arctan(pts) * weights).sum(axis=-1)
-        corr = float((np.arctan(-r * nodes) * weights).sum())
-        return corr - base
+        return _arctan_zero_row(j) - base
 
     def eval_mollified(self, j, t, x, u):
         """f^j(t, x, u) with f^j(t, x, 0) = 0 exactly."""
@@ -381,6 +414,10 @@ class ProblemSpec:
         for jump in curve.get("jumps", []):
             check_keys(jump, ("z", "left", "right"), "problem.flux.curve.jumps entry")
         idx = check_keys(d.get("indices", {}), ("j", "ell", "m"), "problem.indices")
+        u0 = d.get("u0", {"id": "zero"})
+        if isinstance(u0, dict) and "params" in u0:
+            u0 = {**u0, "params": _parse_numbers(u0["params"],
+                                                 "problem.u0.params")}
         j = idx.get("j", 16)
         if not (isinstance(j, int) or (isinstance(j, float) and j.is_integer())):
             raise ValueError(f"indices.j must be an integer >= 1, not {j!r}")
@@ -391,10 +428,11 @@ class ProblemSpec:
             theta_graph=MonotoneGraph.from_dict(check_keys(
                 theta["graph"], ("breakpoints", "jumps", "slopes", "tail_slopes"),
                 "problem.theta.graph")),
-            coeff=theta.get("coeff", {"kind": "const"}),
+            coeff=_parse_numbers(theta.get("coeff", {"kind": "const"}),
+                                 "problem.theta.coeff", keep=("kind",)),
             flux=FluxCurve.from_dict(curve),
             source=SourceSpec.from_dict(d.get("source", {"id": "zero"})),
-            u0=d.get("u0", {"id": "zero"}),
+            u0=u0,
             j=int(j),
             ell=float(idx.get("ell", 1.0)),
             m=float(idx.get("m", 1.0)),

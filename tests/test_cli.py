@@ -636,6 +636,60 @@ def test_string_for_a_number_exits_2_naming_its_key(where, name, value,
     assert "TypeError" not in message and "malformed" not in message
 
 
+# (config, key path, number, the number as a string): numbers that
+# problem.u0.params and problem.theta.coeff read from a string, as
+# problem.domain does
+NUMBER_AS_STRING = [
+    ("arctan_damped", ["u0", "params", "height"], 0.9, "0.9"),
+    ("arctan_damped", ["u0", "params", "skew"], 0.8, "0.8"),
+    ("het_smooth_coeff", ["theta", "coeff", "b"], 0.3, "0.3"),
+    ("pwc_coeff", ["theta", "coeff", "region_c"], [1.0, 1.5], ["1.0", "1.5"]),
+    ("pwc_coeff", ["theta", "coeff", "x_breaks"], [0.0], ["0.0"]),
+    ("arctan_damped", ["u0", "params", "height"], 1, "1"),
+]
+
+
+def _solve_artifacts(d, out):
+    path = out.parent / (out.name + ".json")
+    path.write_text(json.dumps(d))
+    assert main(["solve", "--config", str(path), "--out", str(out),
+                 "--quiet"]) == 0
+    return {name: (out / name).read_bytes() for name in os.listdir(out)}
+
+
+@pytest.mark.parametrize("name,where,number,text", NUMBER_AS_STRING)
+def test_number_written_as_a_string_writes_the_numeric_artifacts(
+        name, where, number, text, tmp_path):
+    d = _load(name).to_dict()
+    obj = d["problem"]
+    for key in where[:-1]:
+        obj = obj[key]
+    obj[where[-1]] = number
+    want = _solve_artifacts(d, tmp_path / "number")
+    echoed = json.loads(want["run.json"])["config"]["problem"]
+    for key in where:
+        echoed = echoed[key]
+    assert json.dumps(echoed) == json.dumps(number)  # an int stays an int
+    obj[where[-1]] = text
+    assert _solve_artifacts(d, tmp_path / "string") == want
+
+
+@pytest.mark.parametrize("where", [["u0", "params", "height"],
+                                   ["theta", "coeff", "b"]])
+@pytest.mark.parametrize("text", ["tall", "nan", "inf"])
+def test_string_that_is_no_number_exits_2_naming_its_key(where, text,
+                                                         tmp_path, capsys):
+    d = _load("het_smooth_coeff").to_dict()
+    obj = d["problem"]
+    for key in where[:-1]:
+        obj = obj[key]
+    obj[where[-1]] = text
+    code, err = _exit_of(d, tmp_path, capsys)
+    assert code == 2
+    message = json.loads(err)["message"]
+    assert "problem.%s must be a number" % ".".join(where) in message
+
+
 @pytest.mark.parametrize("key,value", [
     ("macro", [2.5, 8]),  # not truncated to [2, 8]
     ("macro", [0.5, 8]),  # not quoted as [0, 8]

@@ -7,14 +7,26 @@ the elementwise sum over the (slab, cell) grid with the psi matrices built
 directly from the bump profile.
 """
 
+import dataclasses
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from balancelab.entropy import (MIN_CELLS_PER_RADIUS, MIN_SLABS_PER_RADIUS,
-                                ResolutionError, TestFunction, quadrature)
+from balancelab.config import load_config
+from balancelab.entropy import (FORMS, MIN_CELLS_PER_RADIUS,
+                                MIN_SLABS_PER_RADIUS, ResidualEvaluator,
+                                ResolutionError, TestFunction,
+                                battery_from_geometry, k_samples, quadrature)
+from balancelab.harness import solve_points
+from balancelab.measures import (MeasureContext, estimate_young_measure,
+                                 mv_residual_table)
+from balancelab.solver import Grid1D
 from conftest import psi_matrices
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 def _oracle(fields, psis, t, x, dx, slab):
@@ -96,3 +108,87 @@ def test_one_unresolved_psi_rejects_the_battery(block, message):
     with pytest.raises(ResolutionError) as err:
         quadrature(None, [good, bad, good], t, x, 1 / 16, 0.5 / 64, block)
     assert str(err.value) == message
+
+
+# ---------------------------------------------------------------------------
+# Columns built once per battery, against one quadrature call per level
+# ---------------------------------------------------------------------------
+
+
+def _shipped(name):
+    cfg = load_config(os.path.join(CONFIG_DIR, name + ".json"))
+    grid = Grid1D(cfg.problem.x_lo, cfg.problem.x_hi, cfg.grid_sizes[0])
+    return cfg, grid, battery_from_geometry(cfg.problem, **cfg.battery)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@pytest.fixture(scope="module")
+def smooth_evaluator():
+    cfg, grid, psis = _shipped("het_smooth_coeff")
+    (run,), _, (reg,) = solve_points([cfg.problem], grid, cfg.snapshots)
+    return ResidualEvaluator(run, reg), psis
+
+
+def test_battery_report_equals_one_quadrature_per_level(smooth_evaluator):
+    ev, psis = smooth_evaluator
+    forms = list(FORMS)
+    ks = {form: k_samples(ev.run.U if form == "N1" else ev.run.V, ev.reg,
+                          space="u" if form == "N1" else "v")
+          for form in forms}
+    report = ev.battery_report(forms, ks, psis)
+    want = []
+    for form in forms:
+        for k in ks[form]:
+            want.extend(quadrature(ev.terms(form, k), psis, ev.t_mid, ev.x,
+                                   ev.dx, ev.slab))
+    assert [r[:3] for r in report.rows] == [
+        (f, float(k), p.label) for f in forms for k in ks[f] for p in psis]
+    np.testing.assert_array_equal(_bits([r[3] for r in report.rows]),
+                                  _bits(want))
+
+
+def test_kept_columns_follow_a_new_battery(smooth_evaluator):
+    ev, psis = smooth_evaluator
+    k = float(np.median(ev.V))
+    ev.residual("SGN", k, psis)
+    other = [dataclasses.replace(p, r_x=1.1 * p.r_x) for p in psis[::2]]
+    for battery in (other, psis):
+        np.testing.assert_array_equal(
+            _bits(ev.residual("SGN", k, battery)),
+            _bits(quadrature(ev.terms("SGN", k), battery, ev.t_mid, ev.x,
+                             ev.dx, ev.slab)))
+
+
+def test_unresolved_psi_raises_from_battery_report_as_from_quadrature(
+        smooth_evaluator):
+    ev, psis = smooth_evaluator
+    k = float(np.median(ev.V))
+    bad = psis[:1] + [dataclasses.replace(psis[0], r_x=2.0 * ev.dx)]
+    with pytest.raises(ResolutionError) as want:
+        quadrature(ev.terms("SGN", k), bad, ev.t_mid, ev.x, ev.dx, ev.slab)
+    ev.battery_report(["SGN"], [k], psis)  # the resolved columns are kept
+    for _ in range(2):  # and a rejected battery keeps none
+        with pytest.raises(ResolutionError) as got:
+            ev.battery_report(["SGN"], [k], bad)
+        assert str(got.value) == str(want.value)
+
+
+def test_mv_residual_table_equals_one_quadrature_per_level():
+    cfg, grid, psis = _shipped("arctan_damped")
+    specs = [dataclasses.replace(cfg.problem, j=int(j))
+             for j in cfg.schedules["j"]]
+    runs, _, regs = solve_points(specs, grid, snapshots=cfg.snapshots)
+    ym = estimate_young_measure(runs)
+    ctx = MeasureContext(ym, regs[-1])
+    mus = k_samples(ym.values, regs[-1], space="v")
+    for gamma in (0.0, 0.1):
+        rows = mv_residual_table(ctx, mus, psis, gamma)
+        want = [res for sign in ("PLUS", "MINUS") for mu in mus
+                for res in quadrature(ctx.terms(sign, mu, gamma), psis,
+                                      ym.times, ym.centers, ym.dx, ym.slab,
+                                      block=ctx.block_shape)]
+        np.testing.assert_array_equal(_bits([r[3] for r in rows]),
+                                      _bits(want))
