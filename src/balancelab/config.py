@@ -18,7 +18,7 @@ import math
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 
-from .problem import ProblemSpec, check_keys
+from .problem import ProblemSpec, check_keys, read_number
 
 
 class ConfigError(ValueError):
@@ -153,8 +153,8 @@ class RunConfig:
             "j": _check_schedule("j", s["j"], integral=True),
             "ell": _check_schedule("ell", s["ell"]),
             "m": _check_schedule("m", s["m"]),
-            "ell_fixed": float(s["ell_fixed"]),
-            "m_fixed": float(s["m_fixed"]),
+            "ell_fixed": float(read_number(s["ell_fixed"], "schedules.ell_fixed")),
+            "m_fixed": float(read_number(s["m_fixed"], "schedules.m_fixed")),
         }
         _require(self.schedules["ell_fixed"] >= 1.0 and self.schedules["m_fixed"] >= 1.0,
                  "schedules.ell_fixed and m_fixed must be >= 1")

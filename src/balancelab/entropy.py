@@ -9,8 +9,10 @@ inequality holds with margin.  Each psi is a product b_t(t) b_x(x), so its
 quadrature against a field G is the bilinear form b_t^T G b_x: the fields
 of one level are built once and meet the whole battery in one thin matmul
 per field with the distinct b_x columns, contracted with the b_t columns.
-Only one level's fields are live at a time, and the columns (with the
-resolution check of every psi) are built once per battery, not per level.
+Only one level's fields are live at a time, and each grid has one
+``Quadrature``, which builds the columns (with the resolution check of
+every psi) once per battery, not per level: a run's pair gaps meet the
+columns of its entropy battery.
 
 Scalar forms, for a state u with transformed companion v and k ranging
 over the transformed variable (eta denotes the per-cell inverse map
@@ -221,54 +223,43 @@ def _columns(y, keys):
     return bump_profile(z), bump_profile_dy(z) / r, cols
 
 
-def battery_columns(psis, t, x, dx, slab, block=(1, 1)):
-    """The bump columns of a battery on one grid, after the resolution
-    check of every psi (same messages, same ``ResolutionError``):
-    (Bt, Bt', it, Bx, Bx', ix), the time columns over the slab midpoints
-    t plus a last row at t = 0 for the initial term, the space columns over
-    the cell centers x, and the column of each psi on either axis."""
-    for psi in psis:
-        _check_resolution(psi, dx, slab, len(x), len(t), block)
-    return (_columns(np.append(t, 0.0), [(p.t_center, p.r_t) for p in psis])
-            + _columns(x, [(p.x_center, p.r_x) for p in psis]))
+class Quadrature:
+    """Midpoint quadrature on one grid of psi-independent fields
+    (G1, G2, G3[, W0]) against a battery, one value per psi = b_t(t) b_x(x):
+    dx slab (b_t'^T G1 b_x + b_t^T G2 b_x' + b_t^T G3 b_x), plus
+    dx b_t(0) W0 b_x when the initial term W0 is given.
 
-
-def contract(fields, columns, dx, slab):
-    """Midpoint quadrature of psi-independent fields (G1, G2, G3[, W0])
-    against the ``battery_columns`` of a battery, one value per psi =
-    b_t(t) b_x(x): dx slab (b_t'^T G1 b_x + b_t^T G2 b_x' + b_t^T G3 b_x),
-    plus dx b_t(0) W0 b_x when the initial term W0 is given.  Each field
-    meets the battery's distinct b_x columns in one thin matmul."""
-    Bt, Bt1, it, Bx, Bx1, ix = columns
-    G1, G2, G3 = fields[:3]
-    H = Bt1[:-1].T @ (G1 @ Bx) + Bt[:-1].T @ (G2 @ Bx1 + G3 @ Bx)
-    out = dx * slab * H[it, ix]
-    if len(fields) == 4:
-        out += dx * np.outer(Bt[-1], fields[3] @ Bx)[it, ix]
-    return out
-
-
-def quadrature(fields, psis, t, x, dx, slab, block=(1, 1)):
-    """``contract`` of the fields against the columns of the battery psis:
-    the one-shot form, for a battery met by one set of fields."""
-    return contract(fields, battery_columns(psis, t, x, dx, slab, block),
-                    dx, slab)
-
-
-class ColumnCache:
-    """The ``battery_columns`` on one grid of the battery last asked for,
-    kept while every psi keeps its centers and radii."""
+    t are the slab midpoints, x the cell centers, and every radius must
+    also span one ``block``.  The bump columns of the battery last given
+    (time columns over t plus a last row at t = 0, space columns over x)
+    are kept while every psi keeps its centers and radii; a new battery
+    first passes the resolution check of every psi, and a rejected one
+    keeps nothing.  Each field meets the battery's distinct b_x columns in
+    one thin matmul.
+    """
 
     def __init__(self, t, x, dx, slab, block=(1, 1)):
-        self.grid = (t, x, dx, slab, block)
+        self.t, self.x, self.dx, self.slab, self.block = t, x, dx, slab, block
         self.key = self.columns = None
 
-    def __call__(self, psis):
+    def __call__(self, fields, psis):
         key = [(p.t_center, p.x_center, p.r_t, p.r_x) for p in psis]
         if key != self.key:
-            self.columns = battery_columns(psis, *self.grid)
+            for psi in psis:
+                _check_resolution(psi, self.dx, self.slab, len(self.x),
+                                  len(self.t), self.block)
+            self.columns = (
+                _columns(np.append(self.t, 0.0),
+                         [(p.t_center, p.r_t) for p in psis])
+                + _columns(self.x, [(p.x_center, p.r_x) for p in psis]))
             self.key = key
-        return self.columns
+        Bt, Bt1, it, Bx, Bx1, ix = self.columns
+        G1, G2, G3 = fields[:3]
+        H = Bt1[:-1].T @ (G1 @ Bx) + Bt[:-1].T @ (G2 @ Bx1 + G3 @ Bx)
+        out = self.dx * self.slab * H[it, ix]
+        if len(fields) == 4:
+            out += self.dx * np.outer(Bt[-1], fields[3] @ Bx)[it, ix]
+        return out
 
 
 class ResidualEvaluator:
@@ -299,7 +290,7 @@ class ResidualEvaluator:
             self.f_cells[s] = reg.source_values(t, self.U[s], self.V[s])
         self.AV = reg.curve(0, self.V)
         self._eta_k = {}  # one inversion per level k, shared by its forms
-        self._columns = ColumnCache(self.t_mid, self.x, self.dx, self.slab)
+        self.quadrature = Quadrature(self.t_mid, self.x, self.dx, self.slab)
 
     def terms(self, form, k):
         """psi-independent integrand fields (G1, G2, G3, W0) of one form:
@@ -349,14 +340,12 @@ class ResidualEvaluator:
     def residual(self, form, k, psis):
         """Residuals of one (form, k) level, one per test function; the
         columns of the battery last given are kept for the next level."""
-        return contract(self.terms(form, k), self._columns(psis), self.dx,
-                        self.slab)
+        return self.quadrature(self.terms(form, k), psis)
 
     def battery_report(self, forms, ks, psis):
-        """Residuals in fixed lexicographic (form, k, psi) order.
-
-        ``ks`` is an array shared by all forms or a dict form -> array
-        (the u-space forms sample k differently)."""
+        """Residuals in fixed lexicographic (form, k, psi) order; ``ks``
+        maps each form to its levels (the u-space forms sample k
+        differently)."""
         info = {
             "n_cells": self.run.grid.n_cells,
             "dx": self.dx,
@@ -366,8 +355,7 @@ class ResidualEvaluator:
         report = EntropyReport(info)
         levels = {}  # SGN and N2 share one integrand
         for form in forms:
-            k_list = ks[form] if isinstance(ks, dict) else ks
-            for k in np.asarray(k_list, dtype=float):
+            for k in np.asarray(ks[form], dtype=float):
                 key = ("SGN" if form == "N2" else form, k)
                 if key not in levels:
                     levels[key] = self.residual(form, k, psis)
@@ -427,5 +415,4 @@ def pair_gap_battery(kind, ev1, ev2, psis):
     if not (np.array_equal(reg1.curve.values, reg2.curve.values)
             and np.array_equal(reg1.theta.table, reg2.theta.table)):
         raise ValueError("pair gaps need identical flux and theta tables")
-    return quadrature(_pair_fields(kind, ev1, ev2), psis, ev1.t_mid, ev1.x,
-                      ev1.dx, ev1.slab)
+    return ev1.quadrature(_pair_fields(kind, ev1, ev2), psis)

@@ -31,8 +31,7 @@ from dataclasses import dataclass, field as _field
 import numpy as np
 
 from .config import write_json
-from .entropy import (ColumnCache, ResolutionError, _require_matching,
-                      contract, quadrature)
+from .entropy import Quadrature, ResolutionError, _require_matching
 from .problem import perturbation
 
 
@@ -321,8 +320,8 @@ class MeasureContext:
                                self.eta, self.g_eta]),
             np.bincount(self.unit, minlength=len(self.units)))
         self._eta_mu = {}
-        self._columns = ColumnCache(ym.times, ym.centers, ym.dx, ym.slab,
-                                    self.block_shape)
+        self.quadrature = Quadrature(ym.times, ym.centers, ym.dx, ym.slab,
+                                     self.block_shape)
 
     def cut(self, lam, side, units=None):
         """Slot in ``below``/``above`` of the cut of each unit's atoms (or
@@ -382,8 +381,7 @@ class MeasureContext:
         """Quadrature values of (EQ+) / negated (EQ-) at level mu, one per
         test function; the columns of the battery last given are kept for
         the next level."""
-        return contract(self.terms(sign, mu, gamma), self._columns(psis),
-                        self.ym.dx, self.ym.slab)
+        return self.quadrature(self.terms(sign, mu, gamma), psis)
 
 
 def mu_is_atom(atoms, mu):
@@ -454,10 +452,8 @@ def averaged_contraction_gap(ym1, ym2, psis, reg):
         return (np.bincount(ctx1.unit, r1 * getattr(ctx1, name), n_units)
                 - np.bincount(ctx2.unit, r2 * getattr(ctx2, name), n_units))
 
-    fields = ctx1.fields(bracket("eta"), bracket("A"), bracket("g_eta"),
-                         bracket("phi"))
-    return quadrature(fields, psis, ym1.times, ym1.centers, ym1.dx, ym1.slab,
-                      block=ctx1.block_shape)
+    return ctx1.quadrature(ctx1.fields(bracket("eta"), bracket("A"),
+                                       bracket("g_eta"), bracket("phi")), psis)
 
 
 # ---------------------------------------------------------------------------

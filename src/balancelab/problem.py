@@ -43,23 +43,32 @@ def json_number(x):
     return x
 
 
-def _parse_numbers(obj, where, keep=()):
-    """A copy of the JSON object ``obj`` with each number written as a
-    string, as a value or as a list entry, read as that number (an integer
-    literal as an int, as JSON reads it); the keys in ``keep`` are left as
-    they are, and so is ``obj`` when it is not an object.  A string that
-    is no finite number is a ValueError naming its key."""
+def read_number(v, where, inf=False):
+    """``v``, or the number that the string ``v`` writes (an integer
+    literal as an int, as JSON reads it).  A string that is no finite
+    number is a ValueError naming ``where``; with ``inf`` the string
+    "inf" reads as infinity."""
+    if not isinstance(v, str):
+        return v
+    if inf and v == "inf":
+        return math.inf
+    for kind in (int, float):
+        try:
+            x = kind(v)
+        except ValueError:
+            continue
+        if math.isfinite(x):
+            return x
+    raise ValueError(f"{where} must be a number, not {v!r}")
+
+
+def _parse_numbers(obj, where, keep=(), inf=()):
+    """A copy of the JSON object ``obj`` with each value and list entry
+    passed through ``read_number`` (the keys in ``inf`` take "inf"); the
+    keys in ``keep`` are left as they are, and so is ``obj`` when it is
+    not an object."""
     def number(v, key):
-        if not isinstance(v, str):
-            return v
-        for kind in (int, float):
-            try:
-                x = kind(v)
-            except ValueError:
-                continue
-            if math.isfinite(x):
-                return x
-        raise ValueError(f"{where}.{key} must be a number, not {v!r}")
+        return read_number(v, f"{where}.{key}", key in inf)
 
     if not isinstance(obj, dict):
         return obj
@@ -405,15 +414,20 @@ class ProblemSpec:
     def from_dict(d):
         check_keys(d, ("domain", "theta", "flux", "source", "u0", "indices",
                        "sample_radius"), "problem")
-        dom = check_keys(d["domain"], ("x_lo", "x_hi", "T", "pad"), "problem.domain")
+        dom = _parse_numbers(check_keys(d["domain"], ("x_lo", "x_hi", "T", "pad"),
+                                        "problem.domain"), "problem.domain")
         theta = check_keys(d["theta"], ("graph", "coeff"), "problem.theta")
-        flux = check_keys(d["flux"], ("curve", "gap_slope"), "problem.flux")
+        flux = _parse_numbers(check_keys(d["flux"], ("curve", "gap_slope"),
+                                         "problem.flux"),
+                              "problem.flux", keep=("curve",))
         curve = check_keys(flux["curve"], ("samples", "jumps"), "problem.flux.curve")
         if not isinstance(curve.get("jumps", []), list):
             raise ValueError("problem.flux.curve.jumps must be a list")
         for jump in curve.get("jumps", []):
             check_keys(jump, ("z", "left", "right"), "problem.flux.curve.jumps entry")
-        idx = check_keys(d.get("indices", {}), ("j", "ell", "m"), "problem.indices")
+        idx = _parse_numbers(check_keys(d.get("indices", {}), ("j", "ell", "m"),
+                                        "problem.indices"),
+                             "problem.indices", keep=("j",), inf=("ell", "m"))
         u0 = d.get("u0", {"id": "zero"})
         if isinstance(u0, dict) and "params" in u0:
             u0 = {**u0, "params": _parse_numbers(u0["params"],
@@ -437,7 +451,8 @@ class ProblemSpec:
             ell=float(idx.get("ell", 1.0)),
             m=float(idx.get("m", 1.0)),
             gap_slope=float(flux.get("gap_slope", 1.0)),
-            sample_radius=float(d.get("sample_radius", 2.0)),
+            sample_radius=float(read_number(d.get("sample_radius", 2.0),
+                                            "problem.sample_radius")),
             pad=float(dom.get("pad", 0.0)),
         )
 

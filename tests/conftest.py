@@ -1,14 +1,25 @@
 """Shared test helpers: seeded random graphs, a canonical problem, the
 resolvent and arctan-inverse bisection oracles, the single-test-function
-pair gap and the elementwise psi matrices of the quadrature oracles."""
+pair gap, the elementwise psi matrices of the quadrature oracles, and the
+skip marks of the tests that count a process's OS threads."""
+
+import os
 
 import numpy as np
+import pytest
 
 from balancelab.entropy import (ResidualEvaluator, bump_profile, bump_profile_dy,
                                pair_gap_battery)
 from balancelab.flux import FluxCurve
 from balancelab.monotone import MonotoneGraph
 from balancelab.problem import ProblemSpec, SourceSpec
+
+needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                                reason="no /proc/self/task to count threads")
+needs_two_cpus = pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2 if hasattr(os, "sched_getaffinity")
+    else (os.cpu_count() or 1) < 2,
+    reason="OpenBLAS starts no more threads than CPUs")
 
 
 def canonical_spec(**kw):

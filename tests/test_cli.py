@@ -690,6 +690,39 @@ def test_string_that_is_no_number_exits_2_naming_its_key(where, text,
     assert "problem.%s must be a number" % ".".join(where) in message
 
 
+# (key path, string): numbers written as strings that read as NaN or an
+# infinity, or overflow to one; only indices.ell and indices.m take "inf"
+NON_FINITE_STRING = [
+    (["problem", "domain", "T"], "inf"),
+    (["problem", "domain", "T"], "1e400"),
+    (["problem", "domain", "T"], "nan"),
+    (["problem", "domain", "x_lo"], "-inf"),
+    (["problem", "domain", "pad"], "inf"),
+    (["problem", "indices", "ell"], "nan"),
+    (["problem", "indices", "ell"], "1e400"),
+    (["problem", "indices", "m"], "-inf"),
+    (["problem", "flux", "gap_slope"], "inf"),
+    (["problem", "sample_radius"], "1e400"),
+    (["schedules", "ell_fixed"], "inf"),
+    (["schedules", "m_fixed"], "nan"),
+]
+
+
+@pytest.mark.parametrize("where,text", NON_FINITE_STRING)
+def test_string_that_reads_as_non_finite_exits_2_naming_its_key(
+        where, text, tmp_path, capsys):
+    d = _load("arctan_damped").to_dict()
+    obj = d
+    for key in where[:-1]:
+        obj = obj[key]
+    obj[where[-1]] = text
+    code, err = _exit_of(d, tmp_path, capsys, command="solve")
+    assert code == 2
+    err = json.loads(err)
+    assert err["error"] == "config"
+    assert "%s must be a number" % ".".join(where) in err["message"]
+
+
 @pytest.mark.parametrize("key,value", [
     ("macro", [2.5, 8]),  # not truncated to [2, 8]
     ("macro", [0.5, 8]),  # not quoted as [0, 8]

@@ -184,7 +184,8 @@ def test_shock_battery_sgn_above_tolerance_curve():
         ev = ResidualEvaluator(res, reg)
         V = res.V
         ks = k_samples(V, reg)
-        report = ev.battery_report(("SGN",), ks, battery_from_geometry(spec))
+        report = ev.battery_report(("SGN",), {"SGN": ks},
+                                   battery_from_geometry(spec))
         assert len(report.rows) == len(ks) * 18
         worst = report.minima()["SGN"]
         assert worst >= -_verification_tol(res)
@@ -374,7 +375,8 @@ def test_entropy_report_serialization(tmp_path):
     V = res.V
     ks = k_samples(V, reg, n=5)
     psis = battery_from_geometry(spec)[:4]
-    report = ev.battery_report(("SEMI_PLUS", "SGN"), ks, psis)
+    report = ev.battery_report(("SEMI_PLUS", "SGN"),
+                               {"SEMI_PLUS": ks, "SGN": ks}, psis)
     assert len(report.rows) == 2 * len(ks) * 4
     minima = report.minima()
     assert set(minima) == {"SEMI_PLUS", "SGN"}
@@ -419,7 +421,8 @@ def test_battery_report_keeps_one_level_live():
     field_bytes = ev.U.nbytes
     tracemalloc.start()
     try:
-        report = ev.battery_report(forms, ks, battery_from_geometry(spec))
+        report = ev.battery_report(forms, {form: ks for form in forms},
+                                   battery_from_geometry(spec))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -15,11 +15,13 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from balancelab import entropy
+from balancelab.cli import main
 from balancelab.config import load_config
 from balancelab.entropy import (FORMS, MIN_CELLS_PER_RADIUS,
-                                MIN_SLABS_PER_RADIUS, ResidualEvaluator,
-                                ResolutionError, TestFunction,
-                                battery_from_geometry, k_samples, quadrature)
+                                MIN_SLABS_PER_RADIUS, Quadrature,
+                                ResidualEvaluator, ResolutionError,
+                                TestFunction, battery_from_geometry, k_samples)
 from balancelab.harness import solve_points
 from balancelab.measures import (MeasureContext, estimate_young_measure,
                                  mv_residual_table)
@@ -83,7 +85,7 @@ def problems(draw):
 @given(problems())
 def test_battery_matches_elementwise_oracle(problem):
     fields, psis, t, x, dx, slab, block = problem
-    got = quadrature(fields, psis, t, x, dx, slab, block)
+    got = Quadrature(t, x, dx, slab, block)(fields, psis)
     want = _oracle(fields, psis, t, x, dx, slab)
     assert got.shape == (len(psis),)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -106,12 +108,12 @@ def test_one_unresolved_psi_rejects_the_battery(block, message):
     good = TestFunction(0.25, 0.0, 0.2, 1.0)
     bad = TestFunction(0.25, 0.0, 0.2, 0.05)
     with pytest.raises(ResolutionError) as err:
-        quadrature(None, [good, bad, good], t, x, 1 / 16, 0.5 / 64, block)
+        Quadrature(t, x, 1 / 16, 0.5 / 64, block)(None, [good, bad, good])
     assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------
-# Columns built once per battery, against one quadrature call per level
+# Columns built once per battery, against a fresh quadrature per level
 # ---------------------------------------------------------------------------
 
 
@@ -123,6 +125,11 @@ def _shipped(name):
 
 def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64)
+
+
+def _fresh(ev, fields, psis):
+    """The fields against psis on the grid of ev, with columns of their own."""
+    return Quadrature(ev.t_mid, ev.x, ev.dx, ev.slab)(fields, psis)
 
 
 @pytest.fixture(scope="module")
@@ -142,8 +149,7 @@ def test_battery_report_equals_one_quadrature_per_level(smooth_evaluator):
     want = []
     for form in forms:
         for k in ks[form]:
-            want.extend(quadrature(ev.terms(form, k), psis, ev.t_mid, ev.x,
-                                   ev.dx, ev.slab))
+            want.extend(_fresh(ev, ev.terms(form, k), psis))
     assert [r[:3] for r in report.rows] == [
         (f, float(k), p.label) for f in forms for k in ks[f] for p in psis]
     np.testing.assert_array_equal(_bits([r[3] for r in report.rows]),
@@ -158,8 +164,7 @@ def test_kept_columns_follow_a_new_battery(smooth_evaluator):
     for battery in (other, psis):
         np.testing.assert_array_equal(
             _bits(ev.residual("SGN", k, battery)),
-            _bits(quadrature(ev.terms("SGN", k), battery, ev.t_mid, ev.x,
-                             ev.dx, ev.slab)))
+            _bits(_fresh(ev, ev.terms("SGN", k), battery)))
 
 
 def test_unresolved_psi_raises_from_battery_report_as_from_quadrature(
@@ -168,11 +173,11 @@ def test_unresolved_psi_raises_from_battery_report_as_from_quadrature(
     k = float(np.median(ev.V))
     bad = psis[:1] + [dataclasses.replace(psis[0], r_x=2.0 * ev.dx)]
     with pytest.raises(ResolutionError) as want:
-        quadrature(ev.terms("SGN", k), bad, ev.t_mid, ev.x, ev.dx, ev.slab)
-    ev.battery_report(["SGN"], [k], psis)  # the resolved columns are kept
+        _fresh(ev, ev.terms("SGN", k), bad)
+    ev.battery_report(["SGN"], {"SGN": [k]}, psis)  # the resolved columns are kept
     for _ in range(2):  # and a rejected battery keeps none
         with pytest.raises(ResolutionError) as got:
-            ev.battery_report(["SGN"], [k], bad)
+            ev.battery_report(["SGN"], {"SGN": [k]}, bad)
         assert str(got.value) == str(want.value)
 
 
@@ -187,8 +192,26 @@ def test_mv_residual_table_equals_one_quadrature_per_level():
     for gamma in (0.0, 0.1):
         rows = mv_residual_table(ctx, mus, psis, gamma)
         want = [res for sign in ("PLUS", "MINUS") for mu in mus
-                for res in quadrature(ctx.terms(sign, mu, gamma), psis,
-                                      ym.times, ym.centers, ym.dx, ym.slab,
-                                      block=ctx.block_shape)]
+                for res in Quadrature(ym.times, ym.centers, ym.dx, ym.slab,
+                                      ctx.block_shape)(
+                                          ctx.terms(sign, mu, gamma), psis)]
         np.testing.assert_array_equal(_bits([r[3] for r in rows]),
                                       _bits(want))
+
+
+def test_verify_builds_the_battery_columns_once(tmp_path, monkeypatch):
+    # the entropy battery and the contraction gaps of the pair meet the same
+    # columns on the first run's grid: one time and one space build in all
+    build = entropy._columns
+    builds = []
+
+    def counted(y, keys):
+        builds.append(len(y))
+        return build(y, keys)
+
+    monkeypatch.setattr(entropy, "_columns", counted)
+    path = os.path.join(CONFIG_DIR, "arctan_damped.json")
+    assert main(["verify", "--config", path, "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 0
+    cfg = load_config(path)
+    assert builds == [cfg.snapshots + 1, cfg.grid_sizes[0]]

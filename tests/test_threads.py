@@ -7,7 +7,7 @@ import os
 import subprocess
 import sys
 
-import pytest
+from conftest import needs_proc, needs_two_cpus
 
 SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
@@ -23,10 +23,6 @@ rc = balancelab.cli.main(["solve", "--config", sys.argv[1], "--out",
 print(json.dumps({"rc": rc, "threads": len(os.listdir("/proc/self/task")),
                   "env": os.environ.get("OPENBLAS_NUM_THREADS")}))
 """
-
-needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
-                                reason="no /proc/self/task to count threads")
-
 
 def _fresh(tmp_path, preset=None):
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
@@ -48,10 +44,7 @@ def test_import_and_solve_leave_one_os_thread(tmp_path):
 
 
 @needs_proc
-@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2
-                    if hasattr(os, "sched_getaffinity")
-                    else (os.cpu_count() or 1) < 2,
-                    reason="OpenBLAS starts no more threads than CPUs")
+@needs_two_cpus
 def test_preset_thread_count_is_honoured(tmp_path):
     out = _fresh(tmp_path, preset="2")
     assert out["threads"] == 2

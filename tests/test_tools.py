@@ -1,12 +1,15 @@
 """Smoke tests of tools/artifact_digests.py on one config and one subcommand,
 and on one benchmark workload, of tools/kernel_timing.py on small grids,
-and of tools/phase_memory.py on one workload."""
+and of tools/phase_memory.py on one workload; and the OS threads that the
+timing tools' processes hold."""
 
 import hashlib
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 from balancelab.cli import main
 
@@ -15,6 +18,7 @@ TOOL = os.path.join(ROOT, "tools", "artifact_digests.py")
 CONFIG = os.path.join(ROOT, "configs", "constant_state.json")
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import workloads  # noqa: E402
+from conftest import needs_proc, needs_two_cpus  # noqa: E402
 
 
 def _digests(run_dir):
@@ -89,3 +93,32 @@ def test_phase_memory_reports_every_layer_the_run_reaches():
         assert max(rec["held_mb"], 0.0) <= rec["peak_mb"] <= record["total"]["traced_peak_mb"]
         assert 0.0 <= rec["maxrss_rise_mb"] <= rec["maxrss_mb"] <= record["total"]["maxrss_mb"]
     assert layers["solver.regularized"]["peak_mb"] > 0.0
+
+
+# runs a tool as its own script would run, then reports the process's OS
+# threads as it exits
+THREADS_AT_EXIT = """
+import atexit, json, os, runpy, sys
+atexit.register(lambda: print(json.dumps(
+    {"threads": len(os.listdir("/proc/self/task"))})))
+sys.argv = sys.argv[1:]
+runpy.run_path(sys.argv[0], run_name="__main__")
+"""
+
+
+@needs_proc
+@needs_two_cpus
+@pytest.mark.parametrize("tool,args", [
+    ("kernel_timing.py", ["--cells", "16", "--calls", "1", "--repeats", "1",
+                          "--workload", "ym-ensemble"]),
+    ("phase_memory.py", ["--workload", "ym-ensemble", "--seed", "3"]),
+])
+def test_timing_tools_run_with_the_cli_thread_count(tool, args):
+    # balancelab loads numpy with one BLAS thread only if nothing loaded
+    # numpy before it
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run(
+        [sys.executable, "-c", THREADS_AT_EXIT,
+         os.path.join(ROOT, "tools", tool), os.path.join(ROOT, "src")] + args,
+        env=env, check=True, capture_output=True, text=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"threads": 1}

@@ -24,7 +24,8 @@ of standard output is one JSON object mapping each cell count to the median
 (``*_us``) and the minimum (``*_min_us``) over blocks of the microseconds
 per call.  Other tenants' load only ever adds time, so the minimum
 separates two trees where the median cannot.  Run it on two source trees in alternation to compare them
-on one machine.
+on one machine.  balancelab loads before numpy, so the kernels run with
+the BLAS thread count that the CLI sets.
 """
 
 import argparse
@@ -35,8 +36,6 @@ import statistics
 import sys
 import tempfile
 import time
-
-import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -69,6 +68,7 @@ def main(argv=None):
     from balancelab.harness import solve_points
     from balancelab.measures import MeasureContext, estimate_young_measure
     from balancelab.solver import Grid1D, cfl_dt, regularized, solve, step
+    import numpy as np  # after balancelab, which sets the BLAS thread count
 
     with tempfile.TemporaryDirectory() as work:
         config = workloads.write_config(args.workload, 1,

@@ -23,8 +23,10 @@ Spans nest: a call's figures include those of the layers it calls, and a
 waits for them (the pool has one worker).  tracemalloc starts after the
 import, so the ``total`` figures leave out the interpreter and numpy; its
 own trace storage counts in ru_maxrss, so compare two trees with this tool
-on both, not against ``perfbench/run.py``.  One line per span name is
-printed, by peak; the last line of standard output is one JSON object.
+on both, not against ``perfbench/run.py``.  balancelab loads before numpy
+(which perfbench/spans.py imports), so the run has the BLAS thread count
+that the CLI sets.  One line per span name is printed, by peak; the last
+line of standard output is one JSON object.
 """
 
 import argparse
@@ -40,8 +42,7 @@ import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-import spans  # noqa: E402  (importing it only defines the tracer)
-import workloads  # noqa: E402
+import workloads  # noqa: E402  (importing it only defines the generators)
 
 MB = 1024.0 * 1024.0
 
@@ -50,9 +51,10 @@ def maxrss_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-class MemoryTracer(spans.Tracer):
-    """The benchmark tracer's install and uninstall, with wrappers that
-    record tracemalloc and ru_maxrss figures in place of spans."""
+class MemoryRecorder:
+    """Wrappers for the benchmark tracer's install and uninstall that
+    record tracemalloc and ru_maxrss figures in place of spans; ``main``
+    mixes it into ``spans.Tracer`` once balancelab is loaded."""
 
     def __init__(self):
         super().__init__()
@@ -111,6 +113,10 @@ def main(argv=None):
     args = p.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
     import balancelab.cli
+    import spans  # after balancelab, which sets the BLAS thread count
+
+    class MemoryTracer(MemoryRecorder, spans.Tracer):
+        pass
 
     command, _ = workloads.WORKLOADS[args.workload]
     tracer = MemoryTracer()
