@@ -122,12 +122,10 @@ def cmd_verify(cfg, out_dir, quiet):
 
     forms = [f for f in FORMS if f != "N1" or spec.smooth_in_x]
     kp = cfg.k_policy
-    ks = {}
-    for form in forms:
-        space = "u" if form == "N1" else "v"
-        values = run1.U if form == "N1" else run1.V
-        ks[form] = k_samples(values, reg, n=kp["n"], space=space,
-                             pad=kp["pad"])
+    ks_v = k_samples(run1.V, reg, n=kp["n"], space="v", pad=kp["pad"])
+    ks = {form: ks_v for form in forms}
+    if "N1" in ks:
+        ks["N1"] = k_samples(run1.U, reg, n=kp["n"], space="u", pad=kp["pad"])
     report = evaluator.battery_report(forms, ks, psis)
     report.write_json(os.path.join(out_dir, "entropy_report.json"))
     report.write_csv(os.path.join(out_dir, "entropy_report.csv"))

@@ -5,8 +5,8 @@ needs to reproduce its outputs bit for bit: grid sizes, snapshot count,
 the level-sample policy, the test-function battery geometry, the three
 parameter schedules, the output directory, and per-command options.  All
 numerics live in the config file; command-line flags only carry paths and
-verbosity.  Parsing is strict (unknown keys are errors) and parse ->
-serialize -> parse is the identity.
+verbosity.  Parsing is strict (unknown keys are errors, and numbers are
+JSON numbers) and parse -> serialize -> parse is the identity.
 """
 
 from __future__ import annotations
@@ -14,11 +14,10 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
-import math
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 
-from .problem import ProblemSpec, check_keys, read_number
+from .problem import ProblemSpec, check_keys, check_values
 
 
 class ConfigError(ValueError):
@@ -34,6 +33,9 @@ _SCHEDULE_KEYS = {"j", "ell", "m", "ell_fixed", "m_fixed"}
 _OPTION_KEYS = {"partner_scale", "macro", "merge_tol", "gamma",
                 "support_radius", "n_samples"}
 _NONNEGATIVE_OPTIONS = {"merge_tol", "gamma", "support_radius"}
+# keys outside the problem that take a number
+_NUMBER_KEYS = {"snapshots", "ell_fixed", "m_fixed"} | _K_KEYS | (
+    _OPTION_KEYS - {"macro"})
 
 DEFAULT_K_POLICY = {"n": 33, "pad": 0.5}
 DEFAULT_BATTERY = {"t_fracs": [0.3, 0.5, 0.7],
@@ -70,18 +72,6 @@ def _check_options(opts):
             _require(_number(v) and v >= 0, f"options.{key} must be a number >= 0")
         else:
             _require(_number(v), f"options.{key} must be a number")
-
-
-def _check_values(node, where):
-    """No key takes true, false, null, NaN or an infinity (Python's JSON
-    reader accepts the last two)."""
-    if isinstance(node, (dict, list)):
-        items = node.items() if isinstance(node, dict) else enumerate(node)
-        for key, value in items:
-            _check_values(value, f"{where}.{key}")
-    elif node is None or isinstance(node, bool) or (
-            isinstance(node, float) and not math.isfinite(node)):
-        raise ConfigError(f"{where} is {json.dumps(node)}, which no key takes")
 
 
 def _check_fracs(name, vals):
@@ -153,8 +143,8 @@ class RunConfig:
             "j": _check_schedule("j", s["j"], integral=True),
             "ell": _check_schedule("ell", s["ell"]),
             "m": _check_schedule("m", s["m"]),
-            "ell_fixed": float(read_number(s["ell_fixed"], "schedules.ell_fixed")),
-            "m_fixed": float(read_number(s["m_fixed"], "schedules.m_fixed")),
+            "ell_fixed": float(s["ell_fixed"]),
+            "m_fixed": float(s["m_fixed"]),
         }
         _require(self.schedules["ell_fixed"] >= 1.0 and self.schedules["m_fixed"] >= 1.0,
                  "schedules.ell_fixed and m_fixed must be >= 1")
@@ -180,7 +170,9 @@ class RunConfig:
     def from_dict(d):
         """Parse a JSON object; every rejection is a ConfigError."""
         try:
-            _check_values(check_keys(d, _TOP_KEYS, "config"), "config")
+            check_keys(d, _TOP_KEYS, "config")
+            check_values({k: v for k, v in d.items() if k != "problem"}, "",
+                         _NUMBER_KEYS)
             _require("problem" in d, "config needs a 'problem' section")
             _require("grid_sizes" in d, "config needs 'grid_sizes'")
             return RunConfig(

@@ -10,11 +10,16 @@ Sources come from a closed-form registry so that dissipativity is verifiable
 and mollification has exact separable form: mollifying C(t,x) G(u) with the
 product kernel factorizes into mollified C times mollified G, and the
 trigonometric modulations pick up the kernel cosine factor in closed form.
+
+``ProblemSpec.from_dict`` reads the ``problem`` object of a run config, whose
+numbers are JSON numbers; ``check_keys`` and ``check_values`` are the config
+reader's checks of keys and of values.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -43,39 +48,41 @@ def json_number(x):
     return x
 
 
-def read_number(v, where, inf=False):
-    """``v``, or the number that the string ``v`` writes (an integer
-    literal as an int, as JSON reads it).  A string that is no finite
-    number is a ValueError naming ``where``; with ``inf`` the string
-    "inf" reads as infinity."""
-    if not isinstance(v, str):
-        return v
-    if inf and v == "inf":
-        return math.inf
-    for kind in (int, float):
-        try:
-            x = kind(v)
-        except ValueError:
-            continue
-        if math.isfinite(x):
-            return x
-    raise ValueError(f"{where} must be a number, not {v!r}")
+# the strings a config takes: the names, and "inf" at indices.ell and m
+_NAME_KEYS = frozenset({"id", "kind", "g", "out_dir"})
+_INF_PATHS = ("problem.indices.ell", "problem.indices.m")
+# lists whose entries are objects or lists
+_ROWS = ("samples", "jumps")
 
 
-def _parse_numbers(obj, where, keep=(), inf=()):
-    """A copy of the JSON object ``obj`` with each value and list entry
-    passed through ``read_number`` (the keys in ``inf`` take "inf"); the
-    keys in ``keep`` are left as they are, and so is ``obj`` when it is
-    not an object."""
-    def number(v, key):
-        return read_number(v, f"{where}.{key}", key in inf)
-
-    if not isinstance(obj, dict):
-        return obj
-    return {key: v if key in keep
-            else [number(e, key) for e in v] if isinstance(v, list)
-            else number(v, key)
-            for key, v in obj.items()}
+def check_values(node, prefix, numbers, rows=False):
+    """ValueError at the first value below the object or list ``node`` that
+    no key takes: true, false, null, NaN, an infinity (Python's JSON reader
+    accepts the last two), an integer too large for a float, and a string
+    other than a name or the "inf" of indices.ell and m.  Messages name the
+    value by ``prefix`` and its keys, and call a string a bad number only
+    at a key in ``numbers`` or as an entry of a list that is not one of
+    ``rows``."""
+    for key, v in node.items() if isinstance(node, dict) else enumerate(node):
+        where = f"{prefix}{key}"
+        if isinstance(v, (dict, list)):
+            check_values(v, where + ".", numbers, key in _ROWS)
+        elif isinstance(v, str):
+            if key in _NAME_KEYS or (v == "inf" and where in _INF_PATHS):
+                continue
+            if key in numbers or (isinstance(key, int) and not rows):
+                raise ValueError(f"{where} must be a number, not {v!r}")
+            raise ValueError(f"{where} is the string {v!r}, where no string "
+                             "belongs")
+        elif v is None or isinstance(v, bool) or (
+                isinstance(v, float) and not math.isfinite(v)):
+            raise ValueError(f"{where} is {json.dumps(v)}, which no key takes")
+        elif isinstance(v, int):
+            try:
+                float(v)
+            except OverflowError:
+                raise ValueError(f"{where} is an integer too large for a "
+                                 "float") from None
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +304,11 @@ def initial_state(u0, x_centers, dx):
 _COEFF_KEYS = {"const": ("kind",), "pwc": ("kind", "x_breaks", "region_c"),
                "smooth": ("kind", "a", "b", "k", "phase")}
 _SMOOTH_DEFAULTS = {"a": 1.0, "b": 0.0, "k": 1.0, "phase": 0.0}
+# keys of a problem that take a number
+_NUMBER_KEYS = frozenset({
+    "x_lo", "x_hi", "T", "pad", "gap_slope", "sample_radius", "j", "ell", "m",
+    "z", "left", "right", *_SMOOTH_DEFAULTS}).union(
+        *_SOURCES.values(), *_U0_PARAMS.values()) - _NAME_KEYS
 
 
 @dataclass
@@ -414,24 +426,16 @@ class ProblemSpec:
     def from_dict(d):
         check_keys(d, ("domain", "theta", "flux", "source", "u0", "indices",
                        "sample_radius"), "problem")
-        dom = _parse_numbers(check_keys(d["domain"], ("x_lo", "x_hi", "T", "pad"),
-                                        "problem.domain"), "problem.domain")
+        check_values(d, "problem.", _NUMBER_KEYS)
+        dom = check_keys(d["domain"], ("x_lo", "x_hi", "T", "pad"), "problem.domain")
         theta = check_keys(d["theta"], ("graph", "coeff"), "problem.theta")
-        flux = _parse_numbers(check_keys(d["flux"], ("curve", "gap_slope"),
-                                         "problem.flux"),
-                              "problem.flux", keep=("curve",))
+        flux = check_keys(d["flux"], ("curve", "gap_slope"), "problem.flux")
         curve = check_keys(flux["curve"], ("samples", "jumps"), "problem.flux.curve")
         if not isinstance(curve.get("jumps", []), list):
             raise ValueError("problem.flux.curve.jumps must be a list")
         for jump in curve.get("jumps", []):
             check_keys(jump, ("z", "left", "right"), "problem.flux.curve.jumps entry")
-        idx = _parse_numbers(check_keys(d.get("indices", {}), ("j", "ell", "m"),
-                                        "problem.indices"),
-                             "problem.indices", keep=("j",), inf=("ell", "m"))
-        u0 = d.get("u0", {"id": "zero"})
-        if isinstance(u0, dict) and "params" in u0:
-            u0 = {**u0, "params": _parse_numbers(u0["params"],
-                                                 "problem.u0.params")}
+        idx = check_keys(d.get("indices", {}), ("j", "ell", "m"), "problem.indices")
         j = idx.get("j", 16)
         if not (isinstance(j, int) or (isinstance(j, float) and j.is_integer())):
             raise ValueError(f"indices.j must be an integer >= 1, not {j!r}")
@@ -442,17 +446,15 @@ class ProblemSpec:
             theta_graph=MonotoneGraph.from_dict(check_keys(
                 theta["graph"], ("breakpoints", "jumps", "slopes", "tail_slopes"),
                 "problem.theta.graph")),
-            coeff=_parse_numbers(theta.get("coeff", {"kind": "const"}),
-                                 "problem.theta.coeff", keep=("kind",)),
+            coeff=theta.get("coeff", {"kind": "const"}),
             flux=FluxCurve.from_dict(curve),
             source=SourceSpec.from_dict(d.get("source", {"id": "zero"})),
-            u0=u0,
+            u0=d.get("u0", {"id": "zero"}),
             j=int(j),
             ell=float(idx.get("ell", 1.0)),
             m=float(idx.get("m", 1.0)),
             gap_slope=float(flux.get("gap_slope", 1.0)),
-            sample_radius=float(read_number(d.get("sample_radius", 2.0),
-                                            "problem.sample_radius")),
+            sample_radius=float(d.get("sample_radius", 2.0)),
             pad=float(dom.get("pad", 0.0)),
         )
 

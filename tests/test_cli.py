@@ -304,40 +304,23 @@ def test_non_positive_gap_slope_exits_2(command, gap_slope, tmp_path, capsys):
 WRONG_VALUES = [None, True, 3, 2.5, "x", [], [1, 2], {}, {"a": 1}]
 
 
-def _positions(node):
-    """(container, key) of every value below a JSON node; of a long list
-    (the flux samples) only the first two entries."""
+def _positions(node, path=()):
+    """(container, key, key path) of every value below a JSON node; of a
+    long list (the flux samples) only the first two entries."""
     if isinstance(node, dict):
         items = node.items()
     else:
         items = enumerate(node[:2] if len(node) > 4 else node)
     out = []
     for key, child in items:
-        out.append((node, key))
+        out.append((node, key, path + (key,)))
         if isinstance(child, (dict, list)):
-            out += _positions(child)
+            out += _positions(child, path + (key,))
     return out
 
 
-@st.composite
-def mutated_configs(draw):
-    """A shipped config with one unknown key or one wrong-typed value at a
-    place drawn uniformly from all of its values, the root included."""
-    holder = {"root": _load(draw(st.sampled_from(SHIPPED))).to_dict()}
-    parent, key = draw(st.sampled_from(_positions(holder)))
-    node = parent[key]
-    if isinstance(node, dict) and draw(st.booleans()):
-        node["bogus"] = draw(st.sampled_from(WRONG_VALUES))
-    else:
-        parent[key] = draw(st.sampled_from(
-            [v for v in WRONG_VALUES if type(v) is not type(node)]))
-    return holder["root"]
-
-
-@seed(20140411)
-@settings(max_examples=250, deadline=None)
-@given(mutated_configs())
-def test_mutated_configs_exit_0_or_2_with_json(d):
+def _parametrize_exit(d):
+    """Exit code and stderr of ``parametrize`` on the config ``d``."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")
         with open(path, "w") as fh:
@@ -346,9 +329,81 @@ def test_mutated_configs_exit_0_or_2_with_json(d):
         with contextlib.redirect_stderr(err):
             code = main(["parametrize", "--config", path, "--out",
                          os.path.join(tmp, "o"), "--quiet"])
+    return code, err.getvalue()
+
+
+@st.composite
+def mutated_configs(draw):
+    """A shipped config with one unknown key or one wrong-typed value at a
+    place drawn uniformly from all of its values, the root included; and
+    whether an object or a list was replaced."""
+    holder = {"root": _load(draw(st.sampled_from(SHIPPED))).to_dict()}
+    parent, key, _ = draw(st.sampled_from(_positions(holder)))
+    node = parent[key]
+    if isinstance(node, dict) and draw(st.booleans()):
+        node["bogus"] = draw(st.sampled_from(WRONG_VALUES))
+        return holder["root"], False
+    parent[key] = draw(st.sampled_from(
+        [v for v in WRONG_VALUES if type(v) is not type(node)]))
+    return holder["root"], isinstance(node, (dict, list))
+
+
+@seed(20140411)
+@settings(max_examples=250, deadline=None)
+@given(mutated_configs())
+def test_mutated_configs_exit_0_or_2_with_json(case):
+    d, container_replaced = case
+    code, err = _parametrize_exit(d)
     assert code in (0, 2)
     if code:
-        assert json.loads(err.getvalue())["error"] == "config"
+        err = json.loads(err)
+        assert err["error"] == "config"
+        # an object or a list is not asked for as a number
+        assert not (container_replaced and "must be a number" in err["message"])
+
+
+@st.composite
+def number_as_string_configs(draw):
+    """A shipped config with one of its numbers, drawn from all of them (of
+    a long list the first two entries), written as the string of its JSON
+    text; with the number's dotted key path and that string."""
+    d = _load(draw(st.sampled_from(SHIPPED))).to_dict()
+    parent, key, path = draw(st.sampled_from(
+        [pos for pos in _positions(d)
+         if type(pos[0][pos[1]]) in (int, float)]))
+    parent[key] = json.dumps(parent[key])
+    return d, ".".join(map(str, path)), parent[key]
+
+
+@seed(20140412)
+@settings(max_examples=200, deadline=None)
+@given(number_as_string_configs())
+def test_number_written_as_a_string_exits_2_naming_its_path(case):
+    d, path, text = case
+    code, err = _parametrize_exit(d)
+    assert code == 2
+    assert json.loads(err) == {
+        "error": "config", "message": "%s must be a number, not %r" % (path, text)}
+
+
+@pytest.mark.parametrize("where,command", [
+    (["problem", "domain", "T"], "parametrize"),
+    (["grid_sizes", 0], "parametrize"),
+    (["snapshots"], "solve"),
+    (["schedules", "j", 1], "converge"),
+])
+def test_integer_too_large_for_a_float_exits_2_naming_its_key(
+        where, command, tmp_path, capsys):
+    d = _load("arctan_damped").to_dict()
+    obj = d
+    for key in where[:-1]:
+        obj = obj[key]
+    obj[where[-1]] = 10 ** 400
+    code, err = _exit_of(d, tmp_path, capsys, command)
+    assert code == 2
+    assert json.loads(err) == {
+        "error": "config",
+        "message": "%s is an integer too large for a float" % ".".join(map(str, where))}
 
 
 # ---------------------------------------------------------------------------
@@ -636,42 +691,35 @@ def test_string_for_a_number_exits_2_naming_its_key(where, name, value,
     assert "TypeError" not in message and "malformed" not in message
 
 
-# (config, key path, number, the number as a string): numbers that
-# problem.u0.params and problem.theta.coeff read from a string, as
-# problem.domain does
+# (config, key path, the number as a string) in problem.u0.params and
+# problem.theta.coeff; a list key takes a list of such strings
 NUMBER_AS_STRING = [
-    ("arctan_damped", ["u0", "params", "height"], 0.9, "0.9"),
-    ("arctan_damped", ["u0", "params", "skew"], 0.8, "0.8"),
-    ("het_smooth_coeff", ["theta", "coeff", "b"], 0.3, "0.3"),
-    ("pwc_coeff", ["theta", "coeff", "region_c"], [1.0, 1.5], ["1.0", "1.5"]),
-    ("pwc_coeff", ["theta", "coeff", "x_breaks"], [0.0], ["0.0"]),
-    ("arctan_damped", ["u0", "params", "height"], 1, "1"),
+    ("arctan_damped", ["u0", "params", "height"], "0.9"),
+    ("arctan_damped", ["u0", "params", "skew"], "0.8"),
+    ("het_smooth_coeff", ["theta", "coeff", "b"], "0.3"),
+    ("pwc_coeff", ["theta", "coeff", "region_c"], ["1.0", "1.5"]),
+    ("pwc_coeff", ["theta", "coeff", "x_breaks"], ["0.0"]),
+    ("arctan_damped", ["u0", "params", "height"], "1"),
 ]
 
 
-def _solve_artifacts(d, out):
-    path = out.parent / (out.name + ".json")
-    path.write_text(json.dumps(d))
-    assert main(["solve", "--config", str(path), "--out", str(out),
-                 "--quiet"]) == 0
-    return {name: (out / name).read_bytes() for name in os.listdir(out)}
-
-
-@pytest.mark.parametrize("name,where,number,text", NUMBER_AS_STRING)
-def test_number_written_as_a_string_writes_the_numeric_artifacts(
-        name, where, number, text, tmp_path):
+@pytest.mark.parametrize("name,where,text", NUMBER_AS_STRING)
+def test_number_written_as_a_string_exits_2_naming_its_key(
+        name, where, text, tmp_path, capsys):
     d = _load(name).to_dict()
     obj = d["problem"]
     for key in where[:-1]:
         obj = obj[key]
-    obj[where[-1]] = number
-    want = _solve_artifacts(d, tmp_path / "number")
-    echoed = json.loads(want["run.json"])["config"]["problem"]
-    for key in where:
-        echoed = echoed[key]
-    assert json.dumps(echoed) == json.dumps(number)  # an int stays an int
     obj[where[-1]] = text
-    assert _solve_artifacts(d, tmp_path / "string") == want
+    code, err = _exit_of(d, tmp_path, capsys, command="solve")
+    assert code == 2
+    assert not (tmp_path / "o").exists()
+    err = json.loads(err)
+    assert err["error"] == "config"
+    if isinstance(text, list):
+        where, text = where + [0], text[0]
+    assert err["message"] == "problem.%s must be a number, not %r" % (
+        ".".join(map(str, where)), text)
 
 
 @pytest.mark.parametrize("where", [["u0", "params", "height"],

@@ -1,8 +1,10 @@
 """Smoke tests of tools/artifact_digests.py on one config and one subcommand,
 and on one benchmark workload, of tools/kernel_timing.py on small grids,
-and of tools/phase_memory.py on one workload; and the OS threads that the
-timing tools' processes hold."""
+and of tools/phase_memory.py on one workload; the OS threads that the
+timing tools' processes hold; and the strings that the shipped configs and
+the benchmark's inputs write."""
 
+import glob
 import hashlib
 import json
 import os
@@ -37,6 +39,21 @@ def test_artifact_digests_records_exit_code_and_file_hashes(tmp_path):
     want = _digests(run_dir)
     assert want
     assert record == {"solve constant_state.json": {"exit": rc, "files": want}}
+
+
+def test_artifact_digests_records_the_error_of_a_rejected_run(tmp_path):
+    with open(CONFIG) as fh:
+        d = json.load(fh)
+    d["grid_sizes"] = ["64"]
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(d))
+    out = tmp_path / "digests.json"
+    subprocess.run([sys.executable, TOOL, os.path.join(ROOT, "src"), str(out),
+                    "--config", str(config), "--command", "solve"], check=True)
+    assert json.loads(out.read_text()) == {"solve cfg.json": {
+        "exit": 2, "files": {},
+        "stderr": {"error": "config",
+                   "message": "grid_sizes.0 must be a number, not '64'"}}}
 
 
 def test_artifact_digests_runs_a_workload_at_a_seed(tmp_path):
@@ -122,3 +139,30 @@ def test_timing_tools_run_with_the_cli_thread_count(tool, args):
          os.path.join(ROOT, "tools", tool), os.path.join(ROOT, "src")] + args,
         env=env, check=True, capture_output=True, text=True)
     assert json.loads(proc.stdout.splitlines()[-1]) == {"threads": 1}
+
+
+def _strings(node, path=()):
+    """(key path, string) of every string below a JSON node."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        if isinstance(child, str):
+            yield path + (key,), child
+        elif isinstance(child, (dict, list)):
+            yield from _strings(child, path + (key,))
+
+
+def test_configs_write_strings_only_as_names_and_inf():
+    # what the config reader takes as a string: the names, and "inf" at
+    # indices.ell and indices.m
+    texts = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "configs", "*.json"))):
+        with open(path) as fh:
+            texts.append(fh.read())
+    assert len(texts) == 10
+    texts += [workloads.config_text(w, s) for w in sorted(workloads.WORKLOADS)
+              for s in range(workloads.N_INPUTS)]
+    for text in texts:
+        for path, value in _strings(json.loads(text)):
+            assert (path[-1] in ("id", "kind", "g", "out_dir")
+                    or (value == "inf" and path in (("problem", "indices", "ell"),
+                                                    ("problem", "indices", "m")))), (path, value)

@@ -13,8 +13,10 @@ subcommand on the config that ``perfbench/workloads.py`` writes for that
 seed; given alone, it replaces the default configs.  OUT.json maps
 ``"<subcommand> <config file name>"`` and ``"<subcommand> <workload>-<seed>"``
 to the exit code and the digest of each file the run wrote, keyed by its
-path in the output directory.  The JSON is written with sorted keys, so
-the records of two source trees compare with a plain ``diff``:
+path in the output directory.  A run that exits 2, 3 or 4 also records
+the JSON object it printed on stderr (``error`` and ``message``), so a
+change of message shows too.  The JSON is written with sorted keys, so the
+records of two source trees compare with a plain ``diff``:
 
     python3 tools/artifact_digests.py parent/src parent.json
     python3 tools/artifact_digests.py src change.json
@@ -51,7 +53,8 @@ def file_digests(out_dir):
 
 
 def run_one(src, command, config):
-    """Exit code and file digests of one subcommand on one config."""
+    """Exit code and file digests of one subcommand on one config, and the
+    stderr JSON of a run that exits 2, 3 or 4."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     with tempfile.TemporaryDirectory() as work:
         out_dir = os.path.join(work, "out")
@@ -59,9 +62,12 @@ def run_one(src, command, config):
             [sys.executable, "-c", CHILD, command, "--config",
              os.path.abspath(config), "--out", out_dir, "--quiet"],
             cwd=work, env=env, stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL)
+            stderr=subprocess.PIPE, text=True)
         files = file_digests(out_dir) if os.path.isdir(out_dir) else {}
-    return {"exit": proc.returncode, "files": files}
+    record = {"exit": proc.returncode, "files": files}
+    if proc.returncode in (2, 3, 4):
+        record["stderr"] = json.loads(proc.stderr)
+    return record
 
 
 def workload_seed(text):
